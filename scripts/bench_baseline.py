@@ -35,6 +35,15 @@ sharded scheduler must win:
   the committed baseline — the batch engine must never be paid for by
   slowing the scalar path down.
 
+The committed baseline was re-recorded after the scalar engine's
+per-tick physics became memoised on its discrete operating point
+(docs/SUBSTRATE.md, "Scalar hot path"): scalar throughput rose ~1.7x,
+so the batch-over-scalar ratios fell (cells64 7.8x -> 4.4x, cells1024
+21.2x -> 9.3x) and their floors were reset to ~60 % of the new
+numbers.  The calibration-normalised ``MIN_SCALAR_RATIO`` floor now
+locks in that scalar gain: a change that gave it back would fail the
+gate even though the batch speedups would look better.
+
 ``--json PATH`` additionally writes the fresh measurement plus the
 gate verdict as machine-readable JSON (CI uploads it on failure, so a
 tripped gate is diagnosable without re-running).
@@ -92,13 +101,13 @@ APP_SCALE = 1.0
 COMPOSITIONS: dict[str, dict] = {
     "cells64": {
         "seeds_per_cell": 1,
-        "min_speedup": 5.0,
+        "min_speedup": 2.6,
         "write_reps": 5,
         "check_reps": 3,
     },
     "cells1024": {
         "seeds_per_cell": 16,
-        "min_speedup": 15.0,
+        "min_speedup": 5.5,
         "write_reps": 2,
         "check_reps": 1,
     },

@@ -401,6 +401,16 @@ def _hetero_gpu_seconds(node: GPUNodeConfig) -> float:
     return queue_len * (t_compute + t_xfer)
 
 
+def _devices_per_tick(spec: RunSpec) -> int:
+    """Devices one tick of ``spec`` steps: every socket of every node,
+    or the CPU socket plus each GPU of a hetero node."""
+    if spec.cluster is not None:
+        return spec.cluster.node_count * spec.cluster.sockets_per_node
+    if spec.gpu is not None:
+        return 1 + spec.gpu.gpu_count
+    return spec.socket_count
+
+
 def estimate_spec_ticks(spec: RunSpec) -> float:
     """Estimated simulated ticks of one cell, for shard bin-packing.
 
@@ -432,15 +442,13 @@ def estimate_spec_ticks(spec: RunSpec) -> float:
             for i in range(spec.cluster.node_count)
         )
         return spec.runs * spec.cluster.sockets_per_node * node_ticks
-    cpu_ticks = _nominal_ticks(
+    ticks = _nominal_ticks(
         spec.app_name, spec.app_scale, spec.socket, spec.engine_cfg.dt_s
     )
     if spec.gpu is not None:
         gpu_ticks = _hetero_gpu_seconds(spec.gpu) / spec.engine_cfg.dt_s
-        return (
-            spec.runs * (1 + spec.gpu.gpu_count) * max(cpu_ticks, gpu_ticks)
-        )
-    return spec.runs * spec.socket_count * cpu_ticks
+        ticks = max(ticks, gpu_ticks)
+    return spec.runs * _devices_per_tick(spec) * ticks
 
 
 def plan_shards(
@@ -506,8 +514,10 @@ def _execute_timed(spec: RunSpec) -> tuple[ProtocolResult, float]:
 
 
 def _solo_ticks(spec: RunSpec, result: ProtocolResult) -> float:
-    """Measured ticks of a solo-executed cell, from per-run wall times."""
-    return sum(result.times_s) * spec.socket_count / spec.engine_cfg.dt_s
+    """Measured ticks of a solo-executed cell: each run's makespan
+    times the devices every tick steps, as :func:`estimate_spec_ticks`
+    weighs them."""
+    return sum(result.times_s) * _devices_per_tick(spec) / spec.engine_cfg.dt_s
 
 
 def _iter_cells(

@@ -20,10 +20,10 @@ needs (core activity, traffic utilisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import CoreConfig
-from ..units import smooth_max
+from ..units import nan_free, smooth_max, zero_signs
 from .memory import MemorySystem
 
 __all__ = ["ExecutionRates", "PhaseExecutionModel"]
@@ -59,6 +59,12 @@ class PhaseExecutionModel:
     overlap_sharpness: float = 3.5
     #: Two rooflines within this ratio of each other count as balanced.
     balance_band: float = 1.15
+    #: ``instantaneous`` results by exact argument tuple.  Clocks sit on
+    #: 100 MHz grids and a phase's work is fixed, so a run revisits a
+    #: few hundred inputs; the memo dies with its model.
+    _rates: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def phase_time(
         self,
@@ -92,7 +98,42 @@ class PhaseExecutionModel:
         latency_sensitivity: float = 0.0,
         uncore_sensitivity: float = 0.0,
     ) -> ExecutionRates:
-        """Rates and power-model inputs while the phase executes."""
+        """Rates and power-model inputs while the phase executes.
+
+        Memoised on the exact arguments: a hit returns the frozen
+        result an earlier call computed, and validated, from equal
+        inputs.  The sensitivities act only when positive, so just the
+        volumes' zero signs join the key.
+        """
+        args = (
+            flops,
+            bytes_,
+            fpc,
+            core_hz,
+            uncore_hz,
+            latency_sensitivity,
+            uncore_sensitivity,
+        )
+        key = args if flops and bytes_ else args + zero_signs(flops, bytes_)
+        rates = self._rates.get(key)
+        if rates is None:
+            rates = self._compute_rates(*args)
+            if nan_free(key):
+                self._rates[key] = rates
+        return rates
+
+    # -- internals --------------------------------------------------------------
+
+    def _compute_rates(
+        self,
+        flops: float,
+        bytes_: float,
+        fpc: float,
+        core_hz: float,
+        uncore_hz: float,
+        latency_sensitivity: float,
+        uncore_sensitivity: float,
+    ) -> ExecutionRates:
         t_c, t_m = self._roof_times(
             flops,
             bytes_,
@@ -124,8 +165,6 @@ class PhaseExecutionModel:
             progress_rate=1.0 / t,
             bound=bound,
         )
-
-    # -- internals --------------------------------------------------------------
 
     def _roof_times(
         self,

@@ -11,13 +11,20 @@ still clocks); ``traffic`` is memory-bandwidth utilisation.  The model
 is the standard CMOS dynamic-power form the RAPL firmware itself uses
 for budgeting, and it is analytically invertible on the P-state grid,
 which is how the simulated RAPL limiter picks its frequency clamp.
+
+The single-die forward model is memoised per model instance on its
+exact inputs: clocks sit on 100 MHz grids and activity/traffic repeat
+with the phase, so a run revisits few distinct inputs.  The clamp
+scans a per-model table of each P-state's activity-independent core
+power factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import CoreConfig, PowerModelConfig, UncoreConfig
+from ..units import nan_free, zero_signs
 
 __all__ = ["PowerBreakdown", "PackagePowerModel"]
 
@@ -42,11 +49,25 @@ class PackagePowerModel:
     core_cfg: CoreConfig
     uncore_cfg: UncoreConfig
     cfg: PowerModelConfig
+    #: ``package_power`` / ``uncore_power`` results by exact arguments.
+    #: They live and die with this model.
+    _package: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _uncore: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: ``(f, N·k_core·V(f)²·f_GHz)`` over the P-state grid, top down.
+    _pstates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.core_cfg.validate()
         self.uncore_cfg.validate()
         self.cfg.validate()
+        cfg = self.core_cfg
+        n_steps = int(round((cfg.max_freq_hz - cfg.min_freq_hz) / cfg.step_hz))
+        grid = [cfg.min_freq_hz + i * cfg.step_hz for i in range(n_steps, -1, -1)]
+        self._pstates = tuple((f, self._core_factor(f)) for f in grid)
 
     # -- forward model ---------------------------------------------------------
 
@@ -60,16 +81,33 @@ class PackagePowerModel:
         The default 1.0 is the legacy all-C0 path, bit-for-bit
         (``a0 * 1.0 == a0`` exactly in IEEE 754).
         """
+        scale = self._core_scale(activity, idle_scale)
+        return self._core_factor(freq_hz) * scale
+
+    def _core_factor(self, freq_hz: float) -> float:
+        v = self.core_cfg.voltage_at(freq_hz)
+        return self.core_cfg.count * self.cfg.k_core * v * v * (freq_hz / 1e9)
+
+    def _core_scale(self, activity: float, idle_scale: float = 1.0) -> float:
         self._check_unit("activity", activity)
         if not 0.0 <= idle_scale <= 1.0:
             raise ValueError(f"idle_scale must be in [0, 1], got {idle_scale!r}")
-        v = self.core_cfg.voltage_at(freq_hz)
         a0 = self.cfg.core_idle_fraction
-        scale = a0 * idle_scale + (1.0 - a0) * activity
-        return self.core_cfg.count * self.cfg.k_core * v * v * (freq_hz / 1e9) * scale
+        return a0 * idle_scale + (1.0 - a0) * activity
 
     def uncore_power(self, uncore_hz: float, traffic: float) -> float:
         """Dynamic power of the uncore at ``uncore_hz`` with given traffic."""
+        key = (uncore_hz, traffic)
+        if not (uncore_hz and traffic):
+            key += zero_signs(uncore_hz, traffic)
+        watts = self._uncore.get(key)
+        if watts is None:
+            watts = self._uncore_w(uncore_hz, traffic)
+            if nan_free(key):
+                self._uncore[key] = watts
+        return watts
+
+    def _uncore_w(self, uncore_hz: float, traffic: float) -> float:
         self._check_unit("traffic", traffic)
         v = self.uncore_cfg.voltage_at(uncore_hz)
         u0 = self.cfg.uncore_idle_fraction
@@ -89,7 +127,7 @@ class PackagePowerModel:
         if not dies:
             raise ValueError("uncore_power_dies: no die loads")
         return sum(
-            self.uncore_power(freq_hz, traffic) for freq_hz, traffic in dies
+            self._uncore_w(freq_hz, traffic) for freq_hz, traffic in dies
         ) / len(dies)
 
     def package_power(
@@ -109,13 +147,44 @@ class PackagePowerModel:
         ``core_idle_scale`` is the C-state idle-power delta (1.0 = all
         C0); ``uncore_dies`` replaces the single-domain uncore term
         with per-die loads on multi-die parts.
+
+        The single-die path is memoised on its exact arguments; a key
+        holding a zero also records every zero's sign.
         """
         if core_boost <= 0:
             raise ValueError("core_boost must be positive")
         if uncore_dies is not None:
-            uncore_w = self.uncore_power_dies(uncore_dies)
-        else:
-            uncore_w = self.uncore_power(uncore_hz, traffic)
+            return self._breakdown(
+                freq_hz,
+                activity,
+                core_boost,
+                core_idle_scale,
+                self.uncore_power_dies(uncore_dies),
+            )
+        key = (freq_hz, uncore_hz, activity, traffic, core_boost, core_idle_scale)
+        if not (freq_hz and uncore_hz and activity and traffic and core_idle_scale):
+            key += zero_signs(freq_hz, uncore_hz, activity, traffic, core_idle_scale)
+        pkg = self._package.get(key)
+        if pkg is None:
+            pkg = self._breakdown(
+                freq_hz,
+                activity,
+                core_boost,
+                core_idle_scale,
+                self.uncore_power(uncore_hz, traffic),
+            )
+            if nan_free(key):
+                self._package[key] = pkg
+        return pkg
+
+    def _breakdown(
+        self,
+        freq_hz: float,
+        activity: float,
+        core_boost: float,
+        core_idle_scale: float,
+        uncore_w: float,
+    ) -> PowerBreakdown:
         return PowerBreakdown(
             static_w=self.cfg.static_w,
             core_w=self.core_power(freq_hz, activity, core_idle_scale)
@@ -143,22 +212,19 @@ class PackagePowerModel:
         """
         if core_boost <= 0:
             raise ValueError("core_boost must be positive")
-        floor = self.core_cfg.min_freq_hz
         if uncore_dies is not None:
             uncore_w = self.uncore_power_dies(uncore_dies)
         else:
             uncore_w = self.uncore_power(uncore_hz, traffic)
         non_core = self.cfg.static_w + uncore_w
         budget_cores = budget_w - non_core
-        best = floor
-        cfg = self.core_cfg
-        n_steps = int(round((cfg.max_freq_hz - cfg.min_freq_hz) / cfg.step_hz))
-        for i in range(n_steps, -1, -1):
-            f = cfg.min_freq_hz + i * cfg.step_hz
-            if self.core_power(f, activity) * core_boost <= budget_cores:
-                best = f
-                break
-        return best
+        # ``factor * scale`` is exactly ``core_power(f, activity)``: the
+        # same products in the same order.
+        scale = self._core_scale(activity)
+        for f, factor in self._pstates:
+            if factor * scale * core_boost <= budget_cores:
+                return f
+        return self.core_cfg.min_freq_hz
 
     @staticmethod
     def _check_unit(name: str, value: float) -> None:

@@ -35,6 +35,16 @@ from .uncore import TpmiUncore, UncoreDriver, build_uncore
 
 __all__ = ["PhaseWork", "ProcessorState", "SimulatedProcessor"]
 
+#: What an idle (or finished) socket executes; frozen, so shared.
+_IDLE_RATES = ExecutionRates(
+    flops_rate=0.0,
+    bytes_rate=0.0,
+    core_activity=0.0,
+    traffic_util=0.0,
+    progress_rate=0.0,
+    bound="idle",
+)
+
 
 @dataclass(frozen=True)
 class PhaseWork:
@@ -196,14 +206,7 @@ class SimulatedProcessor:
             )
             progress = rates.progress_rate * dt_s
         else:
-            rates = ExecutionRates(
-                flops_rate=0.0,
-                bytes_rate=0.0,
-                core_activity=0.0,
-                traffic_util=0.0,
-                progress_rate=0.0,
-                bound="idle",
-            )
+            rates = _IDLE_RATES
             progress = 0.0
 
         # 3b. C-states (opt-in): idle residency cuts the core idle-power

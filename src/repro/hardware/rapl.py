@@ -26,6 +26,7 @@ from typing import Callable
 
 from ..config import RAPLConfig
 from ..errors import RAPLError
+from ..units import nan_free
 from .msr import (
     MSR,
     MSRFile,
@@ -102,6 +103,12 @@ class RAPLPackage:
     #: extra delay stretches this write's actuation latency.  ``None``
     #: (the default) is the fault-free fast path.
     latch_fault: Callable[[], tuple[bool, float]] | None = None
+    #: PL1/PL2 averaging factors ``1 - exp(-dt/window)`` by
+    #: ``(dt, pl1 window, pl2 window)``: steps are a fixed ``dt`` except
+    #: at phase boundaries, and windows change only on limit writes.
+    _decay: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.cfg.validate()
@@ -197,8 +204,16 @@ class RAPLPackage:
             self._pending = None
         self.package.accumulate(package_power_w * dt_s)
         self.dram.accumulate(dram_power_w * dt_s)
-        a1 = 1.0 - math.exp(-dt_s / self.pl1.window_s)
-        a2 = 1.0 - math.exp(-dt_s / self.pl2.window_s)
+        key = (dt_s, self.pl1.window_s, self.pl2.window_s)
+        decay = self._decay.get(key)
+        if decay is None:
+            decay = (
+                1.0 - math.exp(-dt_s / self.pl1.window_s),
+                1.0 - math.exp(-dt_s / self.pl2.window_s),
+            )
+            if nan_free(key):
+                self._decay[key] = decay
+        a1, a2 = decay
         self._avg_pl1_w += a1 * (package_power_w - self._avg_pl1_w)
         self._avg_pl2_w += a2 * (package_power_w - self._avg_pl2_w)
 

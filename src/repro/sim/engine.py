@@ -24,6 +24,7 @@ from ..config import ControllerConfig, EngineConfig, NoiseConfig
 from ..core.base import Controller
 from ..core.runtime import ControllerRuntime
 from ..errors import SimulationError
+from ..hardware.processor import PhaseWork
 from ..workloads.application import Application
 from .faults import FaultInjector, FaultPlan
 from .machine import SimulatedMachine
@@ -47,6 +48,8 @@ class _SocketProgress:
     finish_time_s: float | None = None
     phase_start_s: float = 0.0
     spans: list[PhaseSpan] = field(default_factory=list)
+    #: The current phase's processor-facing view, built once per phase.
+    work: PhaseWork | None = None
 
 
 @dataclass
@@ -245,7 +248,9 @@ class SimulationEngine:
                 proc.step(remaining_dt, None)
                 return
             phase = app.phases[p.phase_index]
-            work = phase.to_work()
+            if p.work is None:
+                p.work = phase.to_work()
+            work = p.work
             rate = proc.preview_progress_rate(work)
             if rate <= 0.0:
                 raise SimulationError(f"phase {phase.name!r} makes no progress")
@@ -264,6 +269,7 @@ class SimulationEngine:
                 )
                 p.phase_index += 1
                 p.fraction_done = 0.0
+                p.work = None
                 p.phase_start_s = end
 
 

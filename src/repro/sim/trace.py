@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections import deque
 from typing import IO, TYPE_CHECKING
@@ -58,13 +59,51 @@ CSV_HEADER = (
 )
 
 
+#: ``json.dumps`` of a sample record with compact separators, as a
+#: format: ``%r`` of a finite float is exactly the text ``json`` emits.
+_SAMPLE_LINE = (
+    '{"socket_id":%r,"time_s":%r,"core_freq_hz":%r,"uncore_freq_hz":%r,'
+    '"package_power_w":%r,"dram_power_w":%r,"cap_w":%r,"flops_rate":%r,'
+    '"bytes_rate":%r,"temperature_c":%s}\n'
+)
+_FLOAT = frozenset((float,))
+
+
 def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
     """One JSONL record (with trailing newline) for one trace sample.
 
     The single encoder shared by the streaming sink and the exporter:
     a streamed file and a serialised in-memory trace of the same run
     are byte-identical because both call this function.
+
+    Plain ints and finite floats are formatted directly; any other
+    value (NaN, ±inf, a float subclass) falls back to ``json.dumps``,
+    whose output the direct form reproduces byte for byte.
     """
+    fields = (
+        sample.time_s,
+        sample.core_freq_hz,
+        sample.uncore_freq_hz,
+        sample.package_power_w,
+        sample.dram_power_w,
+        sample.cap_w,
+        sample.flops_rate,
+        sample.bytes_rate,
+    )
+    temp = sample.temperature_c
+    checked = fields if temp is None else fields + (temp,)
+    # A NaN or ±inf makes the sum non-finite (so can an overflow, which
+    # merely takes the exact fallback).
+    if (
+        type(socket_id) is int
+        and _FLOAT.issuperset(map(type, checked))
+        and math.isfinite(sum(checked))
+    ):
+        return _SAMPLE_LINE % (
+            socket_id,
+            *fields,
+            "null" if temp is None else repr(temp),
+        )
     record = {
         "socket_id": socket_id,
         "time_s": sample.time_s,

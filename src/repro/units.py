@@ -192,3 +192,27 @@ def time_weighted_mean(values, durations) -> float:
     if total <= 0.0:
         raise ValueError("time_weighted_mean: total duration is not positive")
     return math.fsum(v * d for v, d in zip(values, durations)) / total
+
+
+# ---------------------------------------------------------------------------
+# Exact memo keys
+# ---------------------------------------------------------------------------
+
+
+def zero_signs(*values: float) -> tuple[float, ...]:
+    """The sign of each value as ``±1.0``, for memo keys holding a zero.
+
+    ``-0.0 == 0.0``, so the two zeros are one dict key, yet a zero's
+    sign can survive arithmetic into a result.  A memo whose key holds a
+    zero appends these signs, so each zero keeps its own entry.
+    """
+    return tuple(math.copysign(1.0, v) for v in values)
+
+
+def nan_free(key: tuple) -> bool:
+    """True when no element of ``key`` is NaN.
+
+    NaN never equals itself, so a NaN key could only ever miss; memos
+    check this before they store.
+    """
+    return all(v == v for v in key)

@@ -1,0 +1,256 @@
+"""The scalar engine's per-tick physics memos are exact.
+
+``PhaseExecutionModel.instantaneous``, ``PackagePowerModel.package_power``
+/ ``uncore_power`` and the RAPL decay factors are memoised per model
+instance on their exact inputs, and the RAPL clamp scans a per-model
+P-state table.  These properties pin what makes that safe:
+
+* every result, first call or repeat, equals an uncached reference bit
+  for bit — including signed zeros, which ``==`` (and so a dict key)
+  cannot tell apart, and the C-state ``idle_scale < 1`` path;
+* an invalid input raises on every call and is never stored, nor is a
+  NaN key;
+* no two processors share a memo.
+"""
+
+import math
+from dataclasses import astuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import (
+    CoreConfig,
+    MemoryConfig,
+    PowerModelConfig,
+    RAPLConfig,
+    UncoreConfig,
+    yeti_socket_config,
+)
+from repro.hardware.memory import MemorySystem
+from repro.hardware.perf import PhaseExecutionModel
+from repro.hardware.power import PackagePowerModel
+from repro.hardware.processor import PhaseWork, SimulatedProcessor
+from repro.hardware.rapl import RAPLPackage
+
+MEMO = settings(max_examples=60, deadline=None)
+
+
+def bits(value):
+    """A value's exact identity: ``repr`` tells ``-0.0`` from ``0.0``."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return (type(value), repr(value))
+
+
+def perf_model() -> PhaseExecutionModel:
+    core, uncore = CoreConfig(), UncoreConfig()
+    return PhaseExecutionModel(core, MemorySystem(MemoryConfig(), core, uncore))
+
+
+def power_model() -> PackagePowerModel:
+    return PackagePowerModel(CoreConfig(), UncoreConfig(), PowerModelConfig())
+
+
+def scan_reference(budget_w, uncore_hz, activity, traffic, core_boost):
+    """The clamp as a top-down scan evaluating the power formula per P-state."""
+    fresh = power_model()
+    core, pcfg = fresh.core_cfg, fresh.cfg
+    budget_cores = budget_w - (pcfg.static_w + fresh.uncore_power(uncore_hz, traffic))
+    a0 = pcfg.core_idle_fraction
+    scale = a0 * 1.0 + (1.0 - a0) * activity
+    n_steps = int(round((core.max_freq_hz - core.min_freq_hz) / core.step_hz))
+    for i in range(n_steps, -1, -1):
+        f = core.min_freq_hz + i * core.step_hz
+        v = core.voltage_at(f)
+        p = core.count * pcfg.k_core * v * v * (f / 1e9) * scale
+        if p * core_boost <= budget_cores:
+            return f
+    return core.min_freq_hz
+
+
+def with_flipped_zeros(calls):
+    """``calls`` twice, then once more with every zero's sign flipped."""
+    flipped = [tuple(-a if a == 0 else a for a in args) for args in calls]
+    return calls + calls + flipped
+
+
+def pick(grid, lo, hi):
+    """Mostly values from a small grid (so calls repeat), some free."""
+    return st.one_of(st.sampled_from(grid), st.floats(min_value=lo, max_value=hi))
+
+
+VOLUME = pick([0.0, -0.0, 1e9, 3.7e11, 2.5e12], 1.0, 1e13)
+FPC = pick([0.5, 4.0, 16.0], 0.05, 32.0)
+CORE_HZ = pick([1.0e9, 2.0e9, 2.4e9, 2.8e9], 1e8, 4e9)
+UNCORE_HZ = pick([1.2e9, 1.8e9, 2.4e9], 1e8, 3e9)
+SENSITIVITY = pick([0.0, -0.0, 0.3], 0.0, 2.0)
+UNIT = pick([0.0, -0.0, 0.25, 1.0], 0.0, 1.0)
+BOOST = pick([1.0, 1.3], 0.1, 3.0)
+
+roofline_args = st.tuples(
+    VOLUME, VOLUME, FPC, CORE_HZ, UNCORE_HZ, SENSITIVITY, SENSITIVITY
+).filter(lambda a: a[0] or a[1])
+package_args = st.tuples(CORE_HZ, UNCORE_HZ, UNIT, UNIT, BOOST, UNIT)
+clamp_args = st.tuples(
+    st.floats(min_value=-50.0, max_value=400.0), UNCORE_HZ, UNIT, UNIT, BOOST
+)
+
+
+class TestMemoisedEqualsUncached:
+    @MEMO
+    @given(calls=st.lists(roofline_args, min_size=1, max_size=12))
+    def test_instantaneous(self, calls):
+        memo = perf_model()
+        for args in with_flipped_zeros(calls):
+            got = memo.instantaneous(*args)
+            assert bits(astuple(got)) == bits(
+                astuple(perf_model().instantaneous(*args))
+            )
+
+    @MEMO
+    @given(calls=st.lists(package_args, min_size=1, max_size=12))
+    def test_package_power(self, calls):
+        memo = power_model()
+        for args in with_flipped_zeros(calls):
+            kwargs = dict(core_boost=args[4], core_idle_scale=args[5])
+            got = memo.package_power(*args[:4], **kwargs)
+            ref = power_model().package_power(*args[:4], **kwargs)
+            assert bits(astuple(got)) == bits(astuple(ref))
+            assert bits(memo.uncore_power(args[1], args[3])) == bits(
+                power_model().uncore_power(args[1], args[3])
+            )
+
+    @MEMO
+    @given(calls=st.lists(clamp_args, min_size=1, max_size=12))
+    def test_max_core_freq_under(self, calls):
+        memo = power_model()
+        for args in with_flipped_zeros(calls):
+            budget, uncore, act, traffic, boost = args
+            got = memo.max_core_freq_under(
+                budget, uncore, act, traffic, core_boost=boost
+            )
+            assert bits(got) == bits(
+                scan_reference(budget, uncore, act, traffic, boost)
+            )
+
+    def test_signed_zero_volumes_keep_their_own_entries(self):
+        memo = perf_model()
+        args = (1e9, 4.0, 2.8e9, 2.4e9)  # bytes, fpc, core and uncore Hz
+        pos = memo.instantaneous(0.0, *args)
+        neg = memo.instantaneous(-0.0, *args)
+        assert repr(pos.flops_rate) == "0.0"
+        assert repr(neg.flops_rate) == "-0.0"
+        assert memo.instantaneous(0.0, *args) is pos
+        assert memo.instantaneous(-0.0, *args) is neg
+
+    def test_idle_scale_below_one_is_its_own_entry(self):
+        memo = power_model()
+        full = memo.package_power(2.4e9, 2.4e9, 0.3, 0.2, core_idle_scale=1.0)
+        parked = memo.package_power(2.4e9, 2.4e9, 0.3, 0.2, core_idle_scale=0.4)
+        assert parked.core_w < full.core_w
+        assert memo.package_power(
+            2.4e9, 2.4e9, 0.3, 0.2, core_idle_scale=0.4
+        ) is parked
+
+    def test_rapl_decay_matches_exp(self):
+        rapl, start = RAPLPackage(RAPLConfig()), RAPLConfig().pl1_default_w * 0.8
+        avg1 = avg2 = start
+        for dt, watts in ((0.01, 90.0), (0.0037, 120.0), (0.01, 80.0), (0.01, 95.0)):
+            rapl.step(dt, watts, 10.0)
+            avg1 += (1.0 - math.exp(-dt / rapl.pl1.window_s)) * (watts - avg1)
+            avg2 += (1.0 - math.exp(-dt / rapl.pl2.window_s)) * (watts - avg2)
+            assert rapl._avg_pl1_w == avg1 and rapl._avg_pl2_w == avg2
+        assert len(rapl._decay) == 2
+
+
+class TestInvalidInputsNeverStored:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-1.0, 1e9, 4.0, 2e9, 2e9, 0.0, 0.0),  # negative flops
+            (1e9, -1.0, 4.0, 2e9, 2e9, 0.0, 0.0),  # negative bytes
+            (1e9, 1e9, 0.0, 2e9, 2e9, 0.0, 0.0),  # fpc <= 0
+            (1e9, 1e9, 4.0, 0.0, 2e9, 0.0, 0.0),  # core clock <= 0
+            (1e9, 1e9, 4.0, 2e9, 2e9, -0.1, 0.0),  # negative sensitivity
+            (0.0, 0.0, 4.0, 2e9, 2e9, 0.0, 0.0),  # no work at all
+        ],
+    )
+    def test_instantaneous_raises_every_call(self, args):
+        memo = perf_model()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                memo.instantaneous(*args)
+        assert memo._rates == {}
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((2.4e9, 2.4e9, 1.5, 0.2), {}),  # activity > 1
+            ((2.4e9, 2.4e9, 0.5, -0.2), {}),  # traffic < 0
+            ((2.4e9, 2.4e9, 0.5, 0.2), {"core_boost": 0.0}),
+            ((2.4e9, 2.4e9, 0.5, 0.2), {"core_boost": -1.0}),
+            ((2.4e9, 2.4e9, 0.5, 0.2), {"core_idle_scale": 1.2}),
+        ],
+    )
+    def test_package_power_raises_every_call(self, args, kwargs):
+        memo = power_model()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                memo.package_power(*args, **kwargs)
+        assert memo._package == {}
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((100.0, 2.4e9, 1.5, 0.2), {}),  # activity > 1
+            ((100.0, 2.4e9, 0.5, 1.2), {}),  # traffic > 1
+            ((100.0, 2.4e9, 0.5, 0.2), {"core_boost": 0.0}),
+        ],
+    )
+    def test_clamp_raises_every_call(self, args, kwargs):
+        memo = power_model()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                memo.max_core_freq_under(*args, **kwargs)
+        assert all(0.0 <= traffic <= 1.0 for _, traffic in memo._uncore)
+
+    def test_valid_hit_still_checks_core_boost(self):
+        memo = power_model()
+        memo.package_power(2.4e9, 2.4e9, 0.5, 0.2, core_boost=1.0)
+        with pytest.raises(ValueError):
+            memo.package_power(2.4e9, 2.4e9, 0.5, 0.2, core_boost=0.0)
+
+    def test_nan_is_never_stored(self):
+        perf, power = perf_model(), power_model()
+        nan = float("nan")
+        rates = perf.instantaneous(nan, 1e9, 4.0, 2e9, 2e9)
+        assert math.isnan(rates.flops_rate)
+        assert perf._rates == {}
+        pkg = power.package_power(nan, 2.4e9, 0.5, 0.2)
+        assert math.isnan(pkg.core_w)
+        assert power._package == {}
+
+
+class TestMemoOwnership:
+    def test_processors_never_share_a_memo(self):
+        cfg = yeti_socket_config()
+        a, b = SimulatedProcessor(cfg), SimulatedProcessor(cfg, socket_id=1)
+        pairs = [
+            (a.perf._rates, b.perf._rates),
+            (a.power_model._package, b.power_model._package),
+            (a.power_model._uncore, b.power_model._uncore),
+            (a.rapl._decay, b.rapl._decay),
+        ]
+        work = PhaseWork(flops=1e12, bytes=1e11, fpc=4.0)
+        for _ in range(5):
+            a.step(0.01, work)
+        for mine, theirs in pairs:
+            assert mine is not theirs
+            assert mine and not theirs
+
+    def test_memos_stay_out_of_equality_and_repr(self):
+        used, fresh = power_model(), power_model()
+        used.package_power(2.4e9, 2.4e9, 0.5, 0.2)
+        assert used == fresh
+        assert "_package" not in repr(used)

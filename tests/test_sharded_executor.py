@@ -231,6 +231,32 @@ class TestTickApportionment:
             2 * app_ticks / 0.01, rel=0.2  # 2 runs / 10 ms dt, ±jitter
         )
 
+    def test_solo_ticks_count_every_node_and_gpu(self):
+        # Each tick steps every socket of every node, or the CPU socket
+        # plus each GPU: two devices per tick in both cells below.
+        cluster = small_spec(
+            app_name="CG",
+            controller="fleet-demand:budget_w=160",
+            runs=1,
+            app_scale=0.15,
+            cluster=ClusterSpec(node_count=2, node_apps=("EP", "CG")),
+            label="cluster",
+        )
+        hetero = small_spec(
+            app_name="CG",
+            controller="hetero-coord",
+            runs=1,
+            app_scale=0.15,
+            gpu=HETERO_NODE,
+            label="hetero",
+        )
+        results, summary = run_specs([cluster, hetero], workers=1)
+        ticks = {c.label: c.ticks for c in summary.cells}
+        assert HETERO_NODE.gpu_count == 1
+        assert ticks["cluster"] == sum(results[0].times_s) * 2 / 0.01
+        assert ticks["hetero"] == sum(results[1].times_s) * 2 / 0.01
+        assert ticks["cluster"] > 0 and ticks["hetero"] > 0
+
 
 class TestWriteThrough:
     def test_completed_shards_survive_a_failing_shard(self, tmp_path):
