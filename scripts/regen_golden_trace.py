@@ -140,6 +140,44 @@ def golden_cluster_run(sink=None):
     ).run()
 
 
+#: The hetero scenario: one CPU socket plus two GPUs draining a
+#: six-kernel queue under a coordinated demand/offer split of a 450 W
+#: node budget (floors sum to 265 W, ceilings to 625 W, so the split
+#: genuinely arbitrates), with seeded run-to-run noise and a fault
+#: plan arming the GPU latch/stall channels next to the CPU RAPL latch
+#: (drawn once per re-split, hence its high rate over a ~5 s run).
+#: Pins the split cadence, the per-device trace socket ids, the jitter
+#: stream and the GPU fault draw order at once.
+HETERO_SEED = 20220530
+HETERO_BUDGET_W = 450.0
+HETERO_PLAN = FaultPlan(
+    cap_latch_fail_rate=0.6,
+    gpu_cap_latch_fail_rate=0.20,
+    gpu_queue_stall_rate=0.25,
+    gpu_stall_s=0.2,
+)
+
+
+def golden_hetero_run(sink=None):
+    """The hetero run whose streamed trace is pinned."""
+    from repro.core.registry import make_spec, split_policy
+    from repro.hardware.gpu import GPUNodeConfig
+    from repro.sim.hetero import HeteroEngine
+
+    return HeteroEngine(
+        application=build_application("CG", scale=0.15),
+        node=GPUNodeConfig(gpu_count=2, kernel_count=6),
+        policy=split_policy(
+            make_spec("hetero-coord", budget_w=HETERO_BUDGET_W), CFG
+        ),
+        cfg=CFG,
+        seed=HETERO_SEED,
+        noise=NoiseConfig(),
+        faults=HETERO_PLAN,
+        trace_sink=sink,
+    ).run()
+
+
 def main() -> None:
     from repro.sim.trace import StreamingTraceSink
 
@@ -153,13 +191,17 @@ def main() -> None:
         lines = write_trace_jsonl(result, str(path))
         events = sum(1 for e in result.fault_events)
         print(f"wrote {lines} lines ({events} fault events) to {path}")
-    path = GOLDEN / "golden_cluster_trace.jsonl"
-    sink = StreamingTraceSink(path)
-    result = golden_cluster_run(sink)
-    print(
-        f"wrote {sink.rows} lines ({len(result.fault_events)} fault "
-        f"events) to {path}"
-    )
+    for fname, run in (
+        ("golden_cluster_trace.jsonl", golden_cluster_run),
+        ("golden_hetero_trace.jsonl", golden_hetero_run),
+    ):
+        path = GOLDEN / fname
+        sink = StreamingTraceSink(path)
+        result = run(sink)
+        print(
+            f"wrote {sink.rows} lines ({len(result.fault_events)} fault "
+            f"events) to {path}"
+        )
 
 
 if __name__ == "__main__":

@@ -19,13 +19,19 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_dufp_trace.jsonl"
 GOLDEN_POWERSAVE = (
     pathlib.Path(__file__).parent / "data" / "golden_powersave_trace.jsonl"
 )
+GOLDEN_HETERO = pathlib.Path(__file__).parent / "data" / "golden_hetero_trace.jsonl"
 
 # The regeneration script owns the pinned scenarios; import it so the
 # test and the regenerator can never drift apart.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
-from regen_golden_trace import golden_powersave_run, golden_run  # noqa: E402
+from regen_golden_trace import (  # noqa: E402
+    golden_hetero_run,
+    golden_powersave_run,
+    golden_run,
+)
 
 from repro.sim.export import write_trace_jsonl  # noqa: E402
+from repro.sim.trace import StreamingTraceSink  # noqa: E402
 
 # Golden byte-for-byte regressions: tier 2 (`pytest -m slow`).
 pytestmark = pytest.mark.slow
@@ -88,3 +94,32 @@ def test_golden_powersave_trace_shape():
     # The EPP-192 hint pins powersave well below the 2.8 GHz ceiling.
     assert samples, "the pinned scenario records trace samples"
     assert all(s["core_freq_hz"] < 2.0e9 for s in samples)
+
+
+def test_golden_hetero_trace_is_byte_identical(tmp_path):
+    """The coordinated CPU + 2-GPU run, byte for byte.
+
+    Locks down the budget-split layer end to end: the demand/offer
+    re-split cadence and arithmetic, per-device trace socket ids, the
+    hetero jitter stream and the GPU latch/stall fault draw order.
+    """
+    fresh = tmp_path / "fresh.jsonl"
+    golden_hetero_run(StreamingTraceSink(fresh))
+    assert fresh.read_bytes() == GOLDEN_HETERO.read_bytes(), (
+        "hetero trace diverged from the golden reference; if "
+        "intentional, regenerate with scripts/regen_golden_trace.py"
+    )
+
+
+def test_golden_hetero_trace_shape():
+    records = [json.loads(line) for line in GOLDEN_HETERO.read_text().splitlines()]
+    samples = [r for r in records if "event" not in r]
+    events = [r for r in records if "event" in r]
+    assert {s["socket_id"] for s in samples} == {0, 1, 2}
+    assert {"cap_latch_fail", "gpu_cap_latch_fail", "gpu_stall"} <= {
+        e["event"] for e in events
+    }
+    # The split moves: the CPU cap takes more than one value.
+    assert len({s["cap_w"] for s in samples if s["socket_id"] == 0}) > 1
+    kinds = ["event" in r for r in records]
+    assert kinds == sorted(kinds)

@@ -17,6 +17,7 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.config import ControllerConfig, NoiseConfig
 from repro.core.registry import (
     describe_policies,
@@ -201,6 +202,49 @@ FROZEN_DIGESTS = {
         "20830abe6e56ed20c31691aced00cbfaadd6c960d16d224324507ed58741c17b",
     ),
 }
+
+#: One cell per budget-split policy, frozen before the allocators were
+#: merged: the param classes' names, fields and defaults are part of
+#: every such cell's cache address and must never move.
+_HETERO_CELL = dict(
+    app_name="CG", runs=2, gpu=GPUNodeConfig(gpu_count=2, kernel_count=8)
+)
+_FLEET_CELL = dict(
+    app_name="CG",
+    runs=2,
+    cluster=ClusterSpec(node_count=4, node_apps=("WEB", "BATCH", "CG", "EP")),
+)
+FROZEN_DIGESTS.update(
+    {
+        "hetero_static": (
+            dict(
+                _HETERO_CELL,
+                controller="hetero-static:budget_w=450,cpu_fraction=0.4",
+            ),
+            "2ca45bfa4b00f01318a5fb58d77d42d7f1ba60a57a35d207d3e6b6f4eebab558",
+        ),
+        "hetero_coord": (
+            dict(_HETERO_CELL, controller="hetero-coord:budget_w=450"),
+            "6efc73343292d2683a351612b86f7e5272da61d426af9122d57a0d19378c78b1",
+        ),
+        "hetero_fair": (
+            dict(_HETERO_CELL, controller="hetero-fair"),
+            "1662a1c2fdefe7fa2c6f76b5e740f0a41360ca60734d78b7d98af6c69a29343a",
+        ),
+        "fleet_static": (
+            dict(_FLEET_CELL, controller="fleet-static:budget_w=360"),
+            "4585b3074eab48a4743c5f7b7db746f87dfb92f3d46c59b51b150bea40807a22",
+        ),
+        "fleet_demand": (
+            dict(_FLEET_CELL, controller="fleet-demand:budget_w=360"),
+            "f795e755d7a86435675c6aef7598e0125d90eced150796900ef5dc00f4221f3f",
+        ),
+        "fleet_fair": (
+            dict(_FLEET_CELL, controller="fleet-fair"),
+            "287e18945459222e8bc69a174f4de3cd7ee968b6e486b3f88931d5a605dd4cd5",
+        ),
+    }
+)
 
 
 class TestSpecDigests:
