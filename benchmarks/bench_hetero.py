@@ -7,6 +7,7 @@ devices compared to a naive 50/50 split.
 """
 
 from repro.config import ControllerConfig
+from repro.core.registry import make_spec, split_policy
 from repro.hardware.gpu import GPUKernel
 from repro.sim.hetero import HeteroEngine
 from repro.workloads.catalog import build_application
@@ -22,21 +23,18 @@ def _scenario():
         GPUKernel(f"dgemm[{i}]", flops=6e12, bytes=6e12 / 8.0) for i in range(8)
     ]
     cfg = ControllerConfig(tolerated_slowdown=0.10)
-    static = HeteroEngine(
-        application=app,
-        kernels=kernels,
-        total_budget_w=BUDGET_W,
-        cfg=cfg,
-        coordinated=False,
-    ).run()
-    coordinated = HeteroEngine(
-        application=app,
-        kernels=kernels,
-        total_budget_w=BUDGET_W,
-        cfg=cfg,
-        coordinated=True,
-    ).run()
-    return app.nominal_duration(), static, coordinated
+
+    def run(policy):
+        return HeteroEngine(
+            application=app,
+            policy=split_policy(
+                make_spec(policy, budget_w=BUDGET_W), cfg, scope="device"
+            ),
+            kernels=kernels,
+            cfg=cfg,
+        ).run()
+
+    return app.nominal_duration(), run("hetero-static"), run("hetero-coord")
 
 
 def test_cpu_gpu_budget_sharing(benchmark):

@@ -46,7 +46,7 @@ def main() -> None:
         result = HeteroEngine(
             application=app,
             node=node,
-            policy=split_policy(policy, cfg),
+            policy=split_policy(policy, cfg, scope="device"),
             cfg=cfg,
         ).run()
         _, cpu_w, gpu_w = result.allocations[-1]

@@ -40,27 +40,19 @@ CONTROLLER_CLASSES = frozenset(
         "PowersaveFreqGovernor",
         "OndemandFreqGovernor",
         "SchedutilFreqGovernor",
-        # Hetero budget-split strategies (selected via split_policy()).
+        # Budget-split strategies at device and node scope (selected
+        # via split_policy()).  The abstract SplitPolicy base and its
+        # FleetPolicy alias stay importable, like Controller.
         "StaticSplit",
-        "CoordinatedSplit",
+        "DemandSplit",
         "FairShareSplit",
-        # Fleet partitioning strategies (selected via fleet_policy()).
-        # The abstract FleetPolicy marker stays importable, like the
-        # Controller protocol and SplitPolicy.
-        "StaticFleet",
-        "DemandFleet",
-        "FairShareFleet",
     }
 )
 
 #: Module paths (relative, POSIX-style) that may import the classes.
-#: ``sim/hetero.py`` is the one engine-side exception: its legacy
-#: ``coordinated=True/False`` constructor maps the flag onto concrete
-#: split classes; everything else selects splits through the registry.
 ALLOWED = (
     "src/repro/core/",
     "src/repro/__init__.py",
-    "src/repro/sim/hetero.py",
 )
 
 

@@ -117,7 +117,7 @@ CLUSTER_PLAN = FaultPlan(msr_read_fail_rate=0.05, cap_latch_fail_rate=0.10)
 def golden_cluster_run(sink=None):
     """The cluster run whose streamed trace is pinned."""
     from repro.cluster import ClusterEngine, ClusterSpec
-    from repro.core.registry import fleet_policy, make_spec
+    from repro.core.registry import make_spec, split_policy
 
     cluster = ClusterSpec(
         node_count=2, node_apps=("WEB", "BATCH"), period_s=0.5
@@ -129,8 +129,8 @@ def golden_cluster_run(sink=None):
     return ClusterEngine(
         applications=apps,
         cluster=cluster,
-        policy=fleet_policy(
-            make_spec("fleet-demand", budget_w=CLUSTER_BUDGET_W), CFG
+        policy=split_policy(
+            make_spec("fleet-demand", budget_w=CLUSTER_BUDGET_W), CFG, scope="node"
         ),
         controller_cfg=CFG,
         noise=QUIET,
@@ -168,7 +168,7 @@ def golden_hetero_run(sink=None):
         application=build_application("CG", scale=0.15),
         node=GPUNodeConfig(gpu_count=2, kernel_count=6),
         policy=split_policy(
-            make_spec("hetero-coord", budget_w=HETERO_BUDGET_W), CFG
+            make_spec("hetero-coord", budget_w=HETERO_BUDGET_W), CFG, scope="device"
         ),
         cfg=CFG,
         seed=HETERO_SEED,

@@ -616,7 +616,7 @@ def _run_hetero(args: argparse.Namespace) -> str:
     ]
     summaries = []
     for spec in policies:
-        split = split_policy(spec, cfg)
+        split = split_policy(spec, cfg, scope="device")
         result = HeteroEngine(
             application=app,
             node=node,
@@ -647,7 +647,7 @@ def _run_hetero(args: argparse.Namespace) -> str:
 
 def _run_cluster(args: argparse.Namespace) -> str:
     from .cluster import ClusterEngine, ClusterSpec
-    from .core.registry import fleet_policy
+    from .core.registry import split_policy
 
     cfg = ControllerConfig(tolerated_slowdown=args.slowdown / 100.0)
     app_names = tuple(
@@ -687,7 +687,7 @@ def _run_cluster(args: argparse.Namespace) -> str:
     ]
     summaries = []
     for spec in policies:
-        fleet = fleet_policy(spec, cfg)
+        fleet = split_policy(spec, cfg, scope="node")
         result = ClusterEngine(
             applications=apps,
             cluster=cluster,

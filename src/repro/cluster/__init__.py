@@ -8,8 +8,8 @@ the deterministic multi-node engine (:mod:`repro.cluster.engine`), the
 frozen spec that threads cluster cells through ``RunSpec``/sweep/cache
 (:mod:`repro.cluster.spec`) and the fairness/tail metrics that make
 co-located latency-sensitive + batch workloads first-class
-(:mod:`repro.cluster.metrics`).  Fleet *policies* live in
-:mod:`repro.core.fleet` and are selected through the registry
+(:mod:`repro.cluster.metrics`).  Fleet *policies* are the node-scope
+budget splits of :mod:`repro.core.split`, selected through the registry
 (``fleet-static``, ``fleet-demand``, ``fleet-fair``), never imported
 directly — see docs/CLUSTER.md.
 """

@@ -49,7 +49,7 @@ from .metrics import jain_index, percentile, slowdown_ratios
 from .spec import ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.fleet import FleetPolicy
+    from ..core.split import SplitPolicy
     from ..sim.faults import FaultEvent
 
 __all__ = [
@@ -124,8 +124,6 @@ class _NodeSink(TraceSink):
 class ClusterResult:
     """Everything one cluster run produced, per node and fleet-wide."""
 
-    #: Display label of the fleet policy that partitioned the budget.
-    policy_name: str
     #: The global budget the fleet policy partitioned, watts.
     budget_w: float
     #: One complete :class:`~repro.sim.result.RunResult` per node.
@@ -192,9 +190,9 @@ class ClusterEngine:
     applications: list[Application]
     cluster: ClusterSpec
     #: Fleet budget-partitioning policy, resolved via
-    #: :func:`repro.core.registry.fleet_policy` — never constructed
-    #: from concrete classes outside the registry.
-    policy: "FleetPolicy"
+    #: :func:`repro.core.registry.split_policy` at ``scope="node"`` —
+    #: never constructed from concrete classes outside the registry.
+    policy: "SplitPolicy"
     controller_cfg: ControllerConfig = field(default_factory=ControllerConfig)
     engine_cfg: EngineConfig = field(default_factory=EngineConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -356,7 +354,6 @@ class ClusterEngine:
                 self.trace_sink.close()
         nodes = [stepper.result() for stepper in steppers]
         return ClusterResult(
-            policy_name=getattr(self.policy, "name", "fleet"),
             budget_w=self.policy.budget_w,
             nodes=nodes,
             allocations=allocations,

@@ -65,7 +65,7 @@ class ClusterSpec:
             raise ExperimentError("node_apps must be a tuple of names")
         spec = as_spec(self.node_controller)
         info = policy_info(spec.name)
-        if info.hetero or info.fleet:
+        if info.scope != "socket":
             raise ExperimentError(
                 f"node controller {spec.name!r} is a budget-split policy; "
                 "nodes run per-socket controller stacks beneath the fleet cap"

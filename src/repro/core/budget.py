@@ -18,10 +18,15 @@ compute-bound work (expensive to cap).
 The coordinator is deliberately simple — demand-proportional water-
 filling with per-socket floors — because its role here is to exercise
 the multi-socket machinery end-to-end, not to reproduce GEOPM.
+
+:func:`allocate_budget` is the one banded allocator behind every budget
+split in the repo: the coordinator's sockets here, and through
+:mod:`repro.core.split` a hetero node's devices and a cluster's nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..config import ControllerConfig
@@ -33,34 +38,53 @@ from .detector import PhaseDetector
 from .duf import UncoreDecisionEngine
 from .tolerance import SlowdownTracker, ToleranceVerdict
 
-__all__ = ["NodeBudgetCoordinator", "BudgetedSocketController", "allocate_budget"]
+__all__ = [
+    "NodeBudgetCoordinator",
+    "BudgetedSocketController",
+    "allocate_budget",
+    "check_bands",
+    "fit_to_bands",
+]
 
 
-def allocate_budget(
+def check_bands(
     demands_w: list[float],
     total_w: float,
-    floor_w: float,
-    ceiling_w: float,
-) -> list[float]:
-    """Water-filling: split ``total_w`` across sockets by demand.
+    floors_w: list[float],
+    ceilings_w: list[float],
+) -> None:
+    """Raise :class:`ControllerError` unless the split is well-posed.
 
-    Every socket gets at least ``floor_w`` and at most ``ceiling_w``.
-    Demand above the floor is served proportionally from the remaining
-    budget; leftover budget (from sockets demanding less than their
-    share) is re-offered to the still-hungry sockets until exhausted.
-    Raises if the floors alone exceed the budget.
+    Well-posed means one finite, non-negative demand and one finite
+    ``0 < floor <= ceiling`` band per entry, a finite total, and floors
+    the total can cover.  Every budget-split strategy validates through
+    here, whatever its entries are (sockets, devices or nodes).
     """
-    n = len(demands_w)
-    if n == 0:
-        raise ControllerError("no sockets to allocate to")
-    if any(d < 0 for d in demands_w):
-        raise ControllerError("negative demand")
-    if floor_w * n > total_w + 1e-9:
+    n = len(floors_w)
+    if n == 0 or len(ceilings_w) != n:
+        raise ControllerError("need one floor and one ceiling per entry")
+    if len(demands_w) != n:
+        raise ControllerError(f"{len(demands_w)} demands for {n} entries")
+    if not math.isfinite(total_w):
+        raise ControllerError(f"budget must be finite, got {total_w} W")
+    for d in demands_w:
+        if not (math.isfinite(d) and d >= 0):
+            raise ControllerError(f"demand must be finite and >= 0, got {d} W")
+    for lo, hi in zip(floors_w, ceilings_w):
+        if not (math.isfinite(hi) and 0 < lo <= hi):
+            raise ControllerError(f"band invalid: floor {lo} W, ceiling {hi} W")
+    if sum(floors_w) > total_w + 1e-9:
         raise ControllerError(
-            f"budget {total_w} W cannot cover {n} sockets at the {floor_w} W floor"
+            f"budget {total_w} W cannot cover the combined floor "
+            f"{sum(floors_w)} W"
         )
+
+
+def _water_fill(
+    demands_w: list[float], total_w: float, floor_w: float, ceiling_w: float
+) -> list[float]:
+    """Demand clamped to one uniform band, shrunk above the floor to fit."""
     alloc = [min(max(d, floor_w), ceiling_w) for d in demands_w]
-    # Shrink proportionally (above the floor) until the sum fits.
     for _ in range(64):
         excess = sum(alloc) - total_w
         if excess <= 1e-9:
@@ -72,6 +96,52 @@ def allocate_budget(
         scale = min(excess / total_shrinkable, 1.0)
         alloc = [a - s * scale for a, s in zip(alloc, shrinkable)]
     return alloc
+
+
+def fit_to_bands(
+    alloc: list[float],
+    total_w: float,
+    floors_w: list[float],
+    ceilings_w: list[float],
+) -> list[float]:
+    """Clamp each entry into its band, then pay back any overshoot.
+
+    Lifting an entry to its floor can push the sum past the budget; the
+    excess is taken back from every entry above its floor, in
+    proportion to its slack.  Call it on bands :func:`check_bands`
+    accepted: feasible floors (``sum(floors) <= total``) guarantee the
+    slack covers the excess.
+    """
+    alloc = [min(max(a, lo), hi) for a, lo, hi in zip(alloc, floors_w, ceilings_w)]
+    excess = sum(alloc) - total_w
+    if excess <= 1e-9:
+        return alloc
+    slack = [a - lo for a, lo in zip(alloc, floors_w)]
+    span = sum(slack)
+    scale = max(span - excess, 0.0) / span
+    return [lo + s * scale for lo, s in zip(floors_w, slack)]
+
+
+def allocate_budget(
+    demands_w: list[float],
+    total_w: float,
+    floors_w: list[float],
+    ceilings_w: list[float],
+) -> list[float]:
+    """Banded water-filling: split ``total_w`` across entries by demand.
+
+    Entry ``i`` (a socket, a device or a node) receives between
+    ``floors_w[i]`` and ``ceilings_w[i]``, and the allocations never sum
+    past ``total_w``.  Demand above the floor is served proportionally:
+    the demands are water-filled within the widest band (lowest floor,
+    highest ceiling), each entry is clamped into its own band, and the
+    overshoot that clamping introduces is paid back
+    (:func:`fit_to_bands`).  Raises :class:`ControllerError` on
+    ill-posed input, including floors the budget cannot cover.
+    """
+    check_bands(demands_w, total_w, floors_w, ceilings_w)
+    alloc = _water_fill(demands_w, total_w, min(floors_w), max(ceilings_w))
+    return fit_to_bands(alloc, total_w, floors_w, ceilings_w)
 
 
 @dataclass
@@ -100,8 +170,8 @@ class NodeBudgetCoordinator:
     history: list[tuple[float, tuple[float, ...]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.total_budget_w <= 0:
-            raise ControllerError("budget must be positive")
+        if not (math.isfinite(self.total_budget_w) and self.total_budget_w > 0):
+            raise ControllerError("budget must be finite and positive")
         if self.period_ticks < 1:
             raise ControllerError("period_ticks must be at least 1")
         self.cfg.validate()
@@ -131,13 +201,10 @@ class NodeBudgetCoordinator:
                 if self.per_socket_floor_w is not None
                 else self.cfg.cap_floor_w
             )
+            n = len(demands)
+            ceiling = self._members[0].default_cap_w
             self.allocations_w = allocate_budget(
-                demands,
-                self.total_budget_w,
-                floor,
-                ceiling_w=self._members[0].default_cap_w
-                if self._members
-                else 125.0,
+                demands, self.total_budget_w, [floor] * n, [ceiling] * n
             )
             self.history.append((now_s, tuple(self.allocations_w)))
             for member in self._members:

@@ -1,169 +1,16 @@
-"""Fleet policies: one global power budget partitioned across nodes.
+"""Fleet budget partitioning: the node-scope name of :class:`SplitPolicy`.
 
-The paper frames DUFP as the node-level half of a hierarchical story
-(§VI): a budget-distribution runtime hands each node a power cap, and
-DUFP (or the :class:`~repro.core.budget.NodeBudgetCoordinator` stack)
-optimises beneath it.  This module supplies the fleet half as
-node-agnostic strategy objects, the cluster-scale siblings of the
-CPU/GPU :class:`~repro.core.split.SplitPolicy` hierarchy: given one
-demand figure per *node*, a :class:`FleetPolicy` partitions the global
-budget into per-node allocations between each node's floor and
-ceiling, with ``sum(alloc) <= budget`` always (the hypothesis suite in
-``tests/test_properties_cluster.py`` enforces it).
-
-Three strategies span the design space:
-
-* :class:`StaticFleet` — the operator default: every node receives an
-  equal share of the budget, clamped into its band, decided once at
-  t = 0 and never revisited.
-* :class:`DemandFleet` — demand/offer water-filling extending
-  :func:`repro.core.budget.allocate_budget` across nodes: a node whose
-  applications finished (or that runs below its allocation) offers
-  watts back, a power-hungry node bids above its cap, and the fleet
-  coordinator re-partitions every allocation period.
-* :class:`FairShareFleet` — the FastCap-style baseline (PAPERS.md):
-  every node receives the *same fraction of its floor-to-ceiling
-  range*, blind to demand — fair by construction, the bound the
-  property suite pins.
-
-Like the per-socket controllers and the hetero splits, concrete fleet
-policies are wired to names only in :mod:`repro.core.registry`
-(``fleet-static``, ``fleet-demand``, ``fleet-fair``) and selected
-everywhere else via :class:`~repro.core.registry.PolicySpec` — the
-registry lint enforces it.  Policies are deliberately free of node
-knowledge: the cluster engine measures demands and owns
-floors/ceilings; policies only split watts.
+Cluster nodes split one global budget with the same strategies as the
+devices of a hetero node (:mod:`repro.core.split`), selected through
+the registry's ``fleet-*`` entries.  Only the alias below remains.
 """
 
 from __future__ import annotations
 
-from .budget import allocate_budget
-from .split import SplitPolicy, _check_devices, _fit_budget
+from .split import SplitPolicy
 
-__all__ = [
-    "FleetPolicy",
-    "StaticFleet",
-    "DemandFleet",
-    "FairShareFleet",
-]
+__all__ = ["FleetPolicy"]
 
-
-class FleetPolicy(SplitPolicy):
-    """How one global power budget partitions across cluster nodes.
-
-    Same ``allocate``/``initial`` contract as :class:`SplitPolicy`,
-    with index ``i`` meaning *node i* instead of a device: floors and
-    ceilings are node-level watt bands (socket count × per-socket
-    bounds), demands are node-level bids, and the returned allocations
-    satisfy ``floor_i <= alloc_i <= ceiling_i`` and ``sum(alloc) <=
-    budget``.  Policies with :attr:`is_static` true are evaluated once
-    at t = 0 — the cluster engine never measures demand for them,
-    which is what keeps a 1-node ``fleet-static`` cluster bit-identical
-    to a plain node run.
-    """
-
-    name = "fleet"
-
-
-class StaticFleet(FleetPolicy):
-    """Equal static shares: the fleet operator's naive configuration.
-
-    Every node receives ``budget / n`` clamped into its band; floor
-    clamping overshoot is paid back from nodes above their floor.
-    Decided once at t = 0, never revisited — the baseline every
-    dynamic fleet policy is measured against, and (with the budget at
-    or above the summed ceilings) the degenerate no-op whose 1-node
-    cluster is bit-identical to the plain socket/node run.
-    """
-
-    name = "fleet-static"
-    is_static = True
-
-    def allocate(
-        self,
-        demands_w: list[float],
-        floors_w: list[float],
-        ceilings_w: list[float],
-    ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
-        share = self.budget_w / len(floors_w)
-        alloc = [
-            min(max(share, lo), hi)
-            for lo, hi in zip(floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
-
-
-class DemandFleet(FleetPolicy):
-    """Demand/offer water-filling across the fleet's nodes.
-
-    :func:`repro.core.budget.allocate_budget`'s within-node socket
-    split lifted one level up: each node bids its measured power draw
-    plus headroom (a finished node bids its floor), and the
-    water-filling serves demand above the floor proportionally until
-    the global budget is exhausted.  Per-node band clamping and the
-    overshoot payback keep every allocation feasible.
-    """
-
-    name = "fleet-demand"
-
-    def allocate(
-        self,
-        demands_w: list[float],
-        floors_w: list[float],
-        ceilings_w: list[float],
-    ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
-        alloc = allocate_budget(
-            demands_w,
-            self.budget_w,
-            min(floors_w),
-            ceiling_w=max(ceilings_w),
-        )
-        alloc = [
-            min(max(a, lo), hi)
-            for a, lo, hi in zip(alloc, floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
-
-    def initial(
-        self, floors_w: list[float], ceilings_w: list[float]
-    ) -> list[float]:
-        """Start from the even split (the operator default) and let the
-        demand/offer loop move watts from there — dynamic partitioning
-        as a *correction* to a statically provisioned fleet."""
-        n = len(floors_w)
-        alloc = [
-            min(max(self.budget_w / n, lo), hi)
-            for lo, hi in zip(floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
-
-
-class FairShareFleet(FleetPolicy):
-    """FastCap-style fair partitioning: equal fractions of each range.
-
-    Every node receives ``floor + t · (ceiling - floor)`` with one
-    common ``t`` chosen so the total meets the budget — demand-blind,
-    so heterogeneous fleets (a latency-sensitive service node next to
-    a batch node) are throttled by the *same* relative amount.  The
-    property suite pins exactly this bound: all nodes share one range
-    fraction, ``0 <= t <= 1``.
-    """
-
-    name = "fleet-fair"
-    is_static = True
-
-    def allocate(
-        self,
-        demands_w: list[float],
-        floors_w: list[float],
-        ceilings_w: list[float],
-    ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
-        spare = self.budget_w - sum(floors_w)
-        span = sum(hi - lo for lo, hi in zip(floors_w, ceilings_w))
-        t = min(max(spare / span, 0.0), 1.0) if span > 0 else 0.0
-        return [
-            lo + t * (hi - lo) for lo, hi in zip(floors_w, ceilings_w)
-        ]
+# Kept because the benchmark's layer tracer (perf/spans.py) imports this
+# name, and perf/ only changes together with the benchmark itself.
+FleetPolicy = SplitPolicy

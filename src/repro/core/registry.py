@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from ..config import ControllerConfig
 from ..errors import PolicyError
@@ -59,14 +59,13 @@ from .budget import NodeBudgetCoordinator
 from .duf import DUF
 from .dufp import DUFP
 from .extensions import DUFPF, AdaptiveIntervalDUFP
-from .fleet import DemandFleet, FairShareFleet, FleetPolicy, StaticFleet
 from .governors import (
     OndemandFreqGovernor,
     PerformanceFreqGovernor,
     PowersaveFreqGovernor,
     SchedutilFreqGovernor,
 )
-from .split import CoordinatedSplit, FairShareSplit, SplitPolicy, StaticSplit
+from .split import DemandSplit, FairShareSplit, SplitPolicy, StaticSplit
 
 __all__ = [
     "PolicyInfo",
@@ -82,11 +81,17 @@ __all__ = [
     "describe_policies",
     "vector_tick_form",
     "split_policy",
-    "fleet_policy",
+    "SCOPES",
 ]
 
 #: Per-socket controller factory, as consumed by the simulation layer.
 ControllerFactory = Callable[[], Controller]
+
+#: What a policy's entries are: ``"socket"`` policies build per-socket
+#: controller factories; ``"device"`` (the CPU and GPUs of a hetero
+#: node) and ``"node"`` (the nodes of a cluster) policies build a
+#: :class:`~repro.core.split.SplitPolicy` over those entries.
+SCOPES = ("socket", "device", "node")
 
 #: Controllers with a registered lane-parallel tick form, keyed by
 #: *exact* type: subclasses (DUFPF, the adaptive-interval variant)
@@ -128,16 +133,11 @@ class PolicyInfo:
     #: field defaults are the policy's default parameters and its
     #: ``build(cfg)`` method produces the per-socket factory.
     param_cls: type
-    #: True for heterogeneous budget-split policies: ``build(cfg)``
-    #: returns a :class:`~repro.core.split.SplitPolicy` for the
-    #: CPU+GPU engine instead of a per-socket controller factory, and
-    #: the run spec must carry a GPU node config.
-    hetero: bool = False
-    #: True for fleet budget-partitioning policies: ``build(cfg)``
-    #: returns a :class:`~repro.core.fleet.FleetPolicy` for the
-    #: cluster engine instead of a per-socket controller factory, and
-    #: the run spec must carry a cluster spec.
-    fleet: bool = False
+    #: One of :data:`SCOPES`.  Budget-split scopes (``"device"``,
+    #: ``"node"``) build a :class:`~repro.core.split.SplitPolicy`
+    #: instead of a per-socket controller factory, and their run spec
+    #: must carry a GPU node config or a cluster spec respectively.
+    scope: str = "socket"
 
     @property
     def defaults(self):
@@ -158,19 +158,19 @@ def register_policy(
     display_name: str,
     paper_section: str = "",
     summary: str = "",
-    hetero: bool = False,
-    fleet: bool = False,
+    scope: str = "socket",
 ):
     """Class decorator registering a parameter dataclass as a policy.
 
     The decorated class must be a frozen dataclass exposing
     ``build(cfg: ControllerConfig) -> Callable[[], Controller]`` — or,
-    for ``hetero=True`` budget-split policies, ``build(cfg) ->
-    SplitPolicy``, or, for ``fleet=True`` cluster policies,
-    ``build(cfg) -> FleetPolicy``.
+    for the budget-split scopes ``"device"`` and ``"node"``,
+    ``build(cfg) -> SplitPolicy``.
     """
 
     def decorate(param_cls: type) -> type:
+        if scope not in SCOPES:
+            raise PolicyError(f"policy {name!r} scope must be one of {SCOPES}")
         if not dataclasses.is_dataclass(param_cls):
             raise PolicyError(f"policy {name!r} params must be a dataclass")
         if not callable(getattr(param_cls, "build", None)):
@@ -183,8 +183,7 @@ def register_policy(
             paper_section=paper_section,
             summary=summary or (param_cls.__doc__ or "").strip().splitlines()[0],
             param_cls=param_cls,
-            hetero=hetero,
-            fleet=fleet,
+            scope=scope,
         )
         return param_cls
 
@@ -332,56 +331,40 @@ def controller_factory(
 
 
 def split_policy(
-    policy: "PolicySpec | str", cfg: ControllerConfig | None = None
+    policy: "PolicySpec | str",
+    cfg: ControllerConfig | None = None,
+    *,
+    scope: str,
 ) -> SplitPolicy:
-    """Resolve a hetero budget-split selection to a fresh policy object.
+    """Resolve a budget-split selection to a fresh strategy object.
 
-    The hetero counterpart of :func:`controller_factory`: only valid
-    for registry entries flagged ``hetero=True``, whose ``build(cfg)``
-    returns a :class:`~repro.core.split.SplitPolicy` rather than a
-    per-socket controller factory.
+    The counterpart of :func:`controller_factory` for the budget-split
+    scopes: ``scope`` is ``"device"`` for the hetero engine or
+    ``"node"`` for the cluster engine, and only registry entries of
+    that scope resolve.
     """
-    spec = as_spec(policy)
-    if not spec.info.hetero:
+    if scope not in ("device", "node"):
         raise PolicyError(
-            f"policy {spec.name!r} is a per-socket controller, not a "
-            "hetero budget-split policy; pick one of: "
-            + ", ".join(n for n in policy_names() if policy_info(n).hetero)
+            f"scope {scope!r} has no budget split; use 'device' or 'node'"
+        )
+    spec = as_spec(policy)
+    if spec.info.scope != scope:
+        raise PolicyError(
+            f"policy {spec.name!r} works at {spec.info.scope} scope, not "
+            f"{scope} scope; pick one of: "
+            + ", ".join(n for n in policy_names() if policy_info(n).scope == scope)
         )
     built = spec.build(cfg or ControllerConfig())
     if not isinstance(built, SplitPolicy):
         raise PolicyError(
-            f"hetero policy {spec.name!r} built {type(built).__name__}, "
+            f"policy {spec.name!r} built {type(built).__name__}, "
             "expected a SplitPolicy"
         )
     return built
 
 
-def fleet_policy(
-    policy: "PolicySpec | str", cfg: ControllerConfig | None = None
-) -> FleetPolicy:
-    """Resolve a fleet budget-partitioning selection to a fresh policy.
-
-    The cluster counterpart of :func:`controller_factory` and
-    :func:`split_policy`: only valid for registry entries flagged
-    ``fleet=True``, whose ``build(cfg)`` returns a
-    :class:`~repro.core.fleet.FleetPolicy` rather than a per-socket
-    controller factory.
-    """
-    spec = as_spec(policy)
-    if not spec.info.fleet:
-        raise PolicyError(
-            f"policy {spec.name!r} is not a fleet budget-partitioning "
-            "policy; pick one of: "
-            + ", ".join(n for n in policy_names() if policy_info(n).fleet)
-        )
-    built = spec.build(cfg or ControllerConfig())
-    if not isinstance(built, FleetPolicy):
-        raise PolicyError(
-            f"fleet policy {spec.name!r} built {type(built).__name__}, "
-            "expected a FleetPolicy"
-        )
-    return built
+#: ``repro policies`` tags of the budget-split scopes.
+_SCOPE_TAGS = {"device": "  (hetero split)", "node": "  (fleet split)"}
 
 
 def describe_policies() -> str:
@@ -390,11 +373,8 @@ def describe_policies() -> str:
     for name in policy_names():
         info = policy_info(name)
         section = f"  [{info.paper_section}]" if info.paper_section else ""
-        hetero_tag = "  (hetero split)" if info.hetero else ""
-        fleet_tag = "  (fleet split)" if info.fleet else ""
-        lines.append(
-            f"{name:14s} {info.display_name}{section}{hetero_tag}{fleet_tag}"
-        )
+        tag = _SCOPE_TAGS.get(info.scope, "")
+        lines.append(f"{name:14s} {info.display_name}{section}{tag}")
         lines.append(f"{'':14s}   {info.summary}")
         params = info.param_fields()
         if params:
@@ -702,11 +682,33 @@ class GovernorSchedutilPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Heterogeneous budget-split policies (paper §VII future work): how one
-# shared node budget divides between the CPU socket and the GPUs.  Their
-# ``build`` returns a SplitPolicy for the hetero engine, not a per-socket
+# Budget-split policies: how one shared budget divides across a hetero
+# node's devices (paper §VII future work; index 0 the CPU socket, 1..N
+# the GPUs) or a cluster's nodes (paper §VI).  Their ``build`` returns a
+# SplitPolicy for the hetero or cluster engine, not a per-socket
 # controller factory — consumed through split_policy(), never directly.
+# Each scope names the same three strategies.  The parameter classes
+# keep their names, fields and defaults: all three are part of every
+# such cell's cache address.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SplitParams:
+    """Shared label and build of the budget-split parameter classes."""
+
+    #: Registry id, the prefix of the display label.
+    name: ClassVar[str]
+    #: The strategy the parameters build.
+    strategy: ClassVar[type[SplitPolicy]]
+
+    def label(self) -> str:
+        """Parameter-specialised display label."""
+        return f"{self.name}-{self.budget_w:.0f}W"
+
+    def build(self, cfg: ControllerConfig) -> SplitPolicy:
+        """A fresh strategy over the shared budget."""
+        return self.strategy(self.budget_w)
 
 
 @register_policy(
@@ -714,24 +716,21 @@ class GovernorSchedutilPolicy:
     display_name="Static CPU/GPU budget split",
     paper_section="VII (baseline)",
     summary="Fixed CPU fraction, remainder split evenly over the GPUs.",
-    hetero=True,
+    scope="device",
 )
 @dataclass(frozen=True)
-class HeteroStaticPolicy:
+class HeteroStaticPolicy(_SplitParams):
     """Parameters of the fixed fractional CPU/GPU split."""
 
+    name: ClassVar[str] = "hetero-static"
     #: Shared node power budget split across all devices, watts.
     budget_w: float = 300.0
     #: Fraction of the budget statically assigned to the CPU socket.
     cpu_fraction: float = 0.5
 
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"hetero-static-{self.budget_w:.0f}W"
-
     def build(self, cfg: ControllerConfig) -> SplitPolicy:
-        """The frozen t=0 split policy."""
-        return StaticSplit(self.budget_w, cpu_fraction=self.cpu_fraction)
+        """The frozen t=0 split, the CPU socket leading."""
+        return StaticSplit(self.budget_w, lead_fraction=self.cpu_fraction)
 
 
 @register_policy(
@@ -739,22 +738,16 @@ class HeteroStaticPolicy:
     display_name="Coordinated demand/offer CPU/GPU split",
     paper_section="VII (contribution)",
     summary="Tolerance-aware water-filling re-split every period.",
-    hetero=True,
+    scope="device",
 )
 @dataclass(frozen=True)
-class HeteroCoordPolicy:
+class HeteroCoordPolicy(_SplitParams):
     """Parameters of the coordinated demand/offer split."""
 
+    name: ClassVar[str] = "hetero-coord"
+    strategy: ClassVar[type[SplitPolicy]] = DemandSplit
     #: Shared node power budget split across all devices, watts.
     budget_w: float = 300.0
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"hetero-coord-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> SplitPolicy:
-        """The demand/offer water-filling split policy."""
-        return CoordinatedSplit(self.budget_w)
 
 
 @register_policy(
@@ -762,31 +755,16 @@ class HeteroCoordPolicy:
     display_name="FastCap-style fair CPU/GPU split",
     paper_section="VI (related work)",
     summary="Equal fraction of each device's floor-to-ceiling range.",
-    hetero=True,
+    scope="device",
 )
 @dataclass(frozen=True)
-class HeteroFairPolicy:
+class HeteroFairPolicy(_SplitParams):
     """Parameters of the FastCap-style fair split."""
 
+    name: ClassVar[str] = "hetero-fair"
+    strategy: ClassVar[type[SplitPolicy]] = FairShareSplit
     #: Shared node power budget split across all devices, watts.
     budget_w: float = 300.0
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"hetero-fair-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> SplitPolicy:
-        """The fair equal-fraction split policy."""
-        return FairShareSplit(self.budget_w)
-
-
-# ---------------------------------------------------------------------------
-# Fleet budget-partitioning policies (paper §VI, ROADMAP item 2): how
-# one global datacenter budget divides across a cluster's nodes.  Their
-# ``build`` returns a FleetPolicy for the cluster engine, not a
-# per-socket controller factory — consumed through fleet_policy(),
-# never directly.
-# ---------------------------------------------------------------------------
 
 
 @register_policy(
@@ -794,22 +772,16 @@ class HeteroFairPolicy:
     display_name="Static equal-share fleet partition",
     paper_section="VI (baseline)",
     summary="Equal node shares decided once at t=0, never revisited.",
-    fleet=True,
+    scope="node",
 )
 @dataclass(frozen=True)
-class FleetStaticPolicy:
+class FleetStaticPolicy(_SplitParams):
     """Parameters of the equal static fleet partition."""
 
+    name: ClassVar[str] = "fleet-static"
+    strategy: ClassVar[type[SplitPolicy]] = StaticSplit
     #: Global power budget partitioned across all nodes, watts.
     budget_w: float = 250.0
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"fleet-static-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> FleetPolicy:
-        """The frozen t=0 equal-share partition."""
-        return StaticFleet(self.budget_w)
 
 
 @register_policy(
@@ -817,22 +789,16 @@ class FleetStaticPolicy:
     display_name="Demand/offer water-filling fleet partition",
     paper_section="VI (contribution)",
     summary="Nodes bid measured power; watts re-partition every period.",
-    fleet=True,
+    scope="node",
 )
 @dataclass(frozen=True)
-class FleetDemandPolicy:
+class FleetDemandPolicy(_SplitParams):
     """Parameters of the demand/offer fleet partition."""
 
+    name: ClassVar[str] = "fleet-demand"
+    strategy: ClassVar[type[SplitPolicy]] = DemandSplit
     #: Global power budget partitioned across all nodes, watts.
     budget_w: float = 250.0
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"fleet-demand-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> FleetPolicy:
-        """The demand/offer water-filling partition."""
-        return DemandFleet(self.budget_w)
 
 
 @register_policy(
@@ -840,19 +806,13 @@ class FleetDemandPolicy:
     display_name="FastCap-style fair fleet partition",
     paper_section="VI (related work)",
     summary="Equal fraction of each node's floor-to-ceiling range.",
-    fleet=True,
+    scope="node",
 )
 @dataclass(frozen=True)
-class FleetFairPolicy:
+class FleetFairPolicy(_SplitParams):
     """Parameters of the FastCap-style fair fleet partition."""
 
+    name: ClassVar[str] = "fleet-fair"
+    strategy: ClassVar[type[SplitPolicy]] = FairShareSplit
     #: Global power budget partitioned across all nodes, watts.
     budget_w: float = 250.0
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"fleet-fair-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> FleetPolicy:
-        """The fair equal-fraction partition."""
-        return FairShareFleet(self.budget_w)

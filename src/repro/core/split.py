@@ -1,122 +1,74 @@
-"""Budget-split policies for heterogeneous (CPU + GPU) nodes.
+"""Budget-split strategies: one shared power budget over N consumers.
 
-The paper's §VII future work asks whether one shared power budget can
-be shifted between a CPU and a GPU according to their needs.  This
-module supplies the *policy* half of the answer as device-agnostic
-strategy objects: given one demand figure per device (index 0 is the
-CPU socket, 1..N the GPUs), a :class:`SplitPolicy` splits the shared
-budget into per-device allocations between each device's floor and
-ceiling.
+The paper's §VI places budget distribution above DUFP, and its §VII
+future work asks whether one shared budget can be shifted between a
+CPU and a GPU according to their needs.  Both are the same question at
+different scopes, so this module answers it once: given one demand
+figure per entry, a :class:`SplitPolicy` splits its budget into
+per-entry allocations with ``floor_i <= alloc_i <= ceiling_i`` and
+``sum(alloc) <= budget``.  Entry *i* is a socket, a CPU/GPU device
+(index 0 the CPU socket, 1..N the GPUs) or a cluster node; FastCap
+(PAPERS.md) states fair capping the same way, as one optimisation over
+any set of power consumers.
 
 Three strategies span the design space:
 
-* :class:`StaticSplit` — the naive operator configuration: a fixed
-  CPU fraction, the remainder spread evenly over the GPUs, decided
-  once at t = 0 and never revisited.
-* :class:`CoordinatedSplit` — the paper's dynamic-capping idea
-  extended across devices: tolerance-aware demand/offer water-filling
-  (a device meeting its tolerated slowdown offers watts back, a
-  throttled device bids above its current limit), re-split every
-  re-allocation period via :func:`repro.core.budget.allocate_budget`.
-* :class:`FairShareSplit` — the FastCap-style baseline (PAPERS.md):
-  every device receives the *same fraction of its dynamic range*
-  (floor → ceiling), the fair many-device partitioning the
-  coordinated split is compared against.
+* :class:`StaticSplit` — the naive operator configuration, decided
+  once at t = 0 and never revisited: an equal ``budget / n`` share per
+  entry or, given a lead fraction, that fraction to entry 0 and the
+  remainder spread evenly over the rest.
+* :class:`DemandSplit` — the paper's dynamic-capping idea extended
+  across entries: tolerance-aware demand/offer water-filling (an entry
+  meeting its tolerated slowdown offers watts back, a throttled entry
+  bids above its current limit), re-split every re-allocation period
+  by :func:`repro.core.budget.allocate_budget`.
+* :class:`FairShareSplit` — the FastCap-style baseline: every entry
+  receives the *same fraction of its dynamic range* (floor →
+  ceiling), blind to demand.
 
-Like the per-socket controllers, concrete split policies are wired to
-names only in :mod:`repro.core.registry` (``hetero-static``,
-``hetero-coord``, ``hetero-fair``) and selected everywhere else via
+Concrete strategies are wired to names only in
+:mod:`repro.core.registry` (``hetero-*`` at device scope, ``fleet-*``
+at node scope) and selected everywhere else via
 :class:`~repro.core.registry.PolicySpec` — the registry lint enforces
-it.  The policies are deliberately free of device knowledge: the
-hetero engine measures demands and owns floors/ceilings; policies only
-split watts.
+it.  The strategies are free of device and node knowledge: the engines
+measure demands and own floors/ceilings; strategies only split watts.
 """
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ControllerError
-from .budget import allocate_budget
+from .budget import allocate_budget, check_bands, fit_to_bands
 
 __all__ = [
     "SplitPolicy",
     "StaticSplit",
-    "CoordinatedSplit",
+    "DemandSplit",
     "FairShareSplit",
 ]
 
 
-def _check_devices(
-    total_w: float,
-    demands_w: list[float],
-    floors_w: list[float],
-    ceilings_w: list[float],
-) -> None:
-    if not floors_w or len(floors_w) != len(ceilings_w):
-        raise ControllerError("need one floor and one ceiling per device")
-    if len(demands_w) != len(floors_w):
-        raise ControllerError(
-            f"{len(demands_w)} demands for {len(floors_w)} devices"
-        )
-    for lo, hi in zip(floors_w, ceilings_w):
-        if not 0 < lo <= hi:
-            raise ControllerError(
-                f"device bounds invalid: floor {lo} W, ceiling {hi} W"
-            )
-    if sum(floors_w) > total_w + 1e-9:
-        raise ControllerError(
-            f"budget {total_w} W cannot cover the combined device floor "
-            f"{sum(floors_w)} W"
-        )
-
-
-def _fit_budget(
-    alloc: list[float], total_w: float, floors_w: list[float]
-) -> list[float]:
-    """Pay back any overshoot the per-device floor clamp introduced.
-
-    Lifting an allocation up to its device floor can push the sum past
-    the budget; the excess is taken back from every device above its
-    floor, proportionally to its slack.  Feasibility
-    (``sum(floors) <= total``) guarantees the slack covers the excess.
-    """
-    excess = sum(alloc) - total_w
-    if excess <= 1e-9:
-        return alloc
-    slack = [a - lo for a, lo in zip(alloc, floors_w)]
-    span = sum(slack)
-    if span <= 0.0:
-        # Every device already sits at its floor: the budget cannot
-        # cover the combined floors.  Callers that validated via
-        # _check_devices never reach this; entry points that skip the
-        # check (e.g. initial()) get the same diagnostic instead of a
-        # division by zero.
-        raise ControllerError(
-            f"budget {total_w} W cannot cover the combined device floor "
-            f"{sum(floors_w)} W"
-        )
-    scale = max(span - excess, 0.0) / span
-    return [lo + s * scale for lo, s in zip(floors_w, slack)]
-
-
 class SplitPolicy:
-    """How one shared power budget splits across a node's devices.
+    """How one shared power budget splits across N entries.
 
-    ``allocate`` is called by the hetero engine at every re-allocation
-    period with one *demand* per device (watts the device currently
-    bids for); it returns one allocation per device with ``floor_i <=
-    alloc_i <= ceiling_i`` and ``sum(alloc) <= total``.  Policies with
+    ``allocate`` is called by the engines at every re-allocation
+    period with one *demand* per entry (watts the entry currently bids
+    for); it returns one allocation per entry with ``floor_i <=
+    alloc_i <= ceiling_i`` and ``sum(alloc) <= budget``.  Policies with
     :attr:`is_static` true are evaluated once at t = 0 and never again
-    — their split depends only on the bounds, not on measurements.
+    — their split depends only on the bands, not on measurements, which
+    is what keeps a 1-node static cluster bit-identical to a plain run.
     """
 
-    #: Registry id of the policy (set by subclasses; used in labels).
-    name = "split"
     #: True when the split never changes after t = 0.
     is_static = False
 
     def __init__(self, budget_w: float):
-        if budget_w <= 0:
-            raise ControllerError("shared budget must be positive")
+        if not (math.isfinite(budget_w) and budget_w > 0):
+            raise ControllerError(
+                f"shared budget must be finite and positive, got {budget_w} W"
+            )
         self.budget_w = budget_w
 
     def allocate(
@@ -134,29 +86,29 @@ class SplitPolicy:
         """The t = 0 split, before any demand has been measured.
 
         Defaults to allocating against ceiling-level demands (every
-        device bids for its maximum), which degenerates to the naive
-        even split under symmetric bounds.
+        entry bids for its maximum).
         """
         return self.allocate(list(ceilings_w), floors_w, ceilings_w)
 
 
 class StaticSplit(SplitPolicy):
-    """Fixed fractional split: the datacentre operator's naive config.
+    """Fixed shares: the operator's naive configuration.
 
-    The CPU receives ``cpu_fraction`` of the budget, the GPUs share
-    the remainder evenly; everything is clamped into each device's
-    ``[floor, ceiling]`` band.  Decided once, never revisited — the
-    baseline every dynamic policy is measured against.
+    Without a ``lead_fraction`` every entry receives ``budget / n``;
+    with one, entry 0 (the CPU socket of a hetero node) receives that
+    fraction and the other entries share the remainder evenly.  Shares
+    are clamped into each entry's band and any floor overshoot is paid
+    back.  Decided once, never revisited — the baseline every dynamic
+    policy is measured against.
     """
 
-    name = "hetero-static"
     is_static = True
 
-    def __init__(self, budget_w: float, cpu_fraction: float = 0.5):
+    def __init__(self, budget_w: float, lead_fraction: float | None = None):
         super().__init__(budget_w)
-        if not 0.0 < cpu_fraction < 1.0:
-            raise ControllerError("cpu_fraction must be in (0, 1)")
-        self.cpu_fraction = cpu_fraction
+        if lead_fraction is not None and not 0.0 < lead_fraction < 1.0:
+            raise ControllerError("lead fraction must be in (0, 1)")
+        self.lead_fraction = lead_fraction
 
     def allocate(
         self,
@@ -164,76 +116,55 @@ class StaticSplit(SplitPolicy):
         floors_w: list[float],
         ceilings_w: list[float],
     ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
-        n_gpus = len(floors_w) - 1
-        if n_gpus < 1:
-            raise ControllerError("hetero split needs at least one GPU")
-        shares = [self.budget_w * self.cpu_fraction] + [
-            self.budget_w * (1.0 - self.cpu_fraction) / n_gpus
-        ] * n_gpus
-        alloc = [
-            min(max(share, lo), hi)
-            for share, lo, hi in zip(shares, floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
+        check_bands(demands_w, self.budget_w, floors_w, ceilings_w)
+        n = len(floors_w)
+        if self.lead_fraction is None:
+            shares = [self.budget_w / n] * n
+        elif n < 2:
+            raise ControllerError("a lead fraction needs at least two entries")
+        else:
+            shares = [self.budget_w * self.lead_fraction] + [
+                self.budget_w * (1.0 - self.lead_fraction) / (n - 1)
+            ] * (n - 1)
+        return fit_to_bands(shares, self.budget_w, floors_w, ceilings_w)
 
 
-class CoordinatedSplit(SplitPolicy):
-    """Tolerance-aware demand/offer water-filling across the devices.
+class DemandSplit(SplitPolicy):
+    """Tolerance-aware demand/offer water-filling across the entries.
 
-    The multi-device generalisation of :func:`repro.core.budget.
-    allocate_budget`'s node split: devices meeting their tolerated
-    slowdown offer watts back, throttled devices bid above their
-    current limit, and the water-filling serves demand above the floor
-    proportionally until the budget is exhausted.
+    Entries meeting their tolerated slowdown offer watts back,
+    throttled entries bid above their current limit, and
+    :func:`~repro.core.budget.allocate_budget` serves demand above the
+    floor proportionally until the budget is exhausted.
     """
 
-    name = "hetero-coord"
-
     def allocate(
         self,
         demands_w: list[float],
         floors_w: list[float],
         ceilings_w: list[float],
     ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
-        alloc = allocate_budget(
-            demands_w,
-            self.budget_w,
-            min(floors_w),
-            ceiling_w=max(ceilings_w),
-        )
-        alloc = [
-            min(max(a, lo), hi)
-            for a, lo, hi in zip(alloc, floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
+        return allocate_budget(demands_w, self.budget_w, floors_w, ceilings_w)
 
     def initial(
         self, floors_w: list[float], ceilings_w: list[float]
     ) -> list[float]:
-        """Start from the naive even split (the operator default) and
+        """Start from the equal static share (the operator default) and
         let the demand/offer loop move watts from there — matching the
         paper's framing of dynamic capping as a *correction* to a
         statically configured budget."""
-        n = len(floors_w)
-        alloc = [
-            min(max(self.budget_w / n, lo), hi)
-            for lo, hi in zip(floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
+        return StaticSplit(self.budget_w).initial(floors_w, ceilings_w)
 
 
 class FairShareSplit(SplitPolicy):
     """FastCap-style fair partitioning: equal fractions of each range.
 
-    Every device receives ``floor + t · (ceiling - floor)`` with one
-    common ``t`` chosen so the total meets the budget — the fair
-    multi-device baseline from *FastCap* (PAPERS.md), blind to what the
-    devices are actually doing.
+    Every entry receives ``floor + t · (ceiling - floor)`` with one
+    common ``t`` chosen so the total meets the budget — demand-blind,
+    so a latency-sensitive consumer next to a batch one is throttled by
+    the *same* relative amount.
     """
 
-    name = "hetero-fair"
     is_static = True
 
     def allocate(
@@ -242,7 +173,7 @@ class FairShareSplit(SplitPolicy):
         floors_w: list[float],
         ceilings_w: list[float],
     ) -> list[float]:
-        _check_devices(self.budget_w, demands_w, floors_w, ceilings_w)
+        check_bands(demands_w, self.budget_w, floors_w, ceilings_w)
         spare = self.budget_w - sum(floors_w)
         span = sum(hi - lo for lo, hi in zip(floors_w, ceilings_w))
         t = min(max(spare / span, 0.0), 1.0) if span > 0 else 0.0

@@ -64,6 +64,7 @@ __all__ = [
     "ShardReport",
     "ExecutionSummary",
     "cell_seed",
+    "cell_scope",
     "spec_key",
     "execute_spec",
     "build_spec_protocol",
@@ -83,6 +84,25 @@ SHARD_OVERSUBSCRIPTION = 3
 #: Planner fallback when an application cannot be sized ahead of time
 #: (the estimate only steers bin-packing; results never depend on it).
 _FALLBACK_SIM_S = 60.0
+
+#: What each policy scope (:data:`repro.core.registry.SCOPES`) runs on.
+_SCOPE_CELLS = {
+    "socket": "a CPU-only cell",
+    "device": "a hetero cell (gpu=GPUNodeConfig(...))",
+    "node": "a cluster cell (cluster=ClusterSpec(...))",
+}
+
+
+def cell_scope(gpu: GPUNodeConfig | None, cluster: ClusterSpec | None) -> str:
+    """The policy scope a cell with this GPU side and topology needs."""
+    if gpu is not None and cluster is not None:
+        raise ExperimentError(
+            "a cell is either hetero (gpu=...) or a cluster "
+            "(cluster=...), not both"
+        )
+    if gpu is not None:
+        return "device"
+    return "node" if cluster is not None else "socket"
 
 
 @dataclass(frozen=True)
@@ -176,44 +196,23 @@ class RunSpec:
             )
         if self.faults is not None:
             self.faults.validate()
-        info = policy_info(self.controller.name)
         if self.gpu is not None:
             self.gpu.validate()
-            if not info.hetero:
-                raise ExperimentError(
-                    f"hetero spec needs a hetero budget-split controller, "
-                    f"got {self.controller.name!r} (see 'repro policies')"
-                )
-            if self.socket_count != 1:
-                raise ExperimentError(
-                    "hetero cells model one CPU socket per node"
-                )
-            if self.cluster is not None:
-                raise ExperimentError(
-                    "a cell is either hetero (gpu=...) or a cluster "
-                    "(cluster=...), not both"
-                )
-        elif info.hetero:
-            raise ExperimentError(
-                f"controller {self.controller.name!r} splits a CPU+GPU "
-                "budget; the spec needs gpu=GPUNodeConfig(...)"
-            )
         if self.cluster is not None:
             self.cluster.validate()
-            if not info.fleet:
-                raise ExperimentError(
-                    f"cluster spec needs a fleet partitioning controller, "
-                    f"got {self.controller.name!r} (see 'repro policies')"
-                )
-            if self.socket_count != 1:
-                raise ExperimentError(
-                    "cluster cells size sockets via "
-                    "ClusterSpec.sockets_per_node; leave socket_count at 1"
-                )
-        elif info.fleet:
+        scope = cell_scope(self.gpu, self.cluster)
+        wanted = policy_info(self.controller.name).scope
+        if wanted != scope:
             raise ExperimentError(
-                f"controller {self.controller.name!r} partitions a fleet "
-                "budget; the spec needs cluster=ClusterSpec(...)"
+                f"controller {self.controller.name!r} runs on "
+                f"{_SCOPE_CELLS[wanted]}, but this spec is "
+                f"{_SCOPE_CELLS[scope]} (see 'repro policies')"
+            )
+        if scope != "socket" and self.socket_count != 1:
+            raise ExperimentError(
+                "hetero and cluster cells size their own sockets (one "
+                "CPU socket per hetero node, ClusterSpec.sockets_per_node "
+                "per cluster node); leave socket_count at 1"
             )
 
     @property

@@ -281,7 +281,7 @@ def run_hetero_protocol(
         engine = HeteroEngine(
             application=application,
             node=gpu,
-            policy=split_policy(spec, cfg),
+            policy=split_policy(spec, cfg, scope="device"),
             cfg=cfg,
             socket_cfg=socket or yeti_socket_config(),
             dt_s=engine_cfg.dt_s,
@@ -334,7 +334,7 @@ def run_cluster_protocol(
     (node i, socket s → ``i·sockets_per_node + s``).
     """
     from ..cluster.engine import ClusterEngine
-    from ..core.registry import fleet_policy
+    from ..core.registry import split_policy
 
     if runs < 1:
         raise ExperimentError("need at least one run")
@@ -348,7 +348,7 @@ def run_cluster_protocol(
         engine = ClusterEngine(
             applications=applications,
             cluster=cluster,
-            policy=fleet_policy(spec, cfg),
+            policy=split_policy(spec, cfg, scope="node"),
             controller_cfg=cfg,
             engine_cfg=engine_cfg,
             noise=noise,

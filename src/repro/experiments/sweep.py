@@ -34,13 +34,17 @@ from ..hardware.gpu import GPUNodeConfig
 from ..sim.faults import FaultPlan
 from ..workloads.catalog import application_names
 from .cache import ResultCache
-from .executor import ExecutionSummary, RunSpec, cell_seed, run_specs
+from .executor import ExecutionSummary, RunSpec, cell_scope, cell_seed, run_specs
 from .protocol import Comparison, ProtocolResult, compare
 
 __all__ = ["SweepResult", "run_sweep", "sweep_specs", "SWEEP_TOLERANCES_PCT"]
 
 #: The paper's tolerated-slowdown grid, percent.
 SWEEP_TOLERANCES_PCT: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0)
+
+#: The never-revisited split each budget-split scope's savings are
+#: measured against.
+_STATIC_BASELINES = {"device": "hetero-static", "node": "fleet-static"}
 
 
 @dataclass
@@ -172,33 +176,19 @@ def sweep_specs(
     labels = [c.label for c in ctrl_list]
     if len(set(labels)) != len(labels):
         raise ExperimentError(f"duplicate sweep controllers: {labels}")
-    if gpu is not None and cluster is not None:
+    scope = cell_scope(gpu, cluster)
+    misfits = [c.name for c in ctrl_list if c.info.scope != scope]
+    if misfits:
         raise ExperimentError(
-            "a sweep is either hetero (gpu=...) or a cluster "
-            "(cluster=...), not both"
+            f"a {scope}-scope sweep needs {scope}-scope controllers; "
+            f"{misfits} are not (see 'repro policies')"
         )
-    if gpu is not None:
-        non_hetero = [c.name for c in ctrl_list if not c.info.hetero]
-        if non_hetero:
-            raise ExperimentError(
-                f"hetero sweep needs hetero budget-split controllers; "
-                f"{non_hetero} are per-socket policies"
-            )
-        baseline: PolicySpec = make_spec(
-            "hetero-static", budget_w=ctrl_list[0].params.budget_w
-        )
-    elif cluster is not None:
-        non_fleet = [c.name for c in ctrl_list if not c.info.fleet]
-        if non_fleet:
-            raise ExperimentError(
-                f"cluster sweep needs fleet partitioning controllers; "
-                f"{non_fleet} are per-socket policies"
-            )
-        baseline = make_spec(
-            "fleet-static", budget_w=ctrl_list[0].params.budget_w
-        )
+    if scope == "socket":
+        baseline: PolicySpec = as_spec("default")
     else:
-        baseline = as_spec("default")
+        baseline = make_spec(
+            _STATIC_BASELINES[scope], budget_w=ctrl_list[0].params.budget_w
+        )
     base_cfg = base_cfg or ControllerConfig()
     noise = noise or NoiseConfig()
     engine_cfg = engine_cfg or EngineConfig()

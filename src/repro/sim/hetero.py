@@ -37,11 +37,10 @@ of the scalar engine:
   measurement protocol's trimming statistics apply to hetero cells
   exactly as to CPU-only ones.
 
-The legacy two-device construction (``kernels=[...]``,
-``total_budget_w=...``, ``coordinated=True/False``) still works: it
-maps onto a single-GPU node with zero-byte transfers and a
-:class:`~repro.core.split.CoordinatedSplit`/:class:`~repro.core.split.
-StaticSplit` policy.
+The split policy is always resolved through the registry
+(:func:`repro.core.registry.split_policy` at ``scope="device"``).  The
+legacy two-device construction (``kernels=[...]`` without ``node``)
+still works: it maps onto a single-GPU node with zero-byte transfers.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ControllerConfig, NoiseConfig, SocketConfig, yeti_socket_config
-from ..core.split import CoordinatedSplit, SplitPolicy, StaticSplit
+from ..core.split import SplitPolicy
 from ..core.tolerance import SlowdownTracker, ToleranceVerdict
 from ..errors import SimulationError
 from ..hardware.gpu import GPUConfig, GPUKernel, GPUNodeConfig, SimulatedGPU
@@ -146,26 +145,22 @@ class HeteroEngine:
     """One CPU socket plus a GPU node under a shared power budget."""
 
     application: Application
+    #: Budget-split strategy over the devices (index 0 the CPU socket),
+    #: resolved via :func:`repro.core.registry.split_policy`; it owns
+    #: the shared budget.
+    policy: SplitPolicy
     #: Legacy explicit kernel queue (single GPU); ``None`` derives the
     #: queue from ``node``.
     kernels: list[GPUKernel] | None = None
-    #: Legacy shared budget; superseded by ``policy.budget_w`` when a
-    #: policy object is supplied.
-    total_budget_w: float | None = None
     cfg: ControllerConfig = field(default_factory=ControllerConfig)
     socket_cfg: SocketConfig = field(default_factory=yeti_socket_config)
     #: Legacy single-GPU model; ``node`` takes precedence.
     gpu_cfg: GPUConfig = field(default_factory=GPUConfig)
     #: The GPU side of the node (count, kernel queue, link).
     node: GPUNodeConfig | None = None
-    #: Budget-split strategy; ``None`` derives one from the legacy
-    #: ``coordinated`` flag and ``total_budget_w``.
-    policy: SplitPolicy | None = None
     dt_s: float = 0.01
     #: Re-allocate every this many seconds (dynamic policies only).
     realloc_period_s: float = 1.0
-    #: Legacy mode switch; ignored when ``policy`` is supplied.
-    coordinated: bool = True
     max_sim_time_s: float = 600.0
     #: Per-run seed driving jitter and fault draws.
     seed: int = 0
@@ -194,22 +189,12 @@ class HeteroEngine:
             self._kernels = list(self.kernels)
         else:
             self._kernels = self._node.build_kernels()
-        if self.policy is not None:
-            self._policy = self.policy
-        else:
-            if self.total_budget_w is None:
-                raise SimulationError("hetero run needs a budget or a policy")
-            self._policy = (
-                CoordinatedSplit(self.total_budget_w)
-                if self.coordinated
-                else StaticSplit(self.total_budget_w, cpu_fraction=0.5)
-            )
         if self.faults is not None:
             self.faults.validate()
         floors = self._floors()
-        if self._policy.budget_w < sum(floors):
+        if self.policy.budget_w < sum(floors):
             raise SimulationError(
-                f"budget {self._policy.budget_w} W below the combined "
+                f"budget {self.policy.budget_w} W below the combined "
                 f"floor {sum(floors)} W"
             )
 
@@ -229,7 +214,7 @@ class HeteroEngine:
 
     def run(self) -> HeteroResult:
         node = self._node
-        policy = self._policy
+        policy = self.policy
         n_gpus = node.gpu_count
         rng = np.random.default_rng([abs(int(self.seed)), _JITTER_STREAM])
         app = self.application

@@ -260,7 +260,7 @@ MATRIX_PLANS = {"clean": None, "faults": PLAN}
     [
         n
         for n in policy_names()
-        if not policy_info(n).hetero and not policy_info(n).fleet
+        if policy_info(n).scope == "socket"
     ],
 )
 def test_matrix_equivalence(policy, app, plan_name):

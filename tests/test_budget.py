@@ -16,40 +16,46 @@ from repro.workloads.catalog import build_application
 QUIET = NoiseConfig(duration_jitter=0.001, counter_noise=0.001, power_noise=0.001)
 
 
+def uniform(demands_w, total_w):
+    """The allocator over one [65 W, 125 W] band per socket."""
+    n = len(demands_w)
+    return allocate_budget(demands_w, total_w, [65.0] * n, [125.0] * n)
+
+
 class TestAllocator:
     def test_budget_covers_demand(self):
-        alloc = allocate_budget([100.0, 80.0], 250.0, 65.0, 125.0)
+        alloc = uniform([100.0, 80.0], 250.0)
         assert alloc == [pytest.approx(100.0), pytest.approx(80.0)]
 
     def test_total_never_exceeded(self):
-        alloc = allocate_budget([120.0, 120.0, 120.0], 300.0, 65.0, 125.0)
+        alloc = uniform([120.0, 120.0, 120.0], 300.0)
         assert sum(alloc) <= 300.0 + 1e-6
 
     def test_floor_respected(self):
-        alloc = allocate_budget([10.0, 300.0], 200.0, 65.0, 125.0)
+        alloc = uniform([10.0, 300.0], 200.0)
         assert all(a >= 65.0 - 1e-9 for a in alloc)
 
     def test_ceiling_respected(self):
-        alloc = allocate_budget([500.0, 500.0], 400.0, 65.0, 125.0)
+        alloc = uniform([500.0, 500.0], 400.0)
         assert all(a <= 125.0 + 1e-9 for a in alloc)
 
     def test_proportional_shrink(self):
-        alloc = allocate_budget([125.0, 85.0], 180.0, 65.0, 125.0)
+        alloc = uniform([125.0, 85.0], 180.0)
         # Both shrink above the floor; the hungrier socket keeps more.
         assert alloc[0] > alloc[1]
         assert sum(alloc) == pytest.approx(180.0)
 
     def test_impossible_budget_rejected(self):
         with pytest.raises(ControllerError):
-            allocate_budget([100.0, 100.0], 100.0, 65.0, 125.0)
+            uniform([100.0, 100.0], 100.0)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ControllerError):
-            allocate_budget([-1.0], 100.0, 65.0, 125.0)
+            uniform([-1.0], 100.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ControllerError):
-            allocate_budget([], 100.0, 65.0, 125.0)
+            uniform([], 100.0)
 
 
 class TestCoordinator:

@@ -26,7 +26,6 @@ from repro.cluster import (
 from repro.config import ControllerConfig, NoiseConfig
 from repro.core.registry import (
     PolicyError,
-    fleet_policy,
     make_spec,
     parse_policy,
     policy_info,
@@ -46,6 +45,11 @@ CFG = ControllerConfig(tolerated_slowdown=0.10)
 QUIET = NoiseConfig(duration_jitter=0.0, counter_noise=0.0, power_noise=0.0)
 
 
+def node_split(policy, budget_w=250.0):
+    """The registry's node-scope split ``policy`` at ``budget_w``."""
+    return split_policy(make_spec(policy, budget_w=budget_w), CFG, scope="node")
+
+
 def _engine(policy="fleet-demand", budget=180.0, **cluster_kw):
     cluster_kw.setdefault("node_count", 2)
     cluster_kw.setdefault("node_apps", ("WEB", "BATCH"))
@@ -58,7 +62,7 @@ def _engine(policy="fleet-demand", budget=180.0, **cluster_kw):
     return ClusterEngine(
         applications=apps,
         cluster=cluster,
-        policy=fleet_policy(make_spec(policy, budget_w=budget), CFG),
+        policy=node_split(policy, budget),
         controller_cfg=CFG,
         noise=QUIET,
         seed=7,
@@ -107,38 +111,38 @@ class TestFleetPolicies:
     def test_registry_flags_and_resolution(self):
         for name in ("fleet-static", "fleet-demand", "fleet-fair"):
             info = policy_info(name)
-            assert info.fleet and not info.hetero
-            fleet = fleet_policy(make_spec(name, budget_w=250.0), CFG)
+            assert info.scope == "node"
+            fleet = node_split(name, 250.0)
             assert fleet.budget_w == 250.0
         assert policy_info("fleet-demand").paper_section.startswith("VI")
 
     def test_fleet_resolver_rejects_non_fleet_and_vice_versa(self):
         with pytest.raises(PolicyError):
-            fleet_policy(make_spec("dufp"), CFG)
+            split_policy(make_spec("dufp"), CFG, scope="node")
         with pytest.raises(PolicyError):
-            fleet_policy(make_spec("hetero-coord", budget_w=300.0), CFG)
+            node_split("hetero-coord", 300.0)
         with pytest.raises(PolicyError):
-            split_policy(make_spec("fleet-demand", budget_w=250.0), CFG)
+            split_policy("fleet-demand", CFG, scope="device")
 
     def test_parse_policy_grammar(self):
         spec = parse_policy("fleet-demand:budget_w=190")
         assert spec.label == "fleet-demand-190W"
-        assert fleet_policy(spec, CFG).budget_w == 190.0
+        assert split_policy(spec, CFG, scope="node").budget_w == 190.0
 
     def test_static_fleet_equal_shares(self):
-        fleet = fleet_policy(make_spec("fleet-static", budget_w=300.0), CFG)
+        fleet = node_split("fleet-static", 300.0)
         alloc = fleet.allocate([0.0] * 3, self.FLOORS, self.CEILINGS)
         assert alloc == pytest.approx([100.0] * 3)
         assert fleet.is_static
 
     def test_static_fleet_clamps_to_a_tight_ceiling(self):
-        fleet = fleet_policy(make_spec("fleet-static", budget_w=300.0), CFG)
+        fleet = node_split("fleet-static", 300.0)
         # share 100, one tight band [65, 70]: that node clamps to 70.
         alloc = fleet.allocate([0.0] * 3, self.FLOORS, [70.0, 125.0, 125.0])
         assert alloc == pytest.approx([70.0, 100.0, 100.0])
 
     def test_static_fleet_pays_back_floor_overshoot(self):
-        fleet = fleet_policy(make_spec("fleet-static", budget_w=245.0), CFG)
+        fleet = node_split("fleet-static", 245.0)
         # share 81.67, one high floor at 100: lifting it overshoots the
         # budget; the excess comes back from the other nodes' slack.
         alloc = fleet.allocate(
@@ -150,25 +154,25 @@ class TestFleetPolicies:
 
     def test_demand_fleet_serves_demand_and_conserves(self):
         # Ample budget (260 ≥ Σbids): every node gets its bid exactly.
-        fleet = fleet_policy(make_spec("fleet-demand", budget_w=260.0), CFG)
+        fleet = node_split("fleet-demand", 260.0)
         alloc = fleet.allocate([70.0, 120.0, 65.0], self.FLOORS, self.CEILINGS)
         assert alloc == pytest.approx([70.0, 120.0, 65.0])
         # Tight budget: demand above the floor shrinks proportionally,
         # the floor-bidding node is untouched.
-        tight = fleet_policy(make_spec("fleet-demand", budget_w=250.0), CFG)
+        tight = node_split("fleet-demand", 250.0)
         alloc = tight.allocate([70.0, 120.0, 65.0], self.FLOORS, self.CEILINGS)
         assert sum(alloc) == pytest.approx(250.0)
         assert alloc[1] > alloc[0] > alloc[2]
         assert alloc[2] == pytest.approx(65.0)
 
     def test_demand_fleet_initial_is_the_even_split(self):
-        fleet = fleet_policy(make_spec("fleet-demand", budget_w=240.0), CFG)
+        fleet = node_split("fleet-demand", 240.0)
         assert fleet.initial(self.FLOORS, self.CEILINGS) == pytest.approx(
             [80.0] * 3
         )
 
     def test_fair_fleet_equal_range_fraction(self):
-        fleet = fleet_policy(make_spec("fleet-fair", budget_w=285.0), CFG)
+        fleet = node_split("fleet-fair", 285.0)
         # t = (285 - 195) / 180 = 0.5 → everyone at floor + half range.
         alloc = fleet.allocate([0.0] * 3, self.FLOORS, self.CEILINGS)
         assert alloc == pytest.approx([95.0] * 3)
@@ -176,7 +180,7 @@ class TestFleetPolicies:
 
     def test_infeasible_budget_raises_not_crashes(self):
         for name in ("fleet-static", "fleet-demand", "fleet-fair"):
-            fleet = fleet_policy(make_spec(name, budget_w=100.0), CFG)
+            fleet = node_split(name, 100.0)
             with pytest.raises(ReproError):
                 fleet.allocate([120.0] * 3, self.FLOORS, self.CEILINGS)
             with pytest.raises(ReproError):
@@ -219,7 +223,7 @@ class TestClusterEngine:
             ClusterEngine(
                 applications=[build_application("EP", scale=0.1)],
                 cluster=cluster,
-                policy=fleet_policy(make_spec("fleet-static"), CFG),
+                policy=node_split("fleet-static"),
             )
 
     def test_demand_fleet_releases_budget_when_a_node_finishes(self):

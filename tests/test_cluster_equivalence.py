@@ -22,10 +22,10 @@ from repro.cluster import ClusterEngine, ClusterSpec
 from repro.config import ControllerConfig, NoiseConfig
 from repro.core.registry import (
     controller_factory,
-    fleet_policy,
     make_spec,
     policy_info,
     policy_names,
+    split_policy,
 )
 from repro.sim.export import run_summary
 from repro.sim.faults import FaultPlan
@@ -59,6 +59,11 @@ MATRIX_PLANS = {
 CEILING_FLEETS = ("fleet-static", "fleet-fair")
 
 
+def node_split(policy, budget_w):
+    """The registry's node-scope split ``policy`` at ``budget_w``."""
+    return split_policy(make_spec(policy, budget_w=budget_w), CFG, scope="node")
+
+
 def _scalar_run(app_name, node_controller, seed, faults=None):
     return build_engine(
         build_application(app_name, scale=0.3),
@@ -75,7 +80,7 @@ def _cluster_run(app_name, fleet, node_controller, seed, faults=None):
     result = ClusterEngine(
         applications=[build_application(app_name, scale=0.3)],
         cluster=cluster,
-        policy=fleet_policy(make_spec(fleet, budget_w=COVERING_BUDGET_W), CFG),
+        policy=node_split(fleet, COVERING_BUDGET_W),
         controller_cfg=CFG,
         noise=NOISE,
         seed=seed,
@@ -122,7 +127,7 @@ class TestSingleNodeDegeneracy:
         node = ClusterEngine(
             applications=[build_application("CG", scale=0.3)],
             cluster=cluster,
-            policy=fleet_policy(make_spec("fleet-static", budget_w=90.0), CFG),
+            policy=node_split("fleet-static", 90.0),
             controller_cfg=CFG,
             noise=NOISE,
             seed=42,
@@ -141,7 +146,7 @@ class TestSingleNodeDegeneracy:
     [
         n
         for n in policy_names()
-        if not policy_info(n).hetero and not policy_info(n).fleet
+        if policy_info(n).scope == "socket"
     ],
 )
 def test_matrix_single_node_equivalence(policy, fleet, app, plan_name):

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.config import ControllerConfig
+from repro.core.registry import make_spec, split_policy
 from repro.errors import ConfigurationError, HardwareError, SimulationError
 from repro.hardware.gpu import GPUConfig, GPUKernel, SimulatedGPU
 from repro.sim.hetero import HeteroEngine
 from repro.workloads.catalog import build_application
+
+
+def split(policy, budget_w=300.0):
+    """The registry's device-scope split ``policy`` at ``budget_w``."""
+    return split_policy(make_spec(policy, budget_w=budget_w), scope="device")
 
 
 def balanced_kernels(n=8, flops_each=6e12):
@@ -99,17 +105,15 @@ class TestHeteroEngine:
         cfg = ControllerConfig(tolerated_slowdown=0.10)
         static = HeteroEngine(
             application=app,
+            policy=split("hetero-static"),
             kernels=kernels,
-            total_budget_w=300.0,
             cfg=cfg,
-            coordinated=False,
         ).run()
         coordinated = HeteroEngine(
             application=app,
+            policy=split("hetero-coord"),
             kernels=kernels,
-            total_budget_w=300.0,
             cfg=cfg,
-            coordinated=True,
         ).run()
         return static, coordinated
 
@@ -150,16 +154,16 @@ class TestHeteroEngine:
         with pytest.raises(SimulationError):
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
+                policy=split("hetero-coord", budget_w=100.0),
                 kernels=balanced_kernels(2),
-                total_budget_w=100.0,
             )
 
     def test_empty_kernel_queue_rejected(self):
         with pytest.raises(SimulationError):
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
+                policy=split("hetero-coord"),
                 kernels=[],
-                total_budget_w=300.0,
             )
 
 
@@ -169,10 +173,9 @@ class TestHeteroDetails:
 
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
+            policy=split("hetero-static"),
             kernels=balanced_kernels(2, flops_each=2e12),
-            total_budget_w=300.0,
             cfg=ControllerConfig(tolerated_slowdown=0.10),
-            coordinated=False,
         ).run()
         assert len(result.allocations) == 1
 
@@ -181,8 +184,8 @@ class TestHeteroDetails:
 
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
+            policy=split("hetero-coord"),
             kernels=balanced_kernels(2, flops_each=2e12),
-            total_budget_w=300.0,
             cfg=ControllerConfig(tolerated_slowdown=0.10),
         ).run()
         assert result.makespan_s == max(result.cpu_finish_s, result.gpu_finish_s)

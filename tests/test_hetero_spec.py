@@ -25,10 +25,9 @@ from repro.core.registry import (
     parse_policy,
     split_policy,
 )
-from repro.core.split import CoordinatedSplit, FairShareSplit, StaticSplit
+from repro.core.split import DemandSplit, FairShareSplit
 from repro.errors import (
     ConfigurationError,
-    ControllerError,
     ExperimentError,
     PolicyError,
     SimulationError,
@@ -53,11 +52,18 @@ SMALL_NODE = GPUNodeConfig(
 )
 
 
+def coord(budget_w: float):
+    """The registry's coordinated device split at ``budget_w``."""
+    return split_policy(
+        make_spec("hetero-coord", budget_w=budget_w), scope="device"
+    )
+
+
 def small_engine(**overrides) -> HeteroEngine:
     base = dict(
         application=build_application("CG", scale=0.15),
         node=SMALL_NODE,
-        policy=CoordinatedSplit(300.0),
+        policy=coord(300.0),
         cfg=ControllerConfig(tolerated_slowdown=0.10),
         seed=3,
         noise=NoiseConfig(),
@@ -112,49 +118,21 @@ class TestGPUNodeConfig:
 
 
 class TestSplitPolicies:
-    FLOORS = [40.0, 100.0]
-    CEILINGS = [125.0, 250.0]
-
-    def test_static_split_shares_and_clamps(self):
-        alloc = StaticSplit(300.0, cpu_fraction=0.5).allocate(
-            [0.0, 0.0], self.FLOORS, self.CEILINGS
-        )
-        assert alloc == [125.0, 150.0]  # CPU clamps to its ceiling
-        assert StaticSplit.is_static
-
-    def test_coordinated_moves_spare_watts_to_the_bidder(self):
-        policy = CoordinatedSplit(300.0)
-        alloc = policy.allocate([60.0, 260.0], self.FLOORS, self.CEILINGS)
-        assert sum(alloc) <= 300.0 + 1e-9
-        assert alloc[1] > alloc[0]
-        assert alloc[0] >= self.FLOORS[0] and alloc[1] <= self.CEILINGS[1]
-
-    def test_fair_share_is_proportional_between_bounds(self):
-        policy = FairShareSplit(300.0)
-        alloc = policy.allocate([0.0, 0.0], self.FLOORS, self.CEILINGS)
-        span = sum(c - f for c, f in zip(self.CEILINGS, self.FLOORS))
-        t = (300.0 - sum(self.FLOORS)) / span
-        for a, lo, hi in zip(alloc, self.FLOORS, self.CEILINGS):
-            assert a == pytest.approx(lo + t * (hi - lo))
-        assert sum(alloc) == pytest.approx(300.0)
-
-    def test_infeasible_and_invalid_inputs_rejected(self):
-        with pytest.raises(ControllerError):
-            StaticSplit(0.0)
-        with pytest.raises(ControllerError):
-            CoordinatedSplit(100.0).allocate([0, 0], self.FLOORS, self.CEILINGS)
-        with pytest.raises(ControllerError):
-            CoordinatedSplit(300.0).allocate([0.0], self.FLOORS, self.CEILINGS)
+    """Registry resolution and labels of the device-scope splits; their
+    allocation properties live in ``test_properties_allocator.py``."""
 
     def test_registry_resolves_hetero_policies_only(self):
-        policy = split_policy("hetero-coord")
-        assert isinstance(policy, CoordinatedSplit)
+        policy = split_policy("hetero-coord", scope="device")
+        assert isinstance(policy, DemandSplit)
         assert policy.budget_w == 300.0
         parsed = parse_policy("hetero-fair:budget_w=250")
-        assert isinstance(split_policy(parsed), FairShareSplit)
-        assert split_policy(parsed).budget_w == 250.0
+        assert isinstance(split_policy(parsed, scope="device"), FairShareSplit)
+        assert split_policy(parsed, scope="device").budget_w == 250.0
         with pytest.raises(PolicyError):
-            split_policy("duf")  # a per-socket controller, not a split
+            # A per-socket controller, not a split.
+            split_policy("duf", scope="device")
+        with pytest.raises(PolicyError):
+            split_policy("hetero-coord", scope="socket")
 
     def test_labels_and_catalog_tag(self):
         assert make_spec("hetero-static", budget_w=280).label == "hetero-static-280W"
@@ -250,6 +228,7 @@ FROZEN_DIGESTS.update(
 class TestSpecDigests:
     @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
     def test_cpu_only_digests_unchanged(self, name):
+        """Every frozen digest, the budget-split cells' included."""
         kwargs, digest = FROZEN_DIGESTS[name]
         assert spec_key(RunSpec(**kwargs)) == digest
 
@@ -335,7 +314,7 @@ class TestHeteroEngine:
     def test_multi_gpu_round_robin(self):
         node = dataclasses.replace(SMALL_NODE, gpu_count=2, kernel_count=5)
         result = small_engine(
-            node=node, policy=CoordinatedSplit(500.0)
+            node=node, policy=coord(500.0)
         ).run()
         assert len(result.gpu_finish_times_s) == 2
         assert len(result.gpu_energies_j) == 2
@@ -395,13 +374,13 @@ class TestHeteroEngine:
 
     def test_infeasible_budget_rejected_at_construction(self):
         with pytest.raises(SimulationError):
-            small_engine(policy=CoordinatedSplit(100.0))
+            small_engine(policy=coord(100.0))
 
     def test_trace_sink_sees_every_device(self):
         sink = InMemoryTraceSink()
         result = small_engine(
             node=dataclasses.replace(SMALL_NODE, gpu_count=2),
-            policy=CoordinatedSplit(500.0),
+            policy=coord(500.0),
             trace_sink=sink,
         ).run()
         ticks = round(result.makespan_s / 0.01)

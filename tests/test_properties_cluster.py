@@ -1,24 +1,21 @@
-"""Property-based tests on the fleet policies and the cluster engine.
+"""Property-based tests on the cluster engine under the fleet policies.
 
-Randomised fleets — policy, budget, node bands, demand bids, node
-count, seeds — check the invariants any hierarchical capping run must
+Randomised fleets — policy, budget, node count, applications, seeds,
+fault plans — check the invariants any hierarchical capping run must
 preserve:
 
 * global budget conservation: ``sum(alloc) <= budget`` at every
-  allocation the policies emit and every re-partition the engine
-  records;
+  re-partition the engine records;
 * band respect: every node allocation stays inside
-  ``[floor_i, ceiling_i]``;
-* permutation equivariance: node identity carries no weight —
-  permuting the bids permutes the allocations identically;
-* the fleet-fair bound: every node receives the *same* fraction of
-  its floor-to-ceiling range;
+  ``[floor, ceiling]``;
 * determinism: the same seed replays a cluster run to identical
   allocations, makespans, energies and fault draws.
 
-Policy properties run pure allocations (cheap, many examples); the
-engine sweeps simulate short full runs and keep few examples.  A
-deterministic smoke case keeps tier-1 coverage of every property.
+The engine sweeps simulate short full runs and keep few examples; a
+deterministic smoke case keeps tier-1 coverage of every property.  The
+fleet policies' pure allocation properties (conservation, bands,
+permutation equivariance, the fair bound) are checked at every scope in
+``test_properties_allocator.py``.
 """
 
 import math
@@ -28,8 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import ClusterEngine, ClusterSpec
 from repro.config import ControllerConfig, NoiseConfig
-from repro.core.registry import fleet_policy, make_spec
-from repro.errors import ReproError
+from repro.core.registry import make_spec, split_policy
 from repro.sim.faults import FaultPlan
 from repro.workloads.catalog import build_application
 
@@ -42,119 +38,10 @@ ENGINE_SWEEP = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Node bands: floors in [40, 80], spans in [10, 120] — every band is
-#: non-degenerate and floors never exceed ceilings.
-bands = st.lists(
-    st.tuples(
-        st.floats(min_value=40.0, max_value=80.0),
-        st.floats(min_value=10.0, max_value=120.0),
-    ),
-    min_size=1,
-    max_size=8,
-).map(lambda rows: ([lo for lo, _ in rows], [lo + w for lo, w in rows]))
-
 
 def _fleet(policy, budget):
-    return fleet_policy(make_spec(policy, budget_w=budget), CFG)
+    return split_policy(make_spec(policy, budget_w=budget), CFG, scope="node")
 
-
-def _bids(floors, ceilings, fractions):
-    return [
-        lo + f * (hi - lo)
-        for lo, hi, f in zip(floors, ceilings, fractions)
-    ]
-
-
-@pytest.mark.slow
-class TestPolicyInvariants:
-    @given(
-        policy=st.sampled_from(POLICIES),
-        b=bands,
-        fractions=st.lists(
-            st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8
-        ),
-        extra=st.floats(min_value=0.0, max_value=400.0),
-    )
-    @settings(max_examples=100)
-    def test_budget_conserved_and_bands_respected(
-        self, policy, b, fractions, extra
-    ):
-        floors, ceilings = b
-        budget = sum(floors) + extra
-        fleet = _fleet(policy, budget)
-        bids = _bids(floors, ceilings, fractions[: len(floors)])
-        for alloc in (
-            fleet.initial(floors, ceilings),
-            fleet.allocate(bids, floors, ceilings),
-        ):
-            assert len(alloc) == len(floors)
-            assert sum(alloc) <= budget + 1e-6
-            for a, lo, hi in zip(alloc, floors, ceilings):
-                assert lo - 1e-9 <= a <= hi + 1e-9
-                assert math.isfinite(a)
-
-    @given(
-        policy=st.sampled_from(POLICIES),
-        lo=st.floats(min_value=40.0, max_value=80.0),
-        width=st.floats(min_value=10.0, max_value=120.0),
-        n=st.integers(min_value=2, max_value=8),
-        fractions=st.lists(
-            st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8
-        ),
-        extra=st.floats(min_value=0.0, max_value=300.0),
-        shift=st.integers(min_value=1, max_value=7),
-    )
-    @settings(max_examples=100)
-    def test_allocation_is_permutation_equivariant(
-        self, policy, lo, width, n, fractions, extra, shift
-    ):
-        # Uniform bands isolate the bid permutation: node identity must
-        # carry no weight, so rotating the bids rotates the allocation.
-        floors, ceilings = [lo] * n, [lo + width] * n
-        budget = sum(floors) + extra
-        fleet = _fleet(policy, budget)
-        bids = _bids(floors, ceilings, fractions[:n])
-        k = shift % n
-        rotated = bids[k:] + bids[:k]
-        alloc = fleet.allocate(bids, floors, ceilings)
-        alloc_rotated = fleet.allocate(rotated, floors, ceilings)
-        assert alloc_rotated == pytest.approx(alloc[k:] + alloc[:k])
-
-    @given(
-        b=bands,
-        fractions=st.lists(
-            st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8
-        ),
-        extra=st.floats(min_value=0.0, max_value=400.0),
-    )
-    @settings(max_examples=100)
-    def test_fleet_fair_grants_equal_range_fractions(
-        self, b, fractions, extra
-    ):
-        floors, ceilings = b
-        budget = sum(floors) + extra
-        fleet = _fleet("fleet-fair", budget)
-        bids = _bids(floors, ceilings, fractions[: len(floors)])
-        alloc = fleet.allocate(bids, floors, ceilings)
-        granted = [
-            (a - lo) / (hi - lo)
-            for a, lo, hi in zip(alloc, floors, ceilings)
-        ]
-        assert max(granted) - min(granted) < 1e-9
-
-    @given(b=bands)
-    @settings(max_examples=50)
-    def test_floors_above_budget_raise(self, b):
-        floors, ceilings = b
-        budget = sum(floors) - 1.0
-        for policy in POLICIES:
-            with pytest.raises(ReproError):
-                _fleet(policy, budget).allocate(
-                    list(ceilings), floors, ceilings
-                )
-
-
-# -- engine sweeps ------------------------------------------------------
 
 plans = st.sampled_from(
     [None, FaultPlan(msr_read_fail_rate=0.05, cap_latch_fail_rate=0.10)]

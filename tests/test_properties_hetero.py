@@ -67,7 +67,9 @@ def _build(policy, budget, app, gpu_count, kernel_count, seed, plan):
     return HeteroEngine(
         application=build_application(app, scale=0.1),
         node=node,
-        policy=split_policy(make_spec(policy, budget_w=budget), cfg),
+        policy=split_policy(
+            make_spec(policy, budget_w=budget), cfg, scope="device"
+        ),
         cfg=cfg,
         seed=seed,
         noise=NoiseConfig(),
