@@ -65,6 +65,7 @@ __all__ = [
     "ExecutionSummary",
     "cell_seed",
     "cell_scope",
+    "SCOPE_CELLS",
     "spec_key",
     "execute_spec",
     "build_spec_protocol",
@@ -86,10 +87,10 @@ SHARD_OVERSUBSCRIPTION = 3
 _FALLBACK_SIM_S = 60.0
 
 #: What each policy scope (:data:`repro.core.registry.SCOPES`) runs on.
-_SCOPE_CELLS = {
-    "socket": "a CPU-only cell",
-    "device": "a hetero cell (gpu=GPUNodeConfig(...))",
-    "node": "a cluster cell (cluster=ClusterSpec(...))",
+SCOPE_CELLS = {
+    "socket": "CPU-only cells",
+    "device": "hetero cells (gpu=GPUNodeConfig(...))",
+    "node": "cluster cells (cluster=ClusterSpec(...))",
 }
 
 
@@ -205,8 +206,8 @@ class RunSpec:
         if wanted != scope:
             raise ExperimentError(
                 f"controller {self.controller.name!r} runs on "
-                f"{_SCOPE_CELLS[wanted]}, but this spec is "
-                f"{_SCOPE_CELLS[scope]} (see 'repro policies')"
+                f"{SCOPE_CELLS[wanted]}, not on {SCOPE_CELLS[scope]} "
+                "(see 'repro policies')"
             )
         if scope != "socket" and self.socket_count != 1:
             raise ExperimentError(

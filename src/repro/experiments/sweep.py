@@ -34,7 +34,14 @@ from ..hardware.gpu import GPUNodeConfig
 from ..sim.faults import FaultPlan
 from ..workloads.catalog import application_names
 from .cache import ResultCache
-from .executor import ExecutionSummary, RunSpec, cell_scope, cell_seed, run_specs
+from .executor import (
+    SCOPE_CELLS,
+    ExecutionSummary,
+    RunSpec,
+    cell_scope,
+    cell_seed,
+    run_specs,
+)
 from .protocol import Comparison, ProtocolResult, compare
 
 __all__ = ["SweepResult", "run_sweep", "sweep_specs", "SWEEP_TOLERANCES_PCT"]
@@ -180,8 +187,8 @@ def sweep_specs(
     misfits = [c.name for c in ctrl_list if c.info.scope != scope]
     if misfits:
         raise ExperimentError(
-            f"a {scope}-scope sweep needs {scope}-scope controllers; "
-            f"{misfits} are not (see 'repro policies')"
+            f"this sweep runs {SCOPE_CELLS[scope]}; {misfits} do not "
+            "run on them (see 'repro policies')"
         )
     if scope == "socket":
         baseline: PolicySpec = as_spec("default")
