@@ -129,6 +129,10 @@ class RunSpec:
     engine_cfg: EngineConfig = field(default_factory=EngineConfig)
     socket: SocketConfig | None = None
     socket_count: int = 1
+    #: Keep the last run's in-memory trace on ``last_run``.  ``False``
+    #: (the default for sweep cells) records no trace on any run:
+    #: ``last_run`` keeps its phases and fault events with empty
+    #: traces, and the four result columns are the same either way.
     record_trace: bool = False
     #: Optional fault plan applied to every run of the cell.  Part of
     #: the content address — any fault parameter change invalidates

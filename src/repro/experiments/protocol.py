@@ -58,7 +58,8 @@ class ProtocolResult:
     package_power_w: list[float] = field(default_factory=list)
     dram_power_w: list[float] = field(default_factory=list)
     total_energy_j: list[float] = field(default_factory=list)
-    #: The last run's full result, kept for trace-based figures.
+    #: The last run's full result, kept for trace-based figures.  Its
+    #: trace is empty unless the protocol was asked to record one.
     last_run: RunResult | None = None
 
     @property
@@ -97,7 +98,7 @@ def build_protocol(
     noise: NoiseConfig | None = None,
     engine_cfg: EngineConfig | None = None,
     socket_count: int = 1,
-    record_trace: bool = False,
+    record_trace: bool = True,
     socket: SocketConfig | None = None,
     trace_sink: TraceSink | None = None,
     faults: FaultPlan | None = None,
@@ -111,6 +112,13 @@ def build_protocol(
     cells.  Seeds, machines and trace wiring are identical to the
     sequential path, so the folded result does not depend on the
     execution strategy.
+
+    Only the *last* repetition is ever traced — the one whose result
+    :func:`fold_protocol` keeps as ``last_run`` — and only when
+    ``record_trace`` is true (an in-memory trace) or a ``trace_sink``
+    is passed (which replaces the in-memory one).  With
+    ``record_trace=False`` and no sink no repetition records anything,
+    so the batch engine runs its trace-off path.
     """
     if runs < 1:
         raise ExperimentError("need at least one run")
@@ -131,6 +139,7 @@ def build_protocol(
                 MachineConfig(socket=socket, socket_count=socket_count)
             )
         factory = spec.build(cfg) if spec is not None else controller
+        last = r == runs - 1
         engines.append(
             build_engine(
                 application,
@@ -141,9 +150,8 @@ def build_protocol(
                 engine_cfg=engine_cfg,
                 socket_count=socket_count,
                 seed=noise.seed + 1009 * r + base_seed,
-                record_trace=record_trace
-                or (trace_sink is None and r == runs - 1),
-                trace_sink=trace_sink if r == runs - 1 else None,
+                record_trace=record_trace and last,
+                trace_sink=trace_sink if last else None,
                 faults=faults,
             )
         )
@@ -175,7 +183,7 @@ def run_protocol(
     noise: NoiseConfig | None = None,
     engine_cfg: EngineConfig | None = None,
     socket_count: int = 1,
-    record_trace: bool = False,
+    record_trace: bool = True,
     socket: SocketConfig | None = None,
     trace_sink: TraceSink | None = None,
     faults: FaultPlan | None = None,
@@ -194,9 +202,12 @@ def run_protocol(
 
     ``socket`` overrides the default yeti-2 socket model (a fresh
     machine is built from it for every run — machines are stateful).
-    ``trace_sink`` is attached to the *last* run — the run whose trace
-    the protocol has always kept — replacing the forced in-memory
-    recording, so streamed protocols stay O(1) in RAM.  ``faults``
+    Only the *last* run is traced: in memory when ``record_trace`` is
+    true (the default), or into ``trace_sink`` when one is passed —
+    replacing the in-memory recording, so streamed protocols stay O(1)
+    in RAM.  With ``record_trace=False`` and no sink nothing is
+    recorded; ``last_run`` still carries its phases and fault events,
+    with empty traces.  ``faults``
     applies one :class:`~repro.sim.faults.FaultPlan` to every run; each
     run's injector draws from its own per-run seed, so repetitions see
     independent fault realisations of the same plan.

@@ -281,3 +281,58 @@ class TestInterruptedSweepResumes:
         sweep = run_sweep(**GRID, cache=cache)
         assert sweep.execution.hits == 1
         assert sweep.execution.executed == len(specs) - 1
+
+
+class TestRecordTraceOff:
+    """``RunSpec(record_trace=False)`` records no trace on any engine path;
+    everything a sweep reads matches the traced cell."""
+
+    COLUMNS = ("times_s", "package_power_w", "dram_power_w", "total_energy_j")
+    PLAN = FaultPlan(msr_read_fail_rate=0.05, cap_latch_fail_rate=0.1)
+
+    def cells(self, engine, record_trace):
+        return [
+            small_spec(
+                controller="duf", engine=engine, record_trace=record_trace,
+                faults=self.PLAN,
+            ),
+            small_spec(
+                controller="dufp", engine=engine, record_trace=record_trace,
+                faults=self.PLAN, socket_count=2,
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "engine,workers", [("batch", 1), ("batch", 2), ("scalar", 1)]
+    )
+    def test_last_run_has_no_trace(self, engine, workers):
+        results, _ = run_specs(self.cells(engine, False), workers=workers)
+        for res in results:
+            assert res.last_run is not None
+            assert all(s.trace == [] for s in res.last_run.sockets)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_same_columns_phases_and_faults_as_traced(self, engine):
+        plain, _ = run_specs(self.cells(engine, False))
+        traced, _ = run_specs(self.cells(engine, True))
+        for p, t in zip(plain, traced):
+            for column in self.COLUMNS:
+                assert getattr(p, column) == getattr(t, column)
+            assert all(s.trace for s in t.last_run.sockets)
+            assert [s.phases for s in p.last_run.sockets] == [
+                s.phases for s in t.last_run.sockets
+            ]
+            assert p.last_run.fault_events == t.last_run.fault_events
+        assert any(t.last_run.fault_events for t in traced)
+
+    def test_pooled_batch_never_records(self, monkeypatch):
+        from repro.sim.batch import BatchSimulationEngine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("untraced batch recorded a trace sample")
+
+        monkeypatch.setattr(BatchSimulationEngine, "_record", refuse)
+        results, _ = run_specs(self.cells("batch", False), workers=1)
+        assert all(res.last_run is not None for res in results)
+        with pytest.raises(AssertionError, match="recorded a trace"):
+            run_specs(self.cells("batch", True), workers=1)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import NoiseConfig
 from repro.core.baselines import DefaultController
-from repro.experiments.protocol import run_protocol
+from repro.experiments.protocol import build_protocol, run_protocol
+from repro.sim.run import run_application
+from repro.sim.trace import InMemoryTraceSink
 from repro.workloads.catalog import build_application
 
 
@@ -59,3 +61,51 @@ class TestProtocolEdges:
             ep, DefaultController, runs=1, noise=QUIET, socket_count=2
         )
         assert len(res.last_run.sockets) == 2
+
+
+class TestRecordTraceRule:
+    """Only the last run is traced, and only when a trace was asked for."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"record_trace": True}])
+    def test_only_the_last_engine_traces(self, ep, kwargs):
+        _, engines = build_protocol(
+            ep, DefaultController, runs=3, noise=QUIET, **kwargs
+        )
+        assert [e.record_trace for e in engines] == [False, False, True]
+        assert all(e.trace_sink is None for e in engines)
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_sink_goes_to_the_last_engine_only(self, ep, record_trace):
+        sink = InMemoryTraceSink()
+        _, engines = build_protocol(
+            ep, DefaultController, runs=3, noise=QUIET,
+            record_trace=record_trace, trace_sink=sink,
+        )
+        assert engines[-1].trace_sink is sink
+        for e in engines[:-1]:
+            assert e.trace_sink is None and not e.record_trace
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_record_trace_false_records_nothing(self, ep, engine):
+        res = run_protocol(
+            ep, DefaultController, runs=2, noise=QUIET, socket_count=2,
+            record_trace=False, engine=engine,
+        )
+        assert res.last_run is not None
+        assert all(s.trace == [] for s in res.last_run.sockets)
+        assert all(s.phases for s in res.last_run.sockets)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_last_run_trace_is_the_last_seeds_run(self, ep, engine):
+        runs, base_seed = 3, 5
+        res = run_protocol(
+            ep, DefaultController, runs=runs, noise=QUIET,
+            base_seed=base_seed, record_trace=True, engine=engine,
+        )
+        alone = run_application(
+            ep, DefaultController, noise=QUIET,
+            seed=QUIET.seed + 1009 * (runs - 1) + base_seed,
+            record_trace=True,
+        )
+        assert res.last_run.socket(0).trace
+        assert res.last_run.socket(0).trace == alone.socket(0).trace

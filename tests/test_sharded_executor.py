@@ -430,8 +430,9 @@ class TestClusterSharding:
 class TestCacheV2:
     def test_compressed_roundtrip_and_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = execute_spec(small_spec())
-        key = spec_key(small_spec())
+        spec = small_spec(record_trace=True)
+        result = execute_spec(spec)
+        key = spec_key(spec)
         cache.put(key, result)
         assert (tmp_path / "manifest.jsonl").exists()
         segs = list((tmp_path / "segments").glob("*.seg"))
