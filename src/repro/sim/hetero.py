@@ -259,6 +259,8 @@ class HeteroEngine:
             p.flops / nominal.duration(p) if p.flops > 0 else 0.0
             for p in app.phases
         ]
+        # Each phase's processor-facing work, built once per phase.
+        cpu_work = [p.to_work() for p in app.phases]
         probe = gpus[0]
         kernel_ref = [
             k.flops / probe.kernel_time(k, node.gpu.max_freq_hz) for k in kernels
@@ -366,8 +368,7 @@ class HeteroEngine:
                 if cpu_phase < len(app.phases):
                     if cpu_done_frac == 0.0:
                         cpu_tracker.reset(cpu_ref[cpu_phase])
-                    phase = app.phases[cpu_phase]
-                    cpu_done_frac += cpu.step(self.dt_s, phase.to_work())
+                    cpu_done_frac += cpu.step(self.dt_s, cpu_work[cpu_phase])
                     if cpu_done_frac >= 1.0 - 1e-9:
                         cpu_phase += 1
                         cpu_done_frac = 0.0
