@@ -31,6 +31,22 @@ def test_gpu_power_respects_limit(limit, flops, ratio):
 
 
 @given(
+    lo=st.floats(min_value=0.3e9, max_value=1.5e9),
+    span=st.floats(min_value=0.0, max_value=1.0e9),
+    step=st.floats(min_value=1e6, max_value=200e6),
+    limit=st.floats(min_value=100.0, max_value=300.0),
+    util=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=100)
+def test_gpu_clock_never_exceeds_max(lo, span, step, limit, util):
+    cfg = GPUConfig(min_freq_hz=lo, max_freq_hz=lo + span, step_hz=step)
+    gpu = SimulatedGPU(cfg)
+    gpu.set_power_limit(limit)
+    f = gpu.max_freq_under_limit(util)
+    assert cfg.min_freq_hz <= f <= cfg.max_freq_hz
+
+
+@given(
     flops=st.floats(min_value=1e11, max_value=2e13),
     ratio=st.floats(min_value=4.0, max_value=64.0),
 )
