@@ -79,7 +79,12 @@ __all__ = [
 #: finishes early steals queued shards, so one slow shard costs at
 #: most ~1/OVERSUBSCRIPTION of the ideal per-worker load, not the
 #: whole tail.  Larger values improve balance but shrink the lockstep
-#: batches each shard runs; 3 is a good tradeoff at sweep scale.
+#: batches each shard runs, and smaller ones widen those batches, whose
+#: memory grows roughly linearly in lanes.  Measured on 2 vCPUs (ten
+#: alternating pairs of ``perf/run.py --workloads sharded_cache --reps 1``,
+#: seed 0), 1 shard per worker instead of 3 cut ``wall_s`` from 7.33 s
+#: to 5.74 s but raised ``peak_rss_mb`` from 77.0 to 147.1 MB (+91 %,
+#: against the benchmark's 10 % memory bound), so the value stays 3.
 SHARD_OVERSUBSCRIPTION = 3
 
 #: Planner fallback when an application cannot be sized ahead of time
