@@ -30,9 +30,9 @@ The contract — enforced by ``tests/test_batch_equivalence.py`` — is
 numerical identity with the scalar engine: exact for every integer and
 boolean quantity (counters, fault draws, PROCHOT), bit-identical for
 floats in practice (the kernels mirror the scalar evaluation order,
-route ``exp`` through :func:`math.exp` per unique argument instead of
-``np.exp``, and the roofline p-norm through :func:`repro.units.
-smooth_max` — ``np.power`` is *not* bit-identical to Python ``**``).
+route ``exp`` through :func:`math.exp` per lane instead of ``np.exp``,
+and the roofline p-norm through :func:`repro.units.smooth_max` —
+``np.power`` is *not* bit-identical to Python ``**``).
 The equivalence tests assert ≤1e-9 relative error to leave headroom
 for platform libm differences.
 
@@ -315,7 +315,6 @@ class BatchSimulationEngine:
         self.g_thresh = np.array([g.busy_threshold for g in gov])
         self.g_resp = np.array([g.response for g in gov])
         self.sharpness = [p.perf.overlap_sharpness for p in self.procs]
-        self._smax_cache: dict[tuple[float, float, float], float] = {}
         # Last ``(t_c, t_m) -> t`` per lane: between clock or phase
         # moves a lane's roofline inputs repeat for many steps, so the
         # scalar ``smooth_max`` loop only visits lanes whose inputs
@@ -324,7 +323,6 @@ class BatchSimulationEngine:
         self._sm_tc = np.full(L, np.nan)
         self._sm_tm = np.full(L, np.nan)
         self._sm_t = np.zeros(L, dtype=np.float64)
-        self._exp_cache: dict[float, float] = {}
         # Phase-time memo (see ``_phase_time``) and the log of lanes
         # whose phase changed since an entry was stored.
         self._pt_memo: dict[bytes, list] = {}
@@ -414,15 +412,11 @@ class BatchSimulationEngine:
         self.st_pkg, self.st_dram = z(), z()
         self.st_flops, self.st_bytes = z(), z()
 
-        # Scalar flags guarding rarely-needed kernel blocks, plus
-        # byte-keyed memo caches for pure functions of whole state
-        # arrays (patterns repeat heavily between controller ticks).
+        # Scalar flags guarding rarely-needed kernel blocks, and the
+        # last step's effective clock (reused by the next preview).
         self._any_pending = bool(np.isfinite(self.pend_due).any())
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
         self._eff: np.ndarray | None = None
-        self._eff_cache: dict[bytes, np.ndarray] = {}
-        self._cw_cache: dict[bytes, np.ndarray] = {}
-        self._exp_arr: dict[bytes, np.ndarray] = {}
         self._tracing = True
         self._refresh_uncore()
         # EMA factors for the common ``dt_l == dt`` slice; lanes with a
@@ -431,7 +425,7 @@ class BatchSimulationEngine:
         self._alpha2 = np.zeros(L, dtype=np.float64)
         self._refresh_alpha(range(L))
         if self.has_thermal:
-            self._alpha_th = 1.0 - self._exp_scalar(-self.dt / self.th_tau)
+            self._alpha_th = 1.0 - math.exp(-self.dt / self.th_tau)
             self._alpha_th_arr = np.full(L, self._alpha_th)
         # The roofline time from the last ``_step`` can serve the next
         # preview when no state it depends on moved in between; AVX
@@ -846,9 +840,9 @@ class BatchSimulationEngine:
         # Cache maintenance the scalar path performs via ``_gather`` /
         # ``_after_gather``: staged cap writes re-arm the pending-latch
         # scan; moved uncore pins invalidate the uncore-derived
-        # constants and the roofline reuse cache.  ``perf_ctl`` and the
-        # latched limits never move on this path, so the effective-
-        # clock caches stay valid.
+        # constants and the roofline reuse cache.  Only ``_step`` moves
+        # the RAPL clamp and only ``_gather`` moves ``perf_ctl``, so the
+        # last step's effective clock (``_eff``) stays valid.
         if st.cap.wrote_pending:
             st.cap.wrote_pending = False
             self._any_pending = True
@@ -1027,45 +1021,12 @@ class BatchSimulationEngine:
         t = np.minimum(np.maximum(t, 0.0), 1.0)
         return unc.v_min + t * (unc.v_max - unc.v_min)
 
-    def _exp(self, x: np.ndarray) -> np.ndarray:
-        """``exp`` elementwise, bit-identical to :func:`math.exp`.
-
-        ``np.exp`` may differ from libm by 1 ulp (SIMD polynomial
-        kernels); the scalar engine uses :func:`math.exp`, so each
-        unique argument goes through :func:`math.exp` once and a memo —
-        step slices repeat heavily, so this is mostly dict hits.
-        """
-        key = x.tobytes()
-        hit = self._exp_arr.get(key)
-        if hit is not None:
-            return hit
-        cache = self._exp_cache
-        exp = math.exp
-        out = [0.0] * self.L
-        for i, v in enumerate(x.tolist()):
-            e = cache.get(v)
-            if e is None:
-                e = exp(v)
-                cache[v] = e
-            out[i] = e
-        res = np.array(out, dtype=np.float64)
-        self._exp_arr[key] = res
-        return res
-
-    def _exp_scalar(self, v: float) -> float:
-        e = self._exp_cache.get(v)
-        if e is None:
-            e = math.exp(v)
-            self._exp_cache[v] = e
-        return e
-
     def _refresh_alpha(self, lanes) -> None:
         """Recompute the full-slice EMA factors for ``lanes``."""
-        exp = self._exp_scalar
         d = self.dt
         for l in lanes:
-            self._alpha1[l] = 1.0 - exp(-d / self.pl1_win[l])
-            self._alpha2[l] = 1.0 - exp(-d / self.pl2_win[l])
+            self._alpha1[l] = 1.0 - math.exp(-d / self.pl1_win[l])
+            self._alpha2[l] = 1.0 - math.exp(-d / self.pl2_win[l])
 
     def _ema_alphas(
         self, dt_l: np.ndarray
@@ -1091,22 +1052,13 @@ class BatchSimulationEngine:
         )
         odd = (dt_l != 0.0) & ~full
         if odd.any():
-            exp = self._exp_scalar
             for l in np.nonzero(odd)[0].tolist():
                 d = dt_l[l]
-                a1[l] = 1.0 - exp(-d / self.pl1_win[l])
-                a2[l] = 1.0 - exp(-d / self.pl2_win[l])
+                a1[l] = 1.0 - math.exp(-d / self.pl1_win[l])
+                a2[l] = 1.0 - math.exp(-d / self.pl2_win[l])
                 if a_th is not None:
-                    a_th[l] = 1.0 - exp(-d / self.th_tau)
+                    a_th[l] = 1.0 - math.exp(-d / self.th_tau)
         return a1, a2, a_th
-
-    def _smax(self, a: float, b: float, p: float) -> float:
-        key = (a, b, p)
-        v = self._smax_cache.get(key)
-        if v is None:
-            v = smooth_max(a, b, p)
-            self._smax_cache[key] = v
-        return v
 
     def _phase_time(
         self, core_hz: np.ndarray, need: np.ndarray
@@ -1172,17 +1124,16 @@ class BatchSimulationEngine:
             np.copyto(t, self._sm_t, where=same)
             todo = hole & ~same
             if todo.any():
-                smax = self._smax
                 sharp = self.sharpness
                 idxs = np.nonzero(todo)[0].tolist()
                 if len(idxs) > 32:
                     tcl = t_c.tolist()
                     tml = t_m.tolist()
                     for l in idxs:
-                        t[l] = smax(tcl[l], tml[l], sharp[l])
+                        t[l] = smooth_max(tcl[l], tml[l], sharp[l])
                 else:
                     for l in idxs:
-                        t[l] = smax(t_c.item(l), t_m.item(l), sharp[l])
+                        t[l] = smooth_max(t_c.item(l), t_m.item(l), sharp[l])
                 np.copyto(self._sm_tc, t_c, where=todo)
                 np.copyto(self._sm_tm, t_m, where=todo)
                 np.copyto(self._sm_t, t, where=todo)
@@ -1199,13 +1150,9 @@ class BatchSimulationEngine:
                 return 1.0 / t_prev
         eff = self._eff
         if eff is None:
-            key = self.clamp.tobytes()
-            eff = self._eff_cache.get(key)
-            if eff is None:
-                eff = self._csnap(
-                    np.minimum(np.minimum(self.req, self.ctl), self.clamp)
-                )
-                self._eff_cache[key] = eff
+            eff = self._csnap(
+                np.minimum(np.minimum(self.req, self.ctl), self.clamp)
+            )
         core_hz = eff
         if self.avx_on:
             core_hz = np.where(
@@ -1280,7 +1227,7 @@ class BatchSimulationEngine:
         elif t_c == 0.0:
             t = t_m
         else:
-            t = self._smax(t_c, t_m, self.sharpness[l])
+            t = smooth_max(t_c, t_m, self.sharpness[l])
         return t, t_c
 
     def _preview_lane(self, l: int) -> float:
@@ -1407,7 +1354,6 @@ class BatchSimulationEngine:
                 self._refresh_alpha((l,))
         self.e_pkg[l] = self.e_pkg.item(l) + total * d
         self.e_dram[l] = self.e_dram.item(l) + dram_w * d
-        exp = self._exp_scalar
         if d == self.dt:
             a1 = self._alpha1.item(l)
             a2 = self._alpha2.item(l)
@@ -1415,10 +1361,10 @@ class BatchSimulationEngine:
         elif d == 0.0:
             a1 = a2 = a_th = 0.0
         else:
-            a1 = 1.0 - exp(-d / self.pl1_win.item(l))
-            a2 = 1.0 - exp(-d / self.pl2_win.item(l))
+            a1 = 1.0 - math.exp(-d / self.pl1_win.item(l))
+            a2 = 1.0 - math.exp(-d / self.pl2_win.item(l))
             a_th = (
-                1.0 - exp(-d / self.th_tau) if self.has_thermal else 0.0
+                1.0 - math.exp(-d / self.th_tau) if self.has_thermal else 0.0
             )
         avg1 = self.avg1.item(l)
         self.avg1[l] = avg1 + a1 * (total - avg1)
@@ -1585,13 +1531,7 @@ class BatchSimulationEngine:
                 )
 
         # 3. Core clock resolution (+ AVX license, + PROCHOT).
-        ekey = self.clamp.tobytes()
-        eff = self._eff_cache.get(ekey)
-        if eff is None:
-            eff = self._csnap(
-                np.minimum(np.minimum(self.req, self.ctl), self.clamp)
-            )
-            self._eff_cache[ekey] = eff
+        eff = self._csnap(np.minimum(np.minimum(self.req, self.ctl), self.clamp))
         self._eff = eff
         core_hz = eff
         if self.avx_on:
@@ -1621,15 +1561,9 @@ class BatchSimulationEngine:
         traffic = np.minimum(bytes_rate / self.peak_bw, 1.0)
         progress_rate = 1.0 / tm
 
-        # 5. Package + DRAM power.  The core power coefficient is a
-        # pure function of the snapped clock vector, so it memoizes on
-        # the array bytes (clamp patterns repeat between EMA crossings).
-        ckey = core_hz.tobytes()
-        c_coef = self._cw_cache.get(ckey)
-        if c_coef is None:
-            cv = self._cvolt(core_hz)
-            c_coef = ((self.ck * cv) * cv) * (core_hz / 1e9)
-            self._cw_cache[ckey] = c_coef
+        # 5. Package + DRAM power.
+        cv = self._cvolt(core_hz)
+        c_coef = ((self.ck * cv) * cv) * (core_hz / 1e9)
         core_w = c_coef * (self.a0 + self._a1 * activity)
         if boost is not None:
             core_w = core_w * boost
@@ -1807,8 +1741,7 @@ class BatchSimulationEngine:
         """
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
         self._refresh_uncore()
-        # ``perf_ctl`` may have moved, so clamp-keyed entries are stale.
-        self._eff_cache.clear()
+        # ``perf_ctl`` may have moved, so the last effective clock is stale.
         self._eff = None
         self._t_cache = None
 

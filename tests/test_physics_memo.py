@@ -11,7 +11,9 @@ per device.  These properties pin what makes that safe:
   cannot tell apart, and the C-state ``idle_scale < 1`` path;
 * an invalid input raises on every call and is never stored, nor is a
   NaN key;
-* no two processors, and no two GPUs, share a memo.
+* no two processors, and no two GPUs, share a memo;
+* the batch engine's memos are bounded by its lanes, not by how long
+  the batch simulates.
 """
 
 import math
@@ -21,13 +23,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import (
+    ControllerConfig,
     CoreConfig,
     MemoryConfig,
+    NoiseConfig,
     PowerModelConfig,
     RAPLConfig,
     UncoreConfig,
     yeti_socket_config,
 )
+from repro.core.registry import as_spec
 from repro.errors import SimulationError
 from repro.hardware.gpu import GPUKernel, SimulatedGPU
 from repro.hardware.memory import MemorySystem
@@ -35,6 +40,9 @@ from repro.hardware.perf import PhaseExecutionModel
 from repro.hardware.power import PackagePowerModel
 from repro.hardware.processor import PhaseWork, SimulatedProcessor
 from repro.hardware.rapl import RAPLPackage
+from repro.sim.batch import BatchSimulationEngine
+from repro.sim.run import build_engine
+from repro.workloads.catalog import build_application
 
 MEMO = settings(max_examples=60, deadline=None)
 
@@ -345,3 +353,34 @@ class TestMemoOwnership:
         assert twin._points == {} and used._points
         assert used == twin
         assert "_points" not in repr(used)
+
+
+class TestBatchMemoryBounded:
+    """A batch's memos hold at most a few entries, however long it runs.
+
+    Memos keyed on raw float values or on the bytes of whole lane
+    arrays grow with lanes × ticks; at the paper grid's size they held
+    about half of the engine's peak memory while almost never hitting.
+    """
+
+    @staticmethod
+    def memo_entries(scale: float) -> int:
+        cfg = ControllerConfig(tolerated_slowdown=0.10)
+        engines = [
+            build_engine(
+                build_application(app, scale=scale),
+                as_spec(policy).build(cfg),
+                controller_cfg=cfg,
+                noise=NoiseConfig(),
+                seed=7,
+            )
+            for app in ("CG", "LAMMPS")
+            for policy in ("duf", "dufp")
+        ]
+        batch = BatchSimulationEngine(engines)
+        batch.run()
+        return sum(len(v) for v in vars(batch).values() if isinstance(v, dict))
+
+    @pytest.mark.parametrize("scale", [0.05, 0.2])
+    def test_dict_entries_do_not_grow_with_simulated_time(self, scale):
+        assert self.memo_entries(scale) <= 64
