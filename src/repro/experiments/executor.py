@@ -80,10 +80,10 @@ __all__ = [
 #: most ~1/OVERSUBSCRIPTION of the ideal per-worker load, not the
 #: whole tail.  Larger values improve balance but shrink the lockstep
 #: batches each shard runs, and smaller ones widen those batches, whose
-#: memory grows roughly linearly in lanes.  Measured on 2 vCPUs (ten
+#: memory grows with lanes × phases.  Measured on 2 vCPUs (ten
 #: alternating pairs of ``perf/run.py --workloads sharded_cache --reps 1``,
-#: seed 0), 1 shard per worker instead of 3 cut ``wall_s`` from 7.33 s
-#: to 5.74 s but raised ``peak_rss_mb`` from 77.0 to 147.1 MB (+91 %,
+#: seed 0), 1 shard per worker instead of 3 cut ``wall_s`` from 3.31 s
+#: to 2.37 s but raised ``peak_rss_mb`` from 54.2 to 85.8 MB (+58 %,
 #: against the benchmark's 10 % memory bound), so the value stays 3.
 SHARD_OVERSUBSCRIPTION = 3
 
