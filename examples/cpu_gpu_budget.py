@@ -49,7 +49,8 @@ def main() -> None:
             policy=split_policy(policy, cfg, scope="device"),
             cfg=cfg,
         ).run()
-        _, cpu_w, gpu_w = result.allocations[-1]
+        _, alloc = result.device_allocations[-1]
+        cpu_w, gpu_w = alloc[0], sum(alloc[1:])
         print(
             f"  {label:13s} CPU {result.cpu_finish_s:5.1f}s   "
             f"GPU {result.gpu_finish_s:5.1f}s   "

@@ -624,7 +624,8 @@ def _run_hetero(args: argparse.Namespace) -> str:
             cfg=cfg,
             seed=args.seed,
         ).run()
-        _, cpu_w, gpu_w = result.allocations[-1]
+        _, alloc = result.device_allocations[-1]
+        cpu_w, gpu_w = alloc[0], sum(alloc[1:])
         label = display[spec.label]
         lines.append(
             f"  {label:20s} CPU {result.cpu_finish_s:6.2f} s  "

@@ -161,6 +161,23 @@ class ClusterResult:
         """Package + DRAM energy of the whole fleet."""
         return sum(r.total_energy_j for r in self.nodes)
 
+    # The protocol's four metrics (docs/CLUSTER.md, "Metric mapping").
+
+    @property
+    def execution_time_s(self) -> float:
+        """The fleet makespan."""
+        return self.makespan_s
+
+    @property
+    def avg_package_power_w(self) -> float:
+        """Fleet package energy over the makespan."""
+        return self.package_energy_j / self.makespan_s
+
+    @property
+    def avg_dram_power_w(self) -> float:
+        """Fleet DRAM energy over the makespan."""
+        return self.dram_energy_j / self.makespan_s
+
     @property
     def slowdowns(self) -> list[float]:
         """Per-node makespan over nominal duration (1.0 = uncapped)."""

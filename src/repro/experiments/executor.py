@@ -56,7 +56,7 @@ from ..hardware.gpu import GPUNodeConfig
 from ..sim.faults import FaultPlan
 from ..units import smooth_max
 from .cache import DIGEST_SCHEMA, ResultCache
-from .protocol import ProtocolResult, run_protocol
+from .protocol import ProtocolResult, build_protocol, fold_protocol
 
 __all__ = [
     "RunSpec",
@@ -265,90 +265,38 @@ def spec_key(spec: RunSpec) -> str:
 def execute_spec(spec: RunSpec) -> ProtocolResult:
     """Run one spec to completion (in whichever process this is)."""
     spec.validate()
-    from ..workloads.catalog import build_application
+    result, engines = build_spec_protocol(spec)
+    if spec.engine == "batch":
+        from ..sim.batch import run_batch
 
-    app = build_application(
-        spec.app_name, scale=spec.app_scale, socket=spec.socket
-    )
-    if spec.gpu is not None:
-        from .protocol import run_hetero_protocol
-
-        return run_hetero_protocol(
-            app,
-            spec.controller,
-            spec.gpu,
-            controller_cfg=spec.controller_cfg,
-            runs=spec.runs,
-            base_seed=spec.base_seed,
-            noise=spec.noise,
-            engine_cfg=spec.engine_cfg,
-            socket=spec.socket,
-            faults=spec.faults,
-        )
-    if spec.cluster is not None:
-        from .protocol import run_cluster_protocol
-
-        apps = [
-            build_application(
-                spec.cluster.app_for(i, spec.app_name),
-                scale=spec.app_scale,
-                socket=spec.socket,
-            )
-            for i in range(spec.cluster.node_count)
-        ]
-        return run_cluster_protocol(
-            apps,
-            spec.controller,
-            spec.cluster,
-            controller_cfg=spec.controller_cfg,
-            runs=spec.runs,
-            base_seed=spec.base_seed,
-            noise=spec.noise,
-            engine_cfg=spec.engine_cfg,
-            socket=spec.socket,
-            faults=spec.faults,
-        )
-    return run_protocol(
-        app,
-        spec.controller,
-        controller_cfg=spec.controller_cfg,
-        runs=spec.runs,
-        base_seed=spec.base_seed,
-        noise=spec.noise,
-        engine_cfg=spec.engine_cfg,
-        socket_count=spec.socket_count,
-        record_trace=spec.record_trace,
-        socket=spec.socket,
-        faults=spec.faults,
-        engine=spec.engine,
-    )
+        runs = run_batch(engines)
+    else:
+        runs = [engine.run() for engine in engines]
+    return fold_protocol(result, runs)
 
 
 def build_spec_protocol(spec: RunSpec):
     """One spec's result shell and unrun repetition engines.
 
-    The pooled batch paths use this to pool the repetition engines of
-    *many* specs into one lockstep batch (see :func:`run_specs`); seeds
-    and wiring match :func:`execute_spec` exactly.
+    :func:`execute_spec` runs them; the pooled batch path of
+    :func:`run_specs` pools the engines of *many* batch-engined specs
+    into one lockstep batch.  A cluster cell builds one application per
+    node (:meth:`~repro.cluster.spec.ClusterSpec.app_for`).
     """
     from ..workloads.catalog import build_application
-    from .protocol import build_protocol
 
-    if spec.gpu is not None:
-        raise ExperimentError(
-            "hetero cells cannot pool into a lockstep batch; "
-            "execute_spec runs them through the co-simulation engine"
-        )
+    def app(name: str):
+        return build_application(name, scale=spec.app_scale, socket=spec.socket)
+
     if spec.cluster is not None:
-        raise ExperimentError(
-            "cluster cells cannot pool into a lockstep batch; "
-            "execute_spec runs them through the fleet engine"
-        )
-    app = build_application(
-        spec.app_name, scale=spec.app_scale, socket=spec.socket
-    )
+        application = [
+            app(spec.cluster.app_for(i, spec.app_name))
+            for i in range(spec.cluster.node_count)
+        ]
+    else:
+        application = app(spec.app_name)
     return build_protocol(
-        app,
+        application,
         spec.controller,
         controller_cfg=spec.controller_cfg,
         runs=spec.runs,
@@ -359,6 +307,8 @@ def build_spec_protocol(spec: RunSpec):
         record_trace=spec.record_trace,
         socket=spec.socket,
         faults=spec.faults,
+        gpu=spec.gpu,
+        cluster=spec.cluster,
     )
 
 
@@ -551,7 +501,6 @@ def _iter_cells(
         batch_pos = []
     if batch_pos:
         from ..sim.batch import run_batch
-        from .protocol import fold_protocol
 
         shells = []
         spans = []

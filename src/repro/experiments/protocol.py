@@ -6,6 +6,11 @@ execution-time runs, and reports every metric averaged over the kept
 runs.  Comparisons are expressed as percentages over the application's
 default-configuration values, with min/max error bars over the kept
 runs — the exact quantities plotted in Figures 3 and 4.
+
+One protocol serves every cell kind: CPU-only, hetero (CPU+GPU) and
+cluster cells build their repetition engines in :func:`build_protocol`
+with the same seeds and trace rule, and :func:`fold_protocol` reads the
+same four metrics off every result type.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ from ..config import (
     SocketConfig,
     yeti_socket_config,
 )
+from ..cluster.engine import ClusterEngine
+from ..cluster.spec import ClusterSpec
 from ..core.base import Controller
-from ..core.registry import PolicySpec, as_spec
+from ..core.registry import PolicySpec, as_spec, split_policy
 from ..errors import ExperimentError
-from ..sim.engine import SimulationEngine
+from ..hardware.gpu import GPUNodeConfig
 from ..sim.faults import FaultPlan
+from ..sim.hetero import HeteroEngine
 from ..sim.machine import SimulatedMachine
 from ..sim.result import RunResult
 from ..sim.run import build_engine
@@ -39,8 +47,6 @@ __all__ = [
     "build_protocol",
     "fold_protocol",
     "run_protocol",
-    "run_hetero_protocol",
-    "run_cluster_protocol",
     "compare",
 ]
 
@@ -60,6 +66,7 @@ class ProtocolResult:
     total_energy_j: list[float] = field(default_factory=list)
     #: The last run's full result, kept for trace-based figures.  Its
     #: trace is empty unless the protocol was asked to record one.
+    #: ``None`` for hetero and cluster cells.
     last_run: RunResult | None = None
 
     @property
@@ -89,7 +96,7 @@ class ProtocolResult:
 
 
 def build_protocol(
-    application: Application,
+    application: "Application | list[Application]",
     controller: "PolicySpec | str | Callable[[], Controller]",
     *,
     controller_cfg: ControllerConfig | None = None,
@@ -102,79 +109,132 @@ def build_protocol(
     socket: SocketConfig | None = None,
     trace_sink: TraceSink | None = None,
     faults: FaultPlan | None = None,
-) -> tuple[ProtocolResult, list[SimulationEngine]]:
+    gpu: GPUNodeConfig | None = None,
+    cluster: ClusterSpec | None = None,
+) -> tuple[ProtocolResult, list]:
     """The protocol's result shell plus one unrun engine per repetition.
+
+    Every cell kind builds here, with one seed formula
+    (``noise.seed + 1009·r + base_seed``) and one trace rule:
+
+    * a CPU-only cell builds one :class:`~repro.sim.engine.
+      SimulationEngine` per repetition;
+    * ``gpu`` (a :class:`~repro.hardware.gpu.GPUNodeConfig`) makes it a
+      hetero cell: one :class:`~repro.sim.hetero.HeteroEngine` per
+      repetition, ``controller`` a device-scope split policy;
+    * ``cluster`` (a :class:`~repro.cluster.spec.ClusterSpec`) makes it
+      a cluster cell: one :class:`~repro.cluster.engine.ClusterEngine`
+      per repetition, ``controller`` a node-scope fleet policy and
+      ``application`` the list of per-node applications.
 
     Splitting construction from execution lets callers choose *how* the
     repetitions run: sequentially (:func:`run_protocol` with the scalar
-    engine), or in lockstep through :func:`repro.sim.batch.run_batch` —
-    possibly batched together with the engines of *other* protocol
-    cells.  Seeds, machines and trace wiring are identical to the
-    sequential path, so the folded result does not depend on the
-    execution strategy.
+    engine), or — CPU-only cells — in lockstep through
+    :func:`repro.sim.batch.run_batch`, possibly batched together with
+    the engines of *other* protocol cells.  Seeds, machines and trace
+    wiring are identical either way, so the folded result does not
+    depend on the execution strategy.
 
-    Only the *last* repetition is ever traced — the one whose result
-    :func:`fold_protocol` keeps as ``last_run`` — and only when
-    ``record_trace`` is true (an in-memory trace) or a ``trace_sink``
-    is passed (which replaces the in-memory one).  With
+    Only the *last* repetition is ever traced, and only when a
+    ``trace_sink`` is passed or, for CPU-only cells, ``record_trace`` is
+    true (an in-memory trace, which a sink replaces).  With
     ``record_trace=False`` and no sink no repetition records anything,
     so the batch engine runs its trace-off path.
     """
     if runs < 1:
         raise ExperimentError("need at least one run")
     noise = noise or NoiseConfig()
+    engine_cfg = engine_cfg or EngineConfig()
     spec: PolicySpec | None = None
     if not callable(controller) or isinstance(controller, str):
         spec = as_spec(controller)
+    if cluster is not None:
+        app_name = "+".join(dict.fromkeys(a.name for a in application))
+    else:
+        app_name = application.name
     result = ProtocolResult(
-        app_name=application.name,
+        app_name=app_name,
         controller_name=spec.label if spec is not None else "",
     )
     cfg = controller_cfg or ControllerConfig()
-    engines: list[SimulationEngine] = []
+    engines = []
     for r in range(runs):
-        machine = None
-        if socket is not None:
-            machine = SimulatedMachine(
-                MachineConfig(socket=socket, socket_count=socket_count)
+        seed = noise.seed + 1009 * r + base_seed
+        sink = trace_sink if r == runs - 1 else None
+        if gpu is not None:
+            engine = HeteroEngine(
+                application=application,
+                policy=split_policy(spec, cfg, scope="device"),
+                node=gpu,
+                cfg=cfg,
+                socket_cfg=socket or yeti_socket_config(),
+                engine_cfg=engine_cfg,
+                seed=seed,
+                noise=noise,
+                faults=faults,
+                trace_sink=sink,
             )
-        factory = spec.build(cfg) if spec is not None else controller
-        last = r == runs - 1
-        engines.append(
-            build_engine(
+        elif cluster is not None:
+            engine = ClusterEngine(
+                applications=application,
+                cluster=cluster,
+                policy=split_policy(spec, cfg, scope="node"),
+                controller_cfg=cfg,
+                engine_cfg=engine_cfg,
+                noise=noise,
+                socket=socket,
+                seed=seed,
+                record_trace=False,
+                trace_sink=sink,
+                faults=faults,
+            )
+        else:
+            machine = None
+            if socket is not None:
+                machine = SimulatedMachine(
+                    MachineConfig(socket=socket, socket_count=socket_count)
+                )
+            engine = build_engine(
                 application,
-                factory,
+                spec.build(cfg) if spec is not None else controller,
                 controller_cfg=cfg,
                 machine=machine,
                 noise=noise,
                 engine_cfg=engine_cfg,
                 socket_count=socket_count,
-                seed=noise.seed + 1009 * r + base_seed,
-                record_trace=record_trace and last,
-                trace_sink=trace_sink if last else None,
+                seed=seed,
+                record_trace=record_trace and r == runs - 1,
+                trace_sink=sink,
                 faults=faults,
             )
-        )
+        engines.append(engine)
     return result, engines
 
 
-def fold_protocol(
-    result: ProtocolResult, runs: list[RunResult]
-) -> ProtocolResult:
-    """Fold per-repetition results into a :func:`build_protocol` shell."""
+def fold_protocol(result: ProtocolResult, runs: list) -> ProtocolResult:
+    """Fold per-repetition results into a :func:`build_protocol` shell.
+
+    Every result type answers the same four questions:
+    :class:`~repro.sim.result.RunResult`, :class:`~repro.sim.hetero.
+    HeteroResult` and :class:`~repro.cluster.engine.ClusterResult` each
+    carry ``execution_time_s``, ``avg_package_power_w``,
+    ``avg_dram_power_w`` and ``total_energy_j``.  Only a CPU-only
+    cell's last run is kept as ``last_run``.
+    """
     for run in runs:
         result.times_s.append(run.execution_time_s)
         result.package_power_w.append(run.avg_package_power_w)
         result.dram_power_w.append(run.avg_dram_power_w)
         result.total_energy_j.append(run.total_energy_j)
-        result.last_run = run
-        if not result.controller_name:
-            result.controller_name = run.controller_name
+        if isinstance(run, RunResult):
+            result.last_run = run
+            if not result.controller_name:
+                result.controller_name = run.controller_name
     return result
 
 
 def run_protocol(
-    application: Application,
+    application: "Application | list[Application]",
     controller: "PolicySpec | str | Callable[[], Controller]",
     *,
     controller_cfg: ControllerConfig | None = None,
@@ -187,39 +247,54 @@ def run_protocol(
     socket: SocketConfig | None = None,
     trace_sink: TraceSink | None = None,
     faults: FaultPlan | None = None,
+    gpu: GPUNodeConfig | None = None,
+    cluster: ClusterSpec | None = None,
     engine: str = "scalar",
 ) -> ProtocolResult:
     """Execute ``runs`` seeded repetitions of one configuration.
 
     ``controller`` is a registry selection — a
     :class:`~repro.core.registry.PolicySpec`, a policy id string
-    (``"dufp"``, ``"budget:watts=95"``) — or, for ad-hoc callers, a
-    plain per-socket controller factory.  Registry selections resolve
-    to a *fresh* factory every run, so policies with cross-socket
-    shared state (the budget coordinator) never leak between runs, and
-    the reported controller name comes from registry metadata rather
-    than a throwaway instance.
+    (``"dufp"``, ``"budget:watts=95"``) — or, for ad-hoc CPU-only
+    callers, a plain per-socket controller factory.  Registry
+    selections resolve to a *fresh* factory (or split policy) every
+    run, so policies with shared state (the budget coordinator) never
+    leak between runs, and the reported controller name comes from
+    registry metadata rather than a throwaway instance.
+
+    ``gpu`` and ``cluster`` select the cell kind exactly as on
+    :class:`~repro.experiments.executor.RunSpec`; see
+    :func:`build_protocol`.  Hetero and cluster cells map their results
+    onto the same four columns (the result types' ``execution_time_s``,
+    ``avg_package_power_w``, ``avg_dram_power_w`` and
+    ``total_energy_j``; docs/HETERO.md and docs/CLUSTER.md), so they
+    trim, cache and compare exactly like CPU-only ones.
 
     ``socket`` overrides the default yeti-2 socket model (a fresh
     machine is built from it for every run — machines are stateful).
     Only the *last* run is traced: in memory when ``record_trace`` is
-    true (the default), or into ``trace_sink`` when one is passed —
-    replacing the in-memory recording, so streamed protocols stay O(1)
-    in RAM.  With ``record_trace=False`` and no sink nothing is
-    recorded; ``last_run`` still carries its phases and fault events,
-    with empty traces.  ``faults``
-    applies one :class:`~repro.sim.faults.FaultPlan` to every run; each
-    run's injector draws from its own per-run seed, so repetitions see
+    true (the default, CPU-only cells), or into ``trace_sink`` when one
+    is passed — replacing the in-memory recording, so streamed
+    protocols stay O(1) in RAM.  With ``record_trace=False`` and no
+    sink nothing is recorded; ``last_run`` still carries its phases and
+    fault events, with empty traces.  ``faults`` applies one
+    :class:`~repro.sim.faults.FaultPlan` to every run; each run's
+    injector draws from its own per-run seed, so repetitions see
     independent fault realisations of the same plan.
 
     ``engine`` selects the execution strategy: ``"scalar"`` runs each
-    repetition through the per-tick loop, ``"batch"`` advances all
-    repetitions in lockstep through the vectorized engine
-    (:mod:`repro.sim.batch`).  Results are numerically identical either
-    way (see ``docs/BATCHING.md``); batch is simply faster.
+    repetition through its engine's own loop, ``"batch"`` advances all
+    repetitions of a CPU-only cell in lockstep through the vectorized
+    engine (:mod:`repro.sim.batch`).  Results are numerically identical
+    either way (see ``docs/BATCHING.md``); batch is simply faster.
     """
     if engine not in ("scalar", "batch"):
         raise ExperimentError(f"unknown engine {engine!r}")
+    if engine == "batch" and (gpu is not None or cluster is not None):
+        raise ExperimentError(
+            "the batch engine runs CPU-only cells; hetero and cluster "
+            "cells run with engine='scalar'"
+        )
     result, engines = build_protocol(
         application,
         controller,
@@ -233,6 +308,8 @@ def run_protocol(
         socket=socket,
         trace_sink=trace_sink,
         faults=faults,
+        gpu=gpu,
+        cluster=cluster,
     )
     if engine == "batch":
         from ..sim.batch import run_batch
@@ -241,141 +318,6 @@ def run_protocol(
     else:
         run_results = [e.run() for e in engines]
     return fold_protocol(result, run_results)
-
-
-def run_hetero_protocol(
-    application: Application,
-    controller: "PolicySpec | str",
-    gpu,
-    *,
-    controller_cfg: ControllerConfig | None = None,
-    runs: int = DEFAULT_RUNS,
-    base_seed: int = 0,
-    noise: NoiseConfig | None = None,
-    engine_cfg: EngineConfig | None = None,
-    socket: SocketConfig | None = None,
-    trace_sink: TraceSink | None = None,
-    faults: FaultPlan | None = None,
-) -> ProtocolResult:
-    """Execute ``runs`` seeded repetitions of one *heterogeneous* cell.
-
-    The CPU+GPU counterpart of :func:`run_protocol`: ``controller``
-    selects a hetero budget-split policy from the registry
-    (``hetero-static``, ``hetero-coord``, ``hetero-fair``), ``gpu`` is
-    the node's :class:`~repro.hardware.gpu.GPUNodeConfig`, and each
-    repetition runs the :class:`~repro.sim.hetero.HeteroEngine` with
-    the same per-run seed formula as the scalar protocol
-    (``noise.seed + 1009·r + base_seed``), so hetero cells trim, cache
-    and compare exactly like CPU-only ones.
-
-    Metric mapping onto the :class:`ProtocolResult` columns (documented
-    in docs/HETERO.md): ``times_s`` is the node *makespan*,
-    ``package_power_w`` the CPU's average power over the makespan,
-    ``dram_power_w`` the combined GPUs' average power, and
-    ``total_energy_j`` the whole node's energy — so :func:`compare`
-    reads "package savings" as CPU savings and "dram savings" as GPU
-    savings for hetero cells.
-    """
-    from ..core.registry import split_policy
-    from ..sim.hetero import HeteroEngine
-
-    if runs < 1:
-        raise ExperimentError("need at least one run")
-    noise = noise or NoiseConfig()
-    cfg = controller_cfg or ControllerConfig()
-    engine_cfg = engine_cfg or EngineConfig()
-    spec = as_spec(controller)
-    result = ProtocolResult(
-        app_name=application.name, controller_name=spec.label
-    )
-    for r in range(runs):
-        engine = HeteroEngine(
-            application=application,
-            node=gpu,
-            policy=split_policy(spec, cfg, scope="device"),
-            cfg=cfg,
-            socket_cfg=socket or yeti_socket_config(),
-            dt_s=engine_cfg.dt_s,
-            seed=noise.seed + 1009 * r + base_seed,
-            noise=noise,
-            faults=faults,
-            trace_sink=trace_sink if r == runs - 1 else None,
-        )
-        run = engine.run()
-        makespan = run.makespan_s or engine_cfg.dt_s
-        result.times_s.append(makespan)
-        result.package_power_w.append(run.cpu_energy_j / makespan)
-        result.dram_power_w.append(run.gpu_energy_j / makespan)
-        result.total_energy_j.append(run.total_energy_j)
-    return result
-
-
-def run_cluster_protocol(
-    applications: list[Application],
-    controller: "PolicySpec | str",
-    cluster,
-    *,
-    controller_cfg: ControllerConfig | None = None,
-    runs: int = DEFAULT_RUNS,
-    base_seed: int = 0,
-    noise: NoiseConfig | None = None,
-    engine_cfg: EngineConfig | None = None,
-    socket: SocketConfig | None = None,
-    trace_sink: TraceSink | None = None,
-    faults: FaultPlan | None = None,
-) -> ProtocolResult:
-    """Execute ``runs`` seeded repetitions of one *cluster* cell.
-
-    The multi-node counterpart of :func:`run_protocol`: ``controller``
-    selects a fleet budget-partitioning policy from the registry
-    (``fleet-static``, ``fleet-demand``, ``fleet-fair``), ``cluster``
-    is the cell's :class:`~repro.cluster.spec.ClusterSpec`, and
-    ``applications`` carries one built application per node.  Each
-    repetition runs the :class:`~repro.cluster.engine.ClusterEngine`
-    with the same per-run seed formula as the scalar protocol
-    (``noise.seed + 1009·r + base_seed``), so cluster cells trim,
-    cache and compare exactly like CPU-only ones.
-
-    Metric mapping onto the :class:`ProtocolResult` columns (documented
-    in docs/CLUSTER.md): ``times_s`` is the fleet *makespan* (slowest
-    node), ``package_power_w`` the fleet's average package power over
-    the makespan, ``dram_power_w`` the fleet's average DRAM power, and
-    ``total_energy_j`` the whole fleet's energy.  ``trace_sink``
-    attaches to the *last* run with cluster-global socket ids
-    (node i, socket s → ``i·sockets_per_node + s``).
-    """
-    from ..cluster.engine import ClusterEngine
-    from ..core.registry import split_policy
-
-    if runs < 1:
-        raise ExperimentError("need at least one run")
-    noise = noise or NoiseConfig()
-    cfg = controller_cfg or ControllerConfig()
-    engine_cfg = engine_cfg or EngineConfig()
-    spec = as_spec(controller)
-    app_name = "+".join(dict.fromkeys(a.name for a in applications))
-    result = ProtocolResult(app_name=app_name, controller_name=spec.label)
-    for r in range(runs):
-        engine = ClusterEngine(
-            applications=applications,
-            cluster=cluster,
-            policy=split_policy(spec, cfg, scope="node"),
-            controller_cfg=cfg,
-            engine_cfg=engine_cfg,
-            noise=noise,
-            socket=socket,
-            seed=noise.seed + 1009 * r + base_seed,
-            record_trace=False,
-            trace_sink=trace_sink if r == runs - 1 else None,
-            faults=faults,
-        )
-        run = engine.run()
-        makespan = run.makespan_s or engine_cfg.dt_s
-        result.times_s.append(makespan)
-        result.package_power_w.append(run.package_energy_j / makespan)
-        result.dram_power_w.append(run.dram_energy_j / makespan)
-        result.total_energy_j.append(run.total_energy_j)
-    return result
 
 
 @dataclass(frozen=True)

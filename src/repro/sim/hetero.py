@@ -38,9 +38,7 @@ of the scalar engine:
   exactly as to CPU-only ones.
 
 The split policy is always resolved through the registry
-(:func:`repro.core.registry.split_policy` at ``scope="device"``).  The
-legacy two-device construction (``kernels=[...]`` without ``node``)
-still works: it maps onto a single-GPU node with zero-byte transfers.
+(:func:`repro.core.registry.split_policy` at ``scope="device"``).
 """
 
 from __future__ import annotations
@@ -49,11 +47,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ControllerConfig, NoiseConfig, SocketConfig, yeti_socket_config
+from ..config import (
+    ControllerConfig,
+    EngineConfig,
+    NoiseConfig,
+    SocketConfig,
+    yeti_socket_config,
+)
 from ..core.split import SplitPolicy
 from ..core.tolerance import SlowdownTracker, ToleranceVerdict
 from ..errors import SimulationError
-from ..hardware.gpu import GPUConfig, GPUKernel, GPUNodeConfig, SimulatedGPU
+from ..hardware.gpu import GPUKernel, GPUNodeConfig, SimulatedGPU
 from ..hardware.processor import SimulatedProcessor
 from ..workloads.application import Application
 from ..workloads.phase import NominalRates
@@ -67,6 +71,9 @@ __all__ = ["HeteroResult", "HeteroEngine"]
 #: (which derives from the same run seed).
 _JITTER_STREAM = 0x48E7
 
+#: Seconds between re-allocations (dynamic split policies only).
+REALLOC_PERIOD_S = 1.0
+
 
 @dataclass
 class HeteroResult:
@@ -76,9 +83,6 @@ class HeteroResult:
     gpu_finish_s: float
     cpu_energy_j: float
     gpu_energy_j: float
-    #: (time, cpu_alloc, summed_gpu_alloc) per re-allocation — the
-    #: original two-column view, kept for existing consumers.
-    allocations: list[tuple[float, float, float]] = field(default_factory=list)
     #: (time, (cpu_alloc, gpu0_alloc, ...)) per re-allocation.
     device_allocations: list[tuple[float, tuple[float, ...]]] = field(
         default_factory=list
@@ -99,6 +103,24 @@ class HeteroResult:
     def total_energy_j(self) -> float:
         return self.cpu_energy_j + self.gpu_energy_j
 
+    # The protocol's four metrics (docs/HETERO.md, "Metric mapping"):
+    # the CPU stands on the package column, the GPUs on the DRAM one.
+
+    @property
+    def execution_time_s(self) -> float:
+        """The node makespan."""
+        return self.makespan_s
+
+    @property
+    def avg_package_power_w(self) -> float:
+        """CPU energy over the makespan."""
+        return self.cpu_energy_j / self.makespan_s
+
+    @property
+    def avg_dram_power_w(self) -> float:
+        """Combined GPU energy over the makespan."""
+        return self.gpu_energy_j / self.makespan_s
+
 
 class _GPUTask:
     """One GPU's progress through its kernel queue.
@@ -106,8 +128,7 @@ class _GPUTask:
     Each kernel passes through three stages: ``in`` (host→device input
     over the shared link), ``compute`` (roofline execution), ``out``
     (device→host output).  Zero-byte transfers complete without
-    consuming a tick, which keeps the legacy transfer-free setup
-    numerically identical to the original engine.
+    consuming a tick.
     """
 
     __slots__ = (
@@ -149,19 +170,12 @@ class HeteroEngine:
     #: resolved via :func:`repro.core.registry.split_policy`; it owns
     #: the shared budget.
     policy: SplitPolicy
-    #: Legacy explicit kernel queue (single GPU); ``None`` derives the
-    #: queue from ``node``.
-    kernels: list[GPUKernel] | None = None
+    #: The GPU side of the node (count, kernel queue, link).
+    node: GPUNodeConfig
     cfg: ControllerConfig = field(default_factory=ControllerConfig)
     socket_cfg: SocketConfig = field(default_factory=yeti_socket_config)
-    #: Legacy single-GPU model; ``node`` takes precedence.
-    gpu_cfg: GPUConfig = field(default_factory=GPUConfig)
-    #: The GPU side of the node (count, kernel queue, link).
-    node: GPUNodeConfig | None = None
-    dt_s: float = 0.01
-    #: Re-allocate every this many seconds (dynamic policies only).
-    realloc_period_s: float = 1.0
-    max_sim_time_s: float = 600.0
+    #: Time step and simulated-time limit.
+    engine_cfg: EngineConfig = field(default_factory=EngineConfig)
     #: Per-run seed driving jitter and fault draws.
     seed: int = 0
     #: Run-to-run noise; ``None`` disables jitter entirely.
@@ -174,21 +188,8 @@ class HeteroEngine:
     def __post_init__(self) -> None:
         self.cfg.validate()
         self.socket_cfg.validate()
-        if self.node is not None:
-            self.node.validate()
-            self._node = self.node
-        else:
-            # Legacy: a single GPU with no modelled transfers.
-            self.gpu_cfg.validate()
-            self._node = GPUNodeConfig(
-                gpu=self.gpu_cfg, gpu_count=1, input_bytes=0.0, output_bytes=0.0
-            )
-        if self.kernels is not None:
-            if not self.kernels:
-                raise SimulationError("GPU needs at least one kernel")
-            self._kernels = list(self.kernels)
-        else:
-            self._kernels = self._node.build_kernels()
+        self.engine_cfg.validate()
+        self.node.validate()
         if self.faults is not None:
             self.faults.validate()
         floors = self._floors()
@@ -201,24 +202,25 @@ class HeteroEngine:
     # -- device bounds ---------------------------------------------------------
 
     def _floors(self) -> list[float]:
-        gpu_floor = self._node.gpu.power_limit_floor_w
-        return [self.cfg.cap_floor_w] + [gpu_floor] * self._node.gpu_count
+        gpu_floor = self.node.gpu.power_limit_floor_w
+        return [self.cfg.cap_floor_w] + [gpu_floor] * self.node.gpu_count
 
     def _ceilings(self) -> list[float]:
-        gpu_ceiling = self._node.gpu.power_limit_default_w
+        gpu_ceiling = self.node.gpu.power_limit_default_w
         return [self.socket_cfg.rapl.pl1_default_w] + [
             gpu_ceiling
-        ] * self._node.gpu_count
+        ] * self.node.gpu_count
 
     # -- the run ---------------------------------------------------------------
 
     def run(self) -> HeteroResult:
-        node = self._node
+        node = self.node
         policy = self.policy
         n_gpus = node.gpu_count
+        dt = self.engine_cfg.dt_s
         rng = np.random.default_rng([abs(int(self.seed)), _JITTER_STREAM])
         app = self.application
-        kernels = self._kernels
+        kernels = node.build_kernels()
         if self.noise is not None and self.noise.duration_jitter > 0.0:
             app = app.jittered(rng, self.noise.duration_jitter)
             # Kernel volumes jitter multiplicatively like CPU phases.
@@ -291,13 +293,12 @@ class HeteroEngine:
                 if injector is not None and injector.gpu_cap_latch_fails(1 + i):
                     continue
                 gpu.set_power_limit(allocs[1 + i])
-            result.allocations.append((now, allocs[0], sum(allocs[1:])))
             result.device_allocations.append((now, tuple(allocs)))
 
         apply(0.0)
 
         now = 0.0
-        next_realloc = self.realloc_period_s
+        next_realloc = REALLOC_PERIOD_S
         cpu_phase = 0
         cpu_done_frac = 0.0
         cpu_finish: float | None = None
@@ -306,13 +307,13 @@ class HeteroEngine:
         def step_gpu(i: int, link_bw: float) -> None:
             task, gpu = tasks[i], gpus[i]
             if task.done:
-                gpu.step(self.dt_s, None)
+                gpu.step(dt, None)
                 if task.finish is None:
                     task.finish = now
                 return
             if task.stall_left > 0.0:
-                task.stall_left = max(task.stall_left - self.dt_s, 0.0)
-                gpu.step(self.dt_s, None)
+                task.stall_left = max(task.stall_left - dt, 0.0)
+                gpu.step(dt, None)
                 return
             kernel = task.queue[task.idx]
             if task.stage == "in":
@@ -322,12 +323,12 @@ class HeteroEngine:
                     if injector is not None:
                         task.stall_left = injector.gpu_queue_stall_s(1 + i)
                         if task.stall_left > 0.0:
-                            gpu.step(self.dt_s, None)
+                            gpu.step(dt, None)
                             return
                 if task.bytes_left > 0.0:
-                    task.bytes_left -= link_bw * self.dt_s
-                    gpu.step(self.dt_s, None)
-                    result.transfer_s += self.dt_s
+                    task.bytes_left -= link_bw * dt
+                    gpu.step(dt, None)
+                    result.transfer_s += dt
                     if task.bytes_left <= 0.0:
                         task.stage = "compute"
                         gpu_trackers[i].reset(task.refs[task.idx])
@@ -335,7 +336,7 @@ class HeteroEngine:
                 task.stage = "compute"
                 gpu_trackers[i].reset(task.refs[task.idx])
             if task.stage == "compute":
-                task.frac += gpu.step(self.dt_s, kernel)
+                task.frac += gpu.step(dt, kernel)
                 if task.frac >= 1.0 - 1e-9:
                     task.stage = "out"
                     task.bytes_left = node.output_bytes
@@ -346,9 +347,9 @@ class HeteroEngine:
                         task.launched = False
                 return
             # stage == "out"
-            task.bytes_left -= link_bw * self.dt_s
-            gpu.step(self.dt_s, None)
-            result.transfer_s += self.dt_s
+            task.bytes_left -= link_bw * dt
+            gpu.step(dt, None)
+            result.transfer_s += dt
             if task.bytes_left <= 0.0:
                 task.idx += 1
                 task.stage = "in"
@@ -357,7 +358,7 @@ class HeteroEngine:
 
         try:
             while cpu_finish is None or any(t.finish is None for t in tasks):
-                if now >= self.max_sim_time_s:
+                if now >= self.engine_cfg.max_sim_time_s:
                     raise SimulationError(
                         "hetero simulation exceeded the time limit"
                     )
@@ -368,12 +369,12 @@ class HeteroEngine:
                 if cpu_phase < len(app.phases):
                     if cpu_done_frac == 0.0:
                         cpu_tracker.reset(cpu_ref[cpu_phase])
-                    cpu_done_frac += cpu.step(self.dt_s, cpu_work[cpu_phase])
+                    cpu_done_frac += cpu.step(dt, cpu_work[cpu_phase])
                     if cpu_done_frac >= 1.0 - 1e-9:
                         cpu_phase += 1
                         cpu_done_frac = 0.0
                 else:
-                    cpu.step(self.dt_s, None)
+                    cpu.step(dt, None)
                     if cpu_finish is None:
                         cpu_finish = now
 
@@ -385,10 +386,10 @@ class HeteroEngine:
                 for i in range(n_gpus):
                     step_gpu(i, link_bw)
 
-                now += self.dt_s
+                now += dt
 
                 if not policy.is_static and now + 1e-9 >= next_realloc:
-                    next_realloc += self.realloc_period_s
+                    next_realloc += REALLOC_PERIOD_S
                     demands = [
                         self._demand(
                             cpu_tracker,

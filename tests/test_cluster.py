@@ -33,7 +33,7 @@ from repro.core.registry import (
 )
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.executor import RunSpec, execute_spec, spec_key
-from repro.experiments.protocol import run_cluster_protocol
+from repro.experiments.protocol import run_protocol
 from repro.sim.trace import InMemoryTraceSink
 from repro.workloads.catalog import (
     SERVICE_APPLICATIONS,
@@ -293,13 +293,13 @@ class TestClusterEngine:
 
 
 class TestClusterProtocolAndSpec:
-    def test_run_cluster_protocol_metrics(self):
+    def test_protocol_metric_mapping(self):
         apps = [build_application(a, scale=0.2) for a in ("WEB", "BATCH")]
         cluster = ClusterSpec(node_count=2, node_apps=("WEB", "BATCH"))
-        proto = run_cluster_protocol(
+        proto = run_protocol(
             apps,
             make_spec("fleet-demand", budget_w=180.0),
-            cluster,
+            cluster=cluster,
             controller_cfg=CFG,
             runs=3,
             noise=QUIET,
@@ -308,8 +308,27 @@ class TestClusterProtocolAndSpec:
         assert len(proto.times_s) == 3
         assert all(t > 0 for t in proto.times_s)
         assert all(e > 0 for e in proto.total_energy_j)
+        for t, pkg, dram, total in zip(
+            proto.times_s,
+            proto.package_power_w,
+            proto.dram_power_w,
+            proto.total_energy_j,
+        ):
+            # Fleet package and DRAM energy over the fleet makespan.
+            assert (pkg + dram) * t == pytest.approx(total)
         # Deterministic noise: repetitions still differ by run seed.
         assert math.isfinite(proto.mean_time_s)
+        assert proto.last_run is None
+
+    def test_batch_engine_rejects_cluster_cells(self):
+        with pytest.raises(ExperimentError, match="CPU-only"):
+            run_protocol(
+                [build_application("EP", scale=0.2)] * 2,
+                make_spec("fleet-static", budget_w=250.0),
+                cluster=ClusterSpec(node_count=2),
+                runs=1,
+                engine="batch",
+            )
 
     def test_cluster_spec_key_is_stable_and_distinct(self):
         plain = RunSpec(app_name="CG", controller="dufp", runs=2)

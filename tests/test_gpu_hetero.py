@@ -17,12 +17,17 @@ def split(policy, budget_w=300.0):
     return split_policy(make_spec(policy, budget_w=budget_w), scope="device")
 
 
-def balanced_kernels(n=8, flops_each=6e12):
-    """DGEMM-ish kernels at ~0.5 compute utilisation (192 W at speed)."""
-    return [
-        GPUKernel(f"k[{i}]", flops=flops_each, bytes=flops_each / 8.0)
-        for i in range(n)
-    ]
+def balanced_node(n=8, flops_each=6e12):
+    """One GPU draining DGEMM-ish kernels at ~0.5 compute utilisation
+    (192 W at speed), with no modelled transfers."""
+    return GPUNodeConfig(
+        gpu_count=1,
+        kernel_count=n,
+        kernel_flops=flops_each,
+        kernel_bytes=flops_each / 8,
+        input_bytes=0.0,
+        output_bytes=0.0,
+    )
 
 
 class TestGPUConfig:
@@ -160,32 +165,32 @@ class TestHeteroEngine:
     def scenario(self):
         """Feasible budget: CG needs ~100 W, the GPU ~192 W; 300 W total."""
         app = build_application("CG", scale=0.5)
-        kernels = balanced_kernels()
+        node = balanced_node()
         cfg = ControllerConfig(tolerated_slowdown=0.10)
         static = HeteroEngine(
             application=app,
             policy=split("hetero-static"),
-            kernels=kernels,
+            node=node,
             cfg=cfg,
         ).run()
         coordinated = HeteroEngine(
             application=app,
             policy=split("hetero-coord"),
-            kernels=kernels,
+            node=node,
             cfg=cfg,
         ).run()
         return static, coordinated
 
     def test_budget_always_respected(self, scenario):
         _, coordinated = scenario
-        for _, cpu_w, gpu_w in coordinated.allocations:
-            assert cpu_w + gpu_w <= 300.0 + 1e-6
+        for _, allocs in coordinated.device_allocations:
+            assert sum(allocs) <= 300.0 + 1e-6
 
     def test_coordination_moves_watts_to_the_gpu(self, scenario):
         static, coordinated = scenario
-        final_static = static.allocations[-1]
-        final_coord = coordinated.allocations[-1]
-        assert final_coord[2] > final_static[2]
+        _, final_static = static.device_allocations[-1]
+        _, final_coord = coordinated.device_allocations[-1]
+        assert sum(final_coord[1:]) > sum(final_static[1:])
 
     def test_gpu_faster_when_coordinated(self, scenario):
         static, coordinated = scenario
@@ -214,15 +219,15 @@ class TestHeteroEngine:
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
                 policy=split("hetero-coord", budget_w=100.0),
-                kernels=balanced_kernels(2),
+                node=balanced_node(2),
             )
 
     def test_empty_kernel_queue_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError, match="kernel queue"):
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
                 policy=split("hetero-coord"),
-                kernels=[],
+                node=balanced_node(0),
             )
 
 
@@ -233,10 +238,10 @@ class TestHeteroDetails:
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
             policy=split("hetero-static"),
-            kernels=balanced_kernels(2, flops_each=2e12),
+            node=balanced_node(2, flops_each=2e12),
             cfg=ControllerConfig(tolerated_slowdown=0.10),
         ).run()
-        assert len(result.allocations) == 1
+        assert len(result.device_allocations) == 1
 
     def test_result_accessors(self):
         from repro.config import ControllerConfig
@@ -244,7 +249,7 @@ class TestHeteroDetails:
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
             policy=split("hetero-coord"),
-            kernels=balanced_kernels(2, flops_each=2e12),
+            node=balanced_node(2, flops_each=2e12),
             cfg=ControllerConfig(tolerated_slowdown=0.10),
         ).run()
         assert result.makespan_s == max(result.cpu_finish_s, result.gpu_finish_s)

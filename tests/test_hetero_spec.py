@@ -18,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.config import ControllerConfig, NoiseConfig
+from repro.config import ControllerConfig, EngineConfig, NoiseConfig
 from repro.core.registry import (
     describe_policies,
     make_spec,
@@ -39,7 +39,7 @@ from repro.experiments.executor import (
     execute_spec,
     spec_key,
 )
-from repro.experiments.protocol import run_hetero_protocol
+from repro.experiments.protocol import run_protocol
 from repro.hardware.gpu import GPUNodeConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.hetero import HeteroEngine
@@ -396,10 +396,10 @@ class TestHeteroEngine:
 
 class TestHeteroProtocolAndSpec:
     def test_protocol_metric_mapping(self):
-        proto = run_hetero_protocol(
+        proto = run_protocol(
             build_application("CG", scale=0.15),
             make_spec("hetero-coord", budget_w=300),
-            SMALL_NODE,
+            gpu=SMALL_NODE,
             runs=3,
             noise=NoiseConfig(),
         )
@@ -413,6 +413,29 @@ class TestHeteroProtocolAndSpec:
             assert t > 0
             # CPU energy maps to package, GPU energy to dram rails.
             assert (pkg + dram) * t == pytest.approx(total)
+        assert proto.last_run is None
+
+    def test_batch_engine_rejects_hetero_cells(self):
+        with pytest.raises(ExperimentError, match="CPU-only"):
+            run_protocol(
+                build_application("CG", scale=0.15),
+                make_spec("hetero-coord", budget_w=300),
+                gpu=SMALL_NODE,
+                runs=1,
+                engine="batch",
+            )
+
+    def test_spec_time_limit_bounds_hetero_cells(self):
+        spec = RunSpec(
+            app_name="CG",
+            controller=make_spec("hetero-coord", budget_w=300),
+            runs=1,
+            app_scale=0.15,
+            engine_cfg=EngineConfig(max_sim_time_s=0.5),
+            gpu=SMALL_NODE,
+        )
+        with pytest.raises(SimulationError, match="time limit"):
+            execute_spec(spec)
 
     def test_execute_spec_routes_hetero_cells(self):
         spec = RunSpec(
