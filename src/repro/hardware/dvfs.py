@@ -106,11 +106,17 @@ class PStateDriver:
 
     # -- APERF/MPERF ---------------------------------------------------------
 
-    def advance(self, dt_s: float) -> None:
-        """Accumulate APERF (actual) and MPERF (reference) cycles."""
-        if dt_s < 0:
-            raise FrequencyError("advance: negative time step")
-        self._aperf_cycles += self.effective_freq() * dt_s
+    def advance(self, dt_s: float, freq_hz: float | None = None) -> None:
+        """Accumulate APERF (actual) and MPERF (reference) cycles.
+
+        ``freq_hz`` is the clock :meth:`effective_freq` already resolved
+        this step; ``None`` resolves it here.
+        """
+        if not dt_s >= 0:  # NaN too: it would poison APERF/MPERF
+            raise FrequencyError(f"advance: time step {dt_s!r} is not non-negative")
+        if freq_hz is None:
+            freq_hz = self.effective_freq()
+        self._aperf_cycles += freq_hz * dt_s
         self._mperf_cycles += self.config.base_freq_hz * dt_s
 
     @property

@@ -203,7 +203,11 @@ class SimulatedGPU:
     power_limit_w: float = 0.0
     energy_j: float = 0.0
     now_s: float = 0.0
-    _last_state: GPUState | None = None
+    #: What the last step recorded for its snapshot: ``(now_s, point)``.
+    _snap: tuple | None = None
+    #: The :class:`GPUState` built from ``_snap`` on the first
+    #: :attr:`state` read after a step; ``None`` until then.
+    _last_state: GPUState | None = field(default=None, repr=False, compare=False)
     #: ``_operating_point`` results by ``(flops, bytes, power_limit_w)``,
     #: ``()`` for idle.  A kernel runs for ~100 ticks and the limit moves
     #: once per re-allocation, so a run revisits a few dozen keys; the
@@ -290,17 +294,11 @@ class SimulatedGPU:
             point = self._operating_point(kernel)
             if nan_free(key):
                 self._points[key] = point
-        freq, power, t, rate, util = point
-        self.energy_j += power * dt_s
+        self.energy_j += point[1] * dt_s
         self.now_s += dt_s
-        self._last_state = GPUState(
-            time_s=self.now_s,
-            freq_hz=freq,
-            power_w=power,
-            flops_rate=rate,
-            utilisation=util,
-        )
-        return min(dt_s / t, 1.0)
+        self._snap = (self.now_s, point)
+        self._last_state = None
+        return min(dt_s / point[2], 1.0)
 
     def _operating_point(
         self, kernel: GPUKernel | None
@@ -321,6 +319,17 @@ class SimulatedGPU:
 
     @property
     def state(self) -> GPUState:
-        if self._last_state is None:
-            raise SimulationError("gpu has not stepped yet")
-        return self._last_state
+        """Snapshot after the most recent step, built on first read."""
+        state = self._last_state
+        if state is None:
+            if self._snap is None:
+                raise SimulationError("gpu has not stepped yet")
+            now_s, (freq, power, _, rate, util) = self._snap
+            state = self._last_state = GPUState(
+                time_s=now_s,
+                freq_hz=freq,
+                power_w=power,
+                flops_rate=rate,
+                utilisation=util,
+            )
+        return state

@@ -116,7 +116,14 @@ class SimulatedProcessor:
 
     _prev_activity: float = 0.0
     _prev_traffic: float = 0.0
-    _last_state: ProcessorState | None = None
+    #: What the last step recorded for its snapshot: ``(now_s, core_hz,
+    #: uncore_hz, package, dram_w, rates, temperature_c)``.
+    _snap: tuple | None = None
+    #: The :class:`ProcessorState` built from ``_snap`` on the first
+    #: :attr:`state` read after a step; ``None`` until then.
+    _last_state: ProcessorState | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.config.validate()
@@ -146,6 +153,11 @@ class SimulatedProcessor:
             # EPP pulls the effective uncore window ceiling toward the
             # floor; the hook stays live as hints change mid-run.
             self.uncore.epp_bias = self.epb_model.uncore_hi_scale
+        # Per-config constants the step reads every tick.
+        self._avx_fpc = self.config.core.avx_license_fpc
+        self._avx_hz = self.config.core.avx_max_freq_hz
+        self._multi_die = isinstance(self.uncore, TpmiUncore)
+        self._sat_uncore_hz = self.memory.saturation_uncore_hz()
 
     # -- main advance ---------------------------------------------------------------
 
@@ -153,10 +165,11 @@ class SimulatedProcessor:
         """Advance ``dt_s`` executing ``work`` (or idling).
 
         Returns the fraction of the phase completed during this step
-        (0.0 when idle).
+        (0.0 when idle).  The step records what its snapshot needs;
+        :attr:`state` builds the :class:`ProcessorState` on first read.
         """
-        if dt_s <= 0:
-            raise SimulationError("step: non-positive dt")
+        if not dt_s > 0:  # NaN too: it would poison time and energy
+            raise SimulationError(f"step: dt {dt_s!r} is not positive")
 
         # 1. RAPL firmware: budget -> core frequency clamp.  The clamp
         # uses last step's telemetry but the current demand multiplier:
@@ -164,34 +177,35 @@ class SimulatedProcessor:
         # microseconds, faster than one engine step.
         boost = work.power_boost if work is not None else 1.0
         budget = self.rapl.allowed_power()
-        multi_die = isinstance(self.uncore, TpmiUncore)
+        multi_die = self._multi_die
+        uncore = self.uncore
+        dvfs = self.dvfs
         clamp = self.power_model.max_core_freq_under(
             budget,
-            self.uncore.frequency_hz,
+            uncore.frequency_hz,
             self._prev_activity,
             self._prev_traffic,
             core_boost=boost,
             uncore_dies=(
-                self.uncore.die_loads(self._prev_traffic) if multi_die else None
+                uncore.die_loads(self._prev_traffic) if multi_die else None
             ),
         )
-        self.dvfs.set_rapl_clamp(clamp)
+        dvfs.set_rapl_clamp(clamp)
 
         # 2. Hardware uncore governor moves inside its window.
-        self.uncore.advance(self._prev_traffic, self._prev_activity)
+        uncore.advance(self._prev_traffic, self._prev_activity)
 
-        core_hz = self.dvfs.effective_freq()
+        # The clamped P-state clock, resolved once: APERF counts it.
+        pstate_hz = core_hz = dvfs.effective_freq()
         # AVX frequency license (opt-in): wide-vector phases run under
         # the derated all-core turbo regardless of the governor.
-        if (
-            work is not None
-            and work.fpc >= self.config.core.avx_license_fpc
-        ):
-            core_hz = min(core_hz, self.config.core.avx_max_freq_hz)
+        if work is not None and work.fpc >= self._avx_fpc:
+            core_hz = min(core_hz, self._avx_hz)
         # PROCHOT: the thermal safety net beneath RAPL.
-        if self.thermal is not None and self.thermal.prochot:
-            core_hz = min(core_hz, self.dvfs.snap(self.thermal.freq_clamp_hz()))
-        uncore_hz = self.uncore.frequency_hz
+        thermal = self.thermal
+        if thermal is not None and thermal.prochot:
+            core_hz = min(core_hz, dvfs.snap(thermal.freq_clamp_hz()))
+        uncore_hz = uncore.frequency_hz
 
         # 3. Execute the phase slice.
         if work is not None and (work.flops > 0 or work.bytes > 0):
@@ -239,37 +253,34 @@ class SimulatedProcessor:
             core_boost=boost,
             core_idle_scale=core_idle_scale,
             uncore_dies=(
-                self.uncore.die_loads(rates.traffic_util) if multi_die else None
+                uncore.die_loads(rates.traffic_util) if multi_die else None
             ),
         )
         dram_traffic = rates.bytes_rate
         if work is not None and work.overfetch > 0.0:
-            sat_hz = self.memory.saturation_uncore_hz()
+            sat_hz = self._sat_uncore_hz
             if uncore_hz < sat_hz:
                 dram_traffic *= 1.0 + work.overfetch * (1.0 - uncore_hz / sat_hz)
         dram_w = self.memory.dram_power(dram_traffic)
         self.rapl.step(dt_s, pkg.total_w, dram_w)
-        if self.thermal is not None:
-            self.thermal.step(dt_s, pkg.total_w)
-        self.dvfs.advance(dt_s)
+        if thermal is not None:
+            thermal.step(dt_s, pkg.total_w)
+        dvfs.advance(dt_s, pstate_hz)
         self.flops_retired += rates.flops_rate * dt_s
         self.bytes_transferred += rates.bytes_rate * dt_s
         self.now_s += dt_s
         self._prev_activity = rates.core_activity
         self._prev_traffic = rates.traffic_util
-        self._last_state = ProcessorState(
-            time_s=self.now_s,
-            core_freq_hz=core_hz,
-            uncore_freq_hz=uncore_hz,
-            package=pkg,
-            dram_power_w=dram_w,
-            flops_rate=rates.flops_rate,
-            bytes_rate=rates.bytes_rate,
-            bound=rates.bound,
-            temperature_c=(
-                self.thermal.temperature_c if self.thermal is not None else None
-            ),
+        self._snap = (
+            self.now_s,
+            core_hz,
+            uncore_hz,
+            pkg,
+            dram_w,
+            rates,
+            thermal.temperature_c if thermal is not None else None,
         )
+        self._last_state = None
         return min(progress, 1.0)
 
     def preview_progress_rate(self, work: PhaseWork) -> float:
@@ -283,8 +294,8 @@ class SimulatedProcessor:
         if work.flops <= 0 and work.bytes <= 0:
             return 0.0
         core_hz = self.dvfs.effective_freq()
-        if work.fpc >= self.config.core.avx_license_fpc:
-            core_hz = min(core_hz, self.config.core.avx_max_freq_hz)
+        if work.fpc >= self._avx_fpc:
+            core_hz = min(core_hz, self._avx_hz)
         rates = self.perf.instantaneous(
             work.flops,
             work.bytes,
@@ -300,10 +311,28 @@ class SimulatedProcessor:
 
     @property
     def state(self) -> ProcessorState:
-        """Snapshot taken at the end of the most recent step."""
-        if self._last_state is None:
-            raise SimulationError("processor has not stepped yet")
-        return self._last_state
+        """Snapshot taken at the end of the most recent step.
+
+        Built on the first read after a step and cached until the next
+        one, so an untraced tick builds none.
+        """
+        state = self._last_state
+        if state is None:
+            if self._snap is None:
+                raise SimulationError("processor has not stepped yet")
+            now_s, core_hz, uncore_hz, pkg, dram_w, rates, temp_c = self._snap
+            state = self._last_state = ProcessorState(
+                time_s=now_s,
+                core_freq_hz=core_hz,
+                uncore_freq_hz=uncore_hz,
+                package=pkg,
+                dram_power_w=dram_w,
+                flops_rate=rates.flops_rate,
+                bytes_rate=rates.bytes_rate,
+                bound=rates.bound,
+                temperature_c=temp_c,
+            )
+        return state
 
     @property
     def package_energy_j(self) -> float:

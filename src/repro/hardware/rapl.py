@@ -26,7 +26,6 @@ from typing import Callable
 
 from ..config import RAPLConfig
 from ..errors import RAPLError
-from ..units import nan_free
 from .msr import (
     MSR,
     MSRFile,
@@ -103,11 +102,12 @@ class RAPLPackage:
     #: extra delay stretches this write's actuation latency.  ``None``
     #: (the default) is the fault-free fast path.
     latch_fault: Callable[[], tuple[bool, float]] | None = None
-    #: PL1/PL2 averaging factors ``1 - exp(-dt/window)`` by
-    #: ``(dt, pl1 window, pl2 window)``: steps are a fixed ``dt`` except
-    #: at phase boundaries, and windows change only on limit writes.
-    _decay: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: The last step's ``(dt, pl1 window, pl2 window, a1, a2)``, with
+    #: ``a = 1 - exp(-dt/window)`` the PL1/PL2 averaging factors.  Steps
+    #: are a fixed ``dt`` except at phase boundaries and windows change
+    #: only on limit writes, so the next step almost always reuses them.
+    _last_decay: tuple[float, float, float, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -194,26 +194,33 @@ class RAPLPackage:
 
     def step(self, dt_s: float, package_power_w: float, dram_power_w: float) -> None:
         """Advance time: latch pending limits, meter energy, update averages."""
-        if dt_s <= 0:
-            raise RAPLError("step: non-positive dt")
-        if package_power_w < 0 or dram_power_w < 0:
-            raise RAPLError("step: negative power")
+        if not dt_s > 0:  # NaN too: it would poison energy and averages
+            raise RAPLError(f"step: dt {dt_s!r} is not positive")
+        if not (package_power_w >= 0 and dram_power_w >= 0):
+            raise RAPLError(
+                f"step: power ({package_power_w!r} W package, "
+                f"{dram_power_w!r} W dram) is not non-negative"
+            )
         self._now_s += dt_s
         if self._pending is not None and self._now_s >= self._pending[0]:
             _, self.pl1, self.pl2 = self._pending
             self._pending = None
         self.package.accumulate(package_power_w * dt_s)
         self.dram.accumulate(dram_power_w * dt_s)
-        key = (dt_s, self.pl1.window_s, self.pl2.window_s)
-        decay = self._decay.get(key)
-        if decay is None:
-            decay = (
-                1.0 - math.exp(-dt_s / self.pl1.window_s),
-                1.0 - math.exp(-dt_s / self.pl2.window_s),
-            )
-            if nan_free(key):
-                self._decay[key] = decay
-        a1, a2 = decay
+        w1, w2 = self.pl1.window_s, self.pl2.window_s
+        last = self._last_decay
+        # Float ``==``, not tuple ``==``: a NaN window never matches.
+        if (
+            last is not None
+            and last[0] == dt_s
+            and last[1] == w1
+            and last[2] == w2
+        ):
+            a1, a2 = last[3], last[4]
+        else:
+            a1 = 1.0 - math.exp(-dt_s / w1)
+            a2 = 1.0 - math.exp(-dt_s / w2)
+            self._last_decay = (dt_s, w1, w2, a1, a2)
         self._avg_pl1_w += a1 * (package_power_w - self._avg_pl1_w)
         self._avg_pl2_w += a2 * (package_power_w - self._avg_pl2_w)
 

@@ -53,10 +53,10 @@ class ThermalModel:
 
     def step(self, dt_s: float, power_w: float) -> None:
         """Advance the RC model and update the PROCHOT latch."""
-        if dt_s <= 0:
-            raise HardwareError("step: non-positive dt")
-        if power_w < 0:
-            raise HardwareError("step: negative power")
+        if not dt_s > 0:  # NaN too: it would poison the temperature
+            raise HardwareError(f"step: dt {dt_s!r} is not positive")
+        if not power_w >= 0:
+            raise HardwareError(f"step: power {power_w!r} W is not non-negative")
         target = self.cfg.steady_state_c(power_w)
         alpha = 1.0 - math.exp(-dt_s / self.cfg.tau_s)
         self.temperature_c += alpha * (target - self.temperature_c)

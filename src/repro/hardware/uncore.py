@@ -60,9 +60,12 @@ class DefaultUncoreGovernor:
         self, traffic_util: float, busy_util: float, lo_hz: float, hi_hz: float
     ) -> float:
         """Pick a frequency in ``[lo_hz, hi_hz]`` for the observed pressure."""
-        for name, v in (("traffic", traffic_util), ("busy", busy_util)):
-            if not 0.0 <= v <= 1.0:
-                raise FrequencyError(f"{name} utilisation {v!r} outside [0, 1]")
+        if not 0.0 <= traffic_util <= 1.0:
+            raise FrequencyError(
+                f"traffic utilisation {traffic_util!r} outside [0, 1]"
+            )
+        if not 0.0 <= busy_util <= 1.0:
+            raise FrequencyError(f"busy utilisation {busy_util!r} outside [0, 1]")
         demand = min(traffic_util / self.saturation_util, 1.0)
         if busy_util >= self.busy_threshold:
             demand = max(demand, self.busy_floor)
@@ -145,7 +148,7 @@ class UncoreDriver:
 
     def advance(self, traffic_util: float, busy_util: float = 0.0) -> None:
         """One simulation step: let the HW governor move inside the window."""
-        if self.pinned:
+        if self.window_lo_hz == self.window_hi_hz:  # pinned
             self._freq_hz = self.window_lo_hz
             return
         hi_hz = self.window_hi_hz

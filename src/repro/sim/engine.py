@@ -295,14 +295,12 @@ class SimulationStepper:
             _SocketProgress() for _ in range(engine.machine.socket_count)
         ]
         self.now = 0.0
+        #: True once every socket has finished its phase list; only
+        #: :meth:`tick` finishes sockets, so it updates the flag.
+        self.done = False
         self._closed = False
         if self.ctx.sink is not None:
             self.ctx.sink.open(engine.machine.socket_count)
-
-    @property
-    def done(self) -> bool:
-        """True once every socket has finished its phase list."""
-        return all(p.finish_time_s is not None for p in self.progress)
 
     def tick(self) -> None:
         """Advance simulated time by one engine step (``dt_s``)."""
@@ -315,10 +313,12 @@ class SimulationStepper:
                 f"(application {engine.application!r} stuck?)"
             )
         dt = engine.engine_cfg.dt_s
+        running = False
         for sid, proc in enumerate(engine.machine.processors):
-            engine._advance_socket(
-                proc, ctx.socket_apps[sid], self.progress[sid], self.now, dt
-            )
+            p = self.progress[sid]
+            engine._advance_socket(proc, ctx.socket_apps[sid], p, self.now, dt)
+            if p.finish_time_s is None:
+                running = True
             if sink is not None:
                 s = proc.state
                 sink.record(
@@ -335,6 +335,7 @@ class SimulationStepper:
                         temperature_c=s.temperature_c,
                     ),
                 )
+        self.done = not running
         self.now += dt
         if ctx.injector is not None:
             ctx.injector.advance(self.now)

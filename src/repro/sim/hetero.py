@@ -380,9 +380,7 @@ class HeteroEngine:
 
                 # GPU side: the link bandwidth rides this tick's uncore
                 # clock — DUF-style host decisions move transfer time.
-                link_bw = node.link_bw_at(
-                    cpu.state.uncore_freq_hz / uncore_max
-                )
+                link_bw = node.link_bw_at(cpu.uncore.frequency_hz / uncore_max)
                 for i in range(n_gpus):
                     step_gpu(i, link_bw)
 

@@ -84,6 +84,19 @@ class TestAperfMperf:
         with pytest.raises(FrequencyError):
             driver.advance(-0.1)
 
+    def test_nan_dt_rejected(self, driver):
+        with pytest.raises(FrequencyError):
+            driver.advance(float("nan"))
+        assert driver.aperf == 0 and driver.mperf == 0
+
+    def test_resolved_clock_matches_effective_freq(self, driver):
+        driver.set_rapl_clamp(1.4e9)
+        other = PStateDriver(CoreConfig())
+        other.set_rapl_clamp(1.4e9)
+        driver.advance(0.01)
+        other.advance(0.01, other.effective_freq())
+        assert driver._aperf_cycles == other._aperf_cycles
+
     def test_zero_mperf_delta_rejected(self, driver):
         with pytest.raises(FrequencyError):
             driver.measured_freq(100, 0)

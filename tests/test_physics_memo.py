@@ -1,10 +1,11 @@
-"""The per-tick physics memos are exact.
+"""The per-tick physics memos and the lean device step are exact.
 
-``PhaseExecutionModel.instantaneous``, ``PackagePowerModel.package_power``
-/ ``uncore_power`` and the RAPL decay factors are memoised per model
-instance on their exact inputs, the RAPL clamp scans a per-model
-P-state table, and ``SimulatedGPU.step`` memoises its operating point
-per device.  These properties pin what makes that safe:
+``PhaseExecutionModel.instantaneous`` and ``PackagePowerModel.package_power``
+/ ``uncore_power`` are memoised per model instance on their exact
+inputs, RAPL reuses the last step's decay factors, the RAPL clamp scans
+a per-model P-state table, and ``SimulatedGPU.step`` memoises its
+operating point per device.  Processors and GPUs build their state
+snapshot on read.  These properties pin what makes that safe:
 
 * every result, first call or repeat, equals an uncached reference bit
   for bit — including signed zeros, which ``==`` (and so a dict key)
@@ -12,6 +13,8 @@ per device.  These properties pin what makes that safe:
 * an invalid input raises on every call and is never stored, nor is a
   NaN key;
 * no two processors, and no two GPUs, share a memo;
+* reading ``.state`` after every step or only now and then changes
+  nothing, and a stepper's cached ``done`` always matches its sockets;
 * the batch engine's memos are bounded by its lanes, not by how long
   the batch simulates.
 """
@@ -29,6 +32,7 @@ from repro.config import (
     NoiseConfig,
     PowerModelConfig,
     RAPLConfig,
+    ThermalConfig,
     UncoreConfig,
     yeti_socket_config,
 )
@@ -219,14 +223,46 @@ class TestMemoisedEqualsUncached:
         ) is parked
 
     def test_rapl_decay_matches_exp(self):
-        rapl, start = RAPLPackage(RAPLConfig()), RAPLConfig().pl1_default_w * 0.8
+        cfg = RAPLConfig(actuation_delay_s=0.015)
+        rapl, start = RAPLPackage(cfg), cfg.pl1_default_w * 0.8
         avg1 = avg2 = start
-        for dt, watts in ((0.01, 90.0), (0.0037, 120.0), (0.01, 80.0), (0.01, 95.0)):
+        reused = []
+
+        def step(dt, watts):
+            nonlocal avg1, avg2
+            before = rapl._last_decay
             rapl.step(dt, watts, 10.0)
+            reused.append(rapl._last_decay is before)
             avg1 += (1.0 - math.exp(-dt / rapl.pl1.window_s)) * (watts - avg1)
             avg2 += (1.0 - math.exp(-dt / rapl.pl2.window_s)) * (watts - avg2)
             assert rapl._avg_pl1_w == avg1 and rapl._avg_pl2_w == avg2
-        assert len(rapl._decay) == 2
+
+        # A full step, a partial slice, the return to the full dt.
+        for dt, watts in ((0.01, 90.0), (0.0037, 120.0), (0.01, 80.0), (0.01, 95.0)):
+            step(dt, watts)
+        # One window change at a time, each latched by the second step
+        # after its write.
+        rapl.set_limits(100.0, 120.0, pl1_window_s=0.25)
+        for watts in (110.0, 105.0, 99.0):
+            step(0.01, watts)
+        rapl.set_limits(100.0, 120.0, pl2_window_s=0.005)
+        for watts in (101.0, 97.0, 103.0):
+            step(0.01, watts)
+        assert (rapl.pl1.window_s, rapl.pl2.window_s) == (0.25, 0.005)
+        latch = [True, False, True]
+        assert reused == [False, False, False, True] + latch + latch
+        a1, a2 = 1.0 - math.exp(-0.01 / 0.25), 1.0 - math.exp(-0.01 / 0.005)
+        assert rapl._last_decay == (0.01, 0.25, 0.005, a1, a2)
+
+    def test_rapl_nan_window_is_never_reused(self):
+        rapl = RAPLPackage(RAPLConfig())
+        rapl.pl1.window_s = float("nan")  # bypasses set_limits
+        rapl.step(0.01, 90.0, 10.0)
+        first = rapl._last_decay
+        rapl.step(0.01, 90.0, 10.0)
+        assert rapl._last_decay is not first
+        assert math.isnan(rapl._avg_pl1_w)
+        assert not math.isnan(rapl._avg_pl2_w)
 
 
 class TestInvalidInputsNeverStored:
@@ -319,15 +355,15 @@ class TestMemoOwnership:
     def test_processors_never_share_a_memo(self):
         cfg = yeti_socket_config()
         a, b = SimulatedProcessor(cfg), SimulatedProcessor(cfg, socket_id=1)
+        work = PhaseWork(flops=1e12, bytes=1e11, fpc=4.0)
+        for _ in range(5):
+            a.step(0.01, work)
         pairs = [
             (a.perf._rates, b.perf._rates),
             (a.power_model._package, b.power_model._package),
             (a.power_model._uncore, b.power_model._uncore),
-            (a.rapl._decay, b.rapl._decay),
+            (a.rapl._last_decay, b.rapl._last_decay),
         ]
-        work = PhaseWork(flops=1e12, bytes=1e11, fpc=4.0)
-        for _ in range(5):
-            a.step(0.01, work)
         for mine, theirs in pairs:
             assert mine is not theirs
             assert mine and not theirs
@@ -353,6 +389,157 @@ class TestMemoOwnership:
         assert twin._points == {} and used._points
         assert used == twin
         assert "_points" not in repr(used)
+
+
+#: A socket whose package trips PROCHOT within a few ticks at full power
+#: and whose wide-vector phases (fpc >= 8) run under the AVX license.
+LEAN_CFG = replace(
+    yeti_socket_config(),
+    core=replace(CoreConfig(), avx_license_fpc=8.0, avx_max_freq_hz=2.4e9),
+    thermal=ThermalConfig(r_thermal_c_per_w=1.0, tau_s=0.05),
+)
+LEAN_WORK = [
+    None,
+    PhaseWork(flops=1e12, bytes=1e7, fpc=4.0),
+    PhaseWork(flops=1.5e10, bytes=1e12, fpc=0.5, overfetch=0.4),
+    PhaseWork(flops=2e12, bytes=1e9, fpc=16.0, power_boost=1.3),
+]
+# (dt, work index, read the sparse twin's state?), a cap write with an
+# optional PL1 window change, or an uncore pin (``None`` releases).
+lean_step = st.tuples(
+    st.just("step"), pick([0.01, 0.0037], 1e-4, 0.02), st.integers(0, 3), st.booleans()
+)
+lean_cap = st.tuples(
+    st.just("cap"), st.sampled_from([65.0, 90.0, 125.0]), st.sampled_from([None, 0.25])
+)
+lean_pin = st.tuples(st.just("pin"), st.sampled_from([None, 1.2e9, 1.8e9, 2.4e9]))
+lean_actions = st.lists(
+    st.one_of(lean_step, lean_step, lean_step, lean_cap, lean_pin),
+    min_size=1,
+    max_size=60,
+)
+
+
+def processor_counters(proc):
+    return bits(
+        (
+            proc.now_s,
+            proc.package_energy_j,
+            proc.dram_energy_j,
+            proc.flops_retired,
+            proc.bytes_transferred,
+            proc.dvfs._aperf_cycles,
+            proc.dvfs._mperf_cycles,
+            proc.rapl._avg_pl1_w,
+            proc.rapl._avg_pl2_w,
+            proc.thermal.temperature_c,
+            proc.uncore.frequency_hz,
+        )
+    )
+
+
+class TestLeanStep:
+    """Snapshots built on read equal the ones an every-tick reader sees."""
+
+    @MEMO
+    @given(actions=lean_actions)
+    def test_processor_snapshot_on_read(self, actions):
+        eager, sparse = SimulatedProcessor(LEAN_CFG), SimulatedProcessor(LEAN_CFG)
+        for action in actions:
+            for proc in (eager, sparse):
+                if action[0] == "cap":
+                    proc.rapl.set_limits(action[1], action[1], pl1_window_s=action[2])
+                elif action[0] == "pin":
+                    if action[1] is None:
+                        proc.uncore.release()
+                    else:
+                        proc.uncore.pin(action[1])
+            if action[0] != "step":
+                continue
+            _, dt, w, read = action
+            work = LEAN_WORK[w]
+            assert bits(eager.step(dt, work)) == bits(sparse.step(dt, work))
+            seen = eager.state
+            if read:
+                got = sparse.state
+                assert bits(astuple(got)) == bits(astuple(seen))
+                assert sparse.state is got
+        assert processor_counters(eager) == processor_counters(sparse)
+        if eager._snap is not None:
+            assert bits(astuple(sparse.state)) == bits(astuple(eager.state))
+
+    def test_scenario_reaches_prochot_and_the_avx_license(self):
+        proc = SimulatedProcessor(LEAN_CFG)
+        tripped = False
+        aperf = 0.0
+        for _ in range(40):
+            proc.step(0.01, LEAN_WORK[3])
+            tripped |= proc.thermal.prochot
+            assert proc.state.core_freq_hz <= 2.4e9
+            # APERF counts the P-state clock, before AVX and PROCHOT.
+            aperf += proc.dvfs.effective_freq() * 0.01
+            assert proc.dvfs._aperf_cycles == aperf
+        assert tripped
+
+    def test_repeated_reads_return_one_object(self):
+        proc, gpu = SimulatedProcessor(LEAN_CFG), SimulatedGPU()
+        for dev, work in ((proc, LEAN_WORK[1]), (gpu, GPUKernel("k", 1e12, 1e11))):
+            with pytest.raises(SimulationError):
+                _ = dev.state
+            dev.step(0.01, work)
+            first = dev.state
+            assert dev.state is first and dev.state is first
+            dev.step(0.01, work)
+            assert dev.state is not first
+            assert dev.state.time_s == 0.02
+
+    @MEMO
+    @given(
+        calls=st.lists(st.tuples(gpu_args, st.booleans()), min_size=1, max_size=30)
+    )
+    def test_gpu_snapshot_on_read(self, calls):
+        eager, sparse = SimulatedGPU(), SimulatedGPU()
+        for (work, limit, dt), read in calls:
+            kernel = gpu_kernel(work)
+            for gpu in (eager, sparse):
+                gpu.set_power_limit(limit)
+            assert bits(eager.step(dt, kernel)) == bits(sparse.step(dt, kernel))
+            seen = eager.state
+            if read:
+                got = sparse.state
+                assert bits(astuple(got)) == bits(astuple(seen))
+                assert sparse.state is got
+        assert bits((eager.energy_j, eager.now_s)) == bits(
+            (sparse.energy_j, sparse.now_s)
+        )
+        assert bits(astuple(sparse.state)) == bits(astuple(eager.state))
+
+    def test_stepper_done_tracks_every_socket(self):
+        apps = [build_application(name, scale=0.05) for name in ("EP", "CG")]
+        cfg = ControllerConfig(tolerated_slowdown=0.10)
+        engine = build_engine(
+            apps,
+            as_spec("dufp").build(cfg),
+            controller_cfg=cfg,
+            noise=NoiseConfig(),
+            seed=3,
+            record_trace=False,
+        )
+        assert engine.machine.socket_count == 2
+        stepper = engine.stepper()
+        finished = [p.finish_time_s is not None for p in stepper.progress]
+        assert stepper.done is all(finished) is False
+        split = 0
+        try:
+            while not stepper.done:
+                stepper.tick()
+                finished = [p.finish_time_s is not None for p in stepper.progress]
+                assert stepper.done is all(finished)
+                split += any(finished) and not all(finished)
+        finally:
+            stepper.close()
+        assert split > 0  # one socket idled while the other still ran
+        assert stepper.result().execution_time_s > 0
 
 
 class TestBatchMemoryBounded:

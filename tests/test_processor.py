@@ -17,6 +17,16 @@ class TestStepping:
         with pytest.raises(SimulationError):
             processor.step(0.0, compute_work)
 
+    @pytest.mark.parametrize("work", [None, "compute"])
+    def test_nan_dt_rejected(self, processor, compute_work, work):
+        work = compute_work if work == "compute" else None
+        with pytest.raises(SimulationError):
+            processor.step(float("nan"), work)
+        assert processor.now_s == 0.0
+        assert processor.package_energy_j == 0.0
+        with pytest.raises(SimulationError):
+            _ = processor.state
+
     def test_time_advances(self, processor, compute_work):
         processor.step(0.01, compute_work)
         processor.step(0.02, compute_work)

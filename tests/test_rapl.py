@@ -108,6 +108,21 @@ class TestBudget:
         with pytest.raises(RAPLError):
             rapl.step(0.01, -1.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (float("nan"), 100.0, 10.0),
+            (0.01, float("nan"), 10.0),
+            (0.01, 100.0, float("nan")),
+        ],
+    )
+    def test_step_rejects_nan(self, rapl, args):
+        with pytest.raises(RAPLError):
+            rapl.step(*args)
+        assert rapl.package.total_energy_j == 0.0
+        assert rapl.dram.total_energy_j == 0.0
+        assert not math.isnan(rapl._avg_pl1_w)
+
 
 class TestEnergyMetering:
     def test_package_energy_integral(self, rapl):

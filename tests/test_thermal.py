@@ -81,6 +81,13 @@ class TestRCDynamics:
         with pytest.raises(HardwareError):
             m.step(1.0, -1.0)
 
+    @pytest.mark.parametrize("args", [(float("nan"), 10.0), (1.0, float("nan"))])
+    def test_step_rejects_nan(self, args):
+        m = ThermalModel(ThermalConfig())
+        with pytest.raises(HardwareError):
+            m.step(*args)
+        assert m.temperature_c == ThermalConfig().ambient_c
+
 
 class TestProchot:
     def test_asserts_above_trip(self):
