@@ -544,9 +544,14 @@ class EngineConfig:
     max_sim_time_s: float = 3600.0
 
     def validate(self) -> None:
-        if self.dt_s <= 0:
-            raise ConfigurationError("EngineConfig.dt_s must be positive")
-        if self.max_sim_time_s <= 0:
+        # ``not x > 0`` rejects NaN too: a NaN time limit would disable
+        # the stuck-run check, and a NaN step never reaches the next
+        # controller tick.
+        if not (self.dt_s > 0 and math.isfinite(self.dt_s)):
+            raise ConfigurationError(
+                "EngineConfig.dt_s must be positive and finite"
+            )
+        if not self.max_sim_time_s > 0:
             raise ConfigurationError("EngineConfig.max_sim_time_s must be positive")
 
 

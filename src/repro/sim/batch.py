@@ -1,4 +1,4 @@
-"""Vectorized batch simulation: N independent runs in lockstep.
+"""Vectorized batch simulation: N independent runs on one lane array.
 
 :class:`BatchSimulationEngine` advances a batch of independent
 :class:`~repro.sim.engine.SimulationEngine` runs (different seeds,
@@ -18,6 +18,13 @@ The design is a synced facade, not a reimplementation of the stack:
   Just before a run's controller tick becomes due, the lane arrays are
   *scattered* back into that run's objects; after the tick the
   actuator state is *gathered* back out.
+* Runs meet only at *syncs*: a due controller tick, a trace sample,
+  the time-limit check, the end of the batch.  Between syncs each run
+  keeps its own tick clock, and every full-width kernel pass gives
+  each lane of a run behind the sync the next sub-slice of its run's
+  current tick.  A lane that a phase boundary splits finishes its
+  tick in the next pass while the other runs start their next tick,
+  so no lane ever steps outside the vector kernels.
 * Fault-free runs whose controllers all publish a lane-parallel tick
   form (:func:`repro.core.registry.vector_tick_form`) skip the
   per-tick scatter/gather entirely: measurement, decision and
@@ -68,6 +75,12 @@ __all__ = [
     "batch_fallback_reason",
     "controller_lane_fallback_reason",
 ]
+
+#: Tick counter of a run that stopped: it never starts another tick.
+_PARKED = np.iinfo(np.int64).max
+
+#: Rows of the per-phase constant tables (see ``_build_lanes``).
+_FLOPS, _BYTES, _FPC, _PEAK, _US, _LS, _OV, _BOOST = range(8)
 
 
 def batch_fallback_reason(engine: SimulationEngine) -> str | None:
@@ -147,10 +160,10 @@ def controller_lane_fallback_reason(engine: SimulationEngine) -> str | None:
 
 
 class BatchSimulationEngine:
-    """Lockstep execution of compatible simulation runs.
+    """Vectorized execution of compatible simulation runs.
 
     All engines must share one :class:`~repro.config.SocketConfig`
-    and one engine ``dt_s`` (the lockstep grid); everything else —
+    and one engine ``dt_s`` (the tick grid); everything else —
     seeds, controllers, controller configs, applications, fault plans,
     per-run socket counts, trace sinks — may differ per run.
     """
@@ -218,14 +231,18 @@ class BatchSimulationEngine:
         self.procs = []
         self.run_of_list: list[int] = []
         self.run_lanes: list[list[int]] = []
-        self.phases: list[tuple] = []
+        phases: list = []
+        row_first: list[int] = []
+        row_end: list[int] = []
         for r, (e, ctx) in enumerate(zip(engines, ctxs)):
             lanes = []
             for s, proc in enumerate(e.machine.processors):
                 lanes.append(len(self.procs))
                 self.procs.append(proc)
                 self.run_of_list.append(r)
-                self.phases.append(tuple(ctx.socket_apps[s].phases))
+                row_first.append(len(phases))
+                phases.extend(ctx.socket_apps[s].phases)
+                row_end.append(len(phases))
             self.run_lanes.append(lanes)
         L = self.L = len(self.procs)
         R = len(engines)
@@ -283,12 +300,9 @@ class BatchSimulationEngine:
         )
         self.cp_grid = self.cp_base[None, :]
         self._grid_last = len(pf) - 1
-        # Python-float copies of the grid for the scalar lane tail.
-        self._pf_list = pf
-        self._cpb_list = self.cp_base.tolist()
         # When the top grid point fits every lane's budget nobody is
         # clamped; precompute what the full search would return then.
-        self._cp_top = self._cpb_list[-1]
+        self._cp_top = float(self.cp_base[-1])
         self._clamp_top = min(max(pf[-1], self.cmin), self.cmax)
         # ``x + (1-x)*a`` with the ``1-x`` hoisted — same product bitwise.
         self._a1 = 1.0 - self.a0
@@ -320,14 +334,12 @@ class BatchSimulationEngine:
         # scalar ``smooth_max`` loop only visits lanes whose inputs
         # actually changed (see ``_phase_time``).  NaN never compares
         # equal, so fresh lanes always recompute.
-        self._sm_tc = np.full(L, np.nan)
-        self._sm_tm = np.full(L, np.nan)
-        self._sm_t = np.zeros(L, dtype=np.float64)
+        self._sm = np.array([np.full(L, np.nan), np.full(L, np.nan), z()])
         # Phase-time memo (see ``_phase_time``) and the log of lanes
         # whose phase changed since an entry was stored.
         self._pt_memo: dict[bytes, list] = {}
         self._pt_dirty_log: list[int] = []
-        self._all_alive = True
+        self._all_active = True
 
         self.pl1_w = np.array([p.rapl.pl1.limit_w for p in self.procs])
         self.pl1_win = np.array([p.rapl.pl1.window_s for p in self.procs])
@@ -360,32 +372,25 @@ class BatchSimulationEngine:
         self.prev_act, self.prev_traf = z(), z()
         self.flops_ret, self.bytes_trans, self.proc_now = z(), z(), z()
 
-        # Workload cursor.
-        self.phase_idx = [0] * L
-        self.phase_done = np.array(
-            [len(ph) == 0 for ph in self.phases], dtype=bool
-        )
+        # Workload cursor: every lane's phases are consecutive rows of
+        # flat per-phase tables; ``row`` is the lane's current phase and
+        # ``row_end`` one past its last.
+        self.row = np.array(row_first, dtype=np.int64)
+        self.row_end = np.array(row_end, dtype=np.int64)
+        self._names = [ph.name for ph in phases]
+        self.phase_done = self.row >= self.row_end
         self.unfinished = np.ones(L, dtype=bool)
         self._check_finish = bool(self.phase_done.any())
         self.frac = z()
         self.finish = np.full(L, np.nan)
-        self.phase_start = [0.0] * L
+        self.phase_start = z()
         self.spans: list[list[PhaseSpan]] = [[] for _ in range(L)]
-        self.cur_name = [""] * L
-        self.cur_flops, self.cur_bytes = z(), z()
-        self.cur_fpc = np.ones(L, dtype=np.float64)
-        self.cur_peak_coef = z()
-        self.cur_us, self.cur_ls, self.cur_ov = z(), z(), z()
-        self.cur_us_on = np.zeros(L, dtype=bool)
-        self.cur_ls_on = np.zeros(L, dtype=bool)
-        self.cur_ov_on = np.zeros(L, dtype=bool)
-        self.cur_boost = np.ones(L, dtype=np.float64)
-        # Per-phase constants flattened to plain float tuples so
-        # ``_load_phase`` is attribute-lookup free on the hot path.
-        self.phase_vals = [
-            tuple(
+        # The current phase's constants, one row per quantity (the
+        # ``cur_*`` names are views), and the matching phase tables: a
+        # crossing gathers every quantity of its next row in one go.
+        tab = np.array(
+            [
                 (
-                    ph.name,
                     ph.flops,
                     ph.bytes,
                     ph.fpc,
@@ -393,18 +398,20 @@ class BatchSimulationEngine:
                     ph.uncore_sensitivity,
                     ph.latency_sensitivity,
                     ph.overfetch,
-                    ph.uncore_sensitivity > 0.0 and ph.flops > 0.0,
-                    ph.latency_sensitivity > 0.0,
-                    ph.overfetch > 0.0,
                     ph.power_boost,
                 )
-                for ph in phs
-            )
-            for phs in self.phases
-        ]
-        for l in range(L):
-            if not self.phase_done[l]:
-                self._load_phase(l)
+                for ph in phases
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 8)
+        self._tab = tab.T.copy()
+        self._cur = np.zeros((8, L), dtype=np.float64)
+        self._cur[[_FPC, _BOOST]] = 1.0
+        self.cur_flops, self.cur_bytes = self._cur[_FLOPS], self._cur[_BYTES]
+        self.cur_fpc, self.cur_boost = self._cur[_FPC], self._cur[_BOOST]
+        self.cur_ov = self._cur[_OV]
+        first = (~self.phase_done).nonzero()[0]
+        self._load_rows(first, self.row[first])
         self._refresh_phase_flags()
 
         # Last-step snapshot (the trace sample fields).
@@ -425,12 +432,15 @@ class BatchSimulationEngine:
         self._alpha2 = np.zeros(L, dtype=np.float64)
         self._refresh_alpha(range(L))
         if self.has_thermal:
-            self._alpha_th = 1.0 - math.exp(-self.dt / self.th_tau)
-            self._alpha_th_arr = np.full(L, self._alpha_th)
+            self._alpha_th_arr = np.full(
+                L, 1.0 - math.exp(-self.dt / self.th_tau)
+            )
         # The roofline time from the last ``_step`` can serve the next
         # preview when no state it depends on moved in between; AVX
         # clamping and PROCHOT make step and preview clocks diverge,
-        # so reuse is only safe without them.
+        # so reuse is only safe without them.  ``_t_cache`` holds it
+        # with the lanes it covers; under a static uncore the
+        # phase-time memo serves the preview instead.
         self._t_reuse = (not self.avx_on) and (not self.has_thermal)
         self._t_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -440,6 +450,23 @@ class BatchSimulationEngine:
         self.alive = np.ones(R, dtype=bool)
         self._lanes_left = [len(lanes) for lanes in self.run_lanes]
         self._maybe_done: list[int] = []
+        # Run clocks (see ``_tick``): tick start times accumulate
+        # ``now += dt`` exactly as the scalar stepper's clock does;
+        # ``ticks`` counts the ticks each lane's run has started and
+        # ``rem`` is what is left of the lane's current one.  A run
+        # whose last lane finished parks its counter and records the
+        # tick its clock stopped at.
+        self._times = [0.0]
+        self.ticks = np.zeros(L, dtype=np.int64)
+        self.rem = z()
+        self._end_tick = [0] * R
+        # Multi-socket runs share ticks: their lanes start the next one
+        # together, reduced over each run's contiguous lane block.
+        self._run_first = (
+            None
+            if L == R
+            else np.array([lanes[0] for lanes in self.run_lanes])
+        )
         self._init_lane_controllers(ctxs)
 
     def _init_lane_controllers(self, ctxs: list[RunContext]) -> None:
@@ -563,34 +590,10 @@ class BatchSimulationEngine:
         counter = np.mod(np.trunc(energy_j / self._e_unit), self._e_span)
         return np.trunc((counter * self._e_unit) * 1e9)
 
-    def _load_phase(self, l: int) -> None:
-        (
-            name,
-            flops,
-            byts,
-            fpc,
-            peak_coef,
-            us,
-            ls,
-            ov,
-            us_on,
-            ls_on,
-            ov_on,
-            boost,
-        ) = self.phase_vals[l][self.phase_idx[l]]
-        self._pt_dirty_log.append(l)
-        self.cur_name[l] = name
-        self.cur_flops[l] = flops
-        self.cur_bytes[l] = byts
-        self.cur_fpc[l] = fpc
-        self.cur_peak_coef[l] = peak_coef
-        self.cur_us[l] = us
-        self.cur_ls[l] = ls
-        self.cur_ov[l] = ov
-        self.cur_us_on[l] = us_on
-        self.cur_ls_on[l] = ls_on
-        self.cur_ov_on[l] = ov_on
-        self.cur_boost[l] = boost
+    def _load_rows(self, lanes: np.ndarray, rows: np.ndarray) -> None:
+        """Gather phase-table ``rows`` into the current-phase arrays."""
+        self._cur[:, lanes] = self._tab[:, rows]
+        self._pt_dirty_log.extend(lanes.tolist())
 
     def _refresh_phase_flags(self) -> None:
         """Batch-wide guards for optional phase terms.
@@ -600,9 +603,9 @@ class BatchSimulationEngine:
         masked writes with an all-false mask, so skipping is bitwise
         free.  Recomputed whenever any lane crosses a phase boundary.
         """
-        self._any_us = bool(self.cur_us_on.any())
-        self._any_ls = bool(self.cur_ls_on.any())
-        self._any_ov = bool(self.cur_ov_on.any())
+        self._any_us, self._any_ls, self._any_ov = (
+            (self._cur[[_US, _LS, _OV]] > 0.0).any(axis=1).tolist()
+        )
         self._any_boost = bool((self.cur_boost != 1.0).any())
         self._any_phase_done = bool(self.phase_done.any())
 
@@ -634,41 +637,57 @@ class BatchSimulationEngine:
     # -- main loop -------------------------------------------------------------------
 
     def _loop(self, ctxs: list[RunContext], closed: set[int]) -> None:
-        now = 0.0
         dt = self.dt
+        times = self._times
         max_times = [e.engine_cfg.max_sim_time_s for e in self.engines]
-        min_max_time = min(max_times)
         injector_runs = [
             r for r, ctx in enumerate(ctxs) if ctx.injector is not None
         ]
         trace_runs = [r for r, ctx in enumerate(ctxs) if ctx.sink is not None]
         alive = self.alive
-        # Both caches below change only when a run finishes, so they
-        # are refreshed inside the ``_maybe_done`` block rather than
-        # recomputed every tick.
-        lane_mask = alive[self.run_of]
-        self._all_alive = bool(alive.all())
-        next_due = float(self.next_tick.min())
+        ended = self._maybe_done
+        k = 0
         while alive.any():
-            if now >= min_max_time:
-                for r in np.nonzero(alive)[0]:
+            # The scalar stepper checks its time limit before every
+            # tick; windows stop at the first tick start that reaches
+            # the smallest live limit, so checking at syncs is exact.
+            now = times[k]
+            live = alive.nonzero()[0].tolist()
+            limit = min(max_times[r] for r in live)
+            if now >= limit:
+                for r in live:
                     if now >= max_times[r]:
                         e = self.engines[r]
                         raise SimulationError(
                             f"simulation exceeded {max_times[r]}s "
                             f"(application {e.application!r} stuck?)"
                         )
-            self._tick(now, lane_mask)
-            if trace_runs:
+            # The next sync: a due controller tick (the mirror of
+            # ControllerRuntime.on_time's due check; finished runs park
+            # their next_tick at +inf), the time limit, or — while a
+            # recording run lives — the next trace sample.
+            traced = any(alive[r] for r in trace_runs)
+            next_due = float(self.next_tick.min())
+            sync = k + 1
+            while True:
+                if sync == len(times):
+                    times.append(times[-1] + dt)
+                t = times[sync]
+                if traced or t + 1e-12 >= next_due or t >= limit:
+                    break
+                sync += 1
+            self._tick(sync)
+            now = times[sync]
+            if traced:
                 self._record(ctxs, trace_runs)
-            now += dt
+            # Retire finished runs where the scalar loop would: a run that
+            # stopped before this sync leaves before the due ticks, one
+            # that stopped on it leaves after them.
+            early = [r for r in ended if self._end_tick[r] < sync]
+            self._retire(ctxs, closed, early)
             for r in injector_runs:
                 if alive[r]:
                     ctxs[r].injector.advance(now)
-            # Mirror of ControllerRuntime.on_time's due check: the call
-            # is skipped exactly when it would return early.  Finished
-            # runs park their next_tick at +inf, so the scalar minimum
-            # is an exact pre-filter for the array comparison.
             if now + 1e-12 >= next_due:
                 due = np.nonzero(alive & (now + 1e-12 >= self.next_tick))[0]
                 vec_due: list[int] = []
@@ -687,26 +706,30 @@ class BatchSimulationEngine:
                     self._tick_lanes(vec_due, now)
                 if sg:
                     self._after_gather()
-                next_due = float(self.next_tick.min())
-            if self._maybe_done:
-                for r in self._maybe_done:
-                    if alive[r] and self._lanes_left[r] == 0:
-                        alive[r] = False
-                        self.next_tick[r] = np.inf
-                        # Final sync: ``collect`` reads energies (and
-                        # any state a later caller inspects) from the
-                        # objects.
-                        self._scatter(r)
-                        ctx = ctxs[r]
-                        if self._vec_run[r]:
-                            self._sync_lane_controllers(r, ctx)
-                        if ctx.sink is not None:
-                            ctx.sink.close()
-                            closed.add(r)
-                self._maybe_done.clear()
-                lane_mask = alive[self.run_of]
-                self._all_alive = bool(alive.all())
-                next_due = float(self.next_tick.min())
+            self._retire(ctxs, closed, [r for r in ended if alive[r]])
+            ended.clear()
+            k = sync
+
+    def _retire(
+        self, ctxs: list[RunContext], closed: set[int], runs: list[int]
+    ) -> None:
+        """Take finished runs out of the batch and sync their objects."""
+        for r in runs:
+            self.alive[r] = False
+            self.next_tick[r] = np.inf
+            # Final sync: ``collect`` reads energies (and any state a
+            # later caller inspects) from the objects.
+            self._scatter(r)
+            ctx = ctxs[r]
+            if ctx.injector is not None:
+                # The run's own end time, as its last scalar tick
+                # left it (``advance`` only sets the clock).
+                ctx.injector.advance(self._times[self._end_tick[r]])
+            if self._vec_run[r]:
+                self._sync_lane_controllers(r, ctx)
+            if ctx.sink is not None:
+                ctx.sink.close()
+                closed.add(r)
 
     def _record(self, ctxs: list[RunContext], trace_runs: list[int]) -> None:
         """Materialise this tick's trace samples for recording runs."""
@@ -830,7 +853,7 @@ class BatchSimulationEngine:
         st = self._lane_state
         kinds = self.ctrl_kind[idx]
         for code in np.unique(kinds):
-            pos_k = np.flatnonzero(kinds == code)
+            pos_k = (kinds == code).nonzero()[0]
             sub = idx[pos_k]
             changed, cap_act, unc_act = self._tick_forms[code](
                 st, sub, fl[pos_k], by[pos_k], pk[pos_k], oi[pos_k]
@@ -898,58 +921,70 @@ class BatchSimulationEngine:
             sctx.uncore._pin(float(st.uncore.pin[l]))
             sctx.cap.just_reset = bool(st.cap.just_reset[l])
 
-    # -- one macro step, all lanes ---------------------------------------------------
+    # -- run clocks: full-width passes up to a sync ------------------------------------
 
-    def _tick(self, step_start: float, lane_mask: np.ndarray) -> None:
-        """One macro step: one full-width kernel pass, then a tail.
+    def _tick(self, sync: int) -> None:
+        """Advance every live run's clock to tick ``sync``.
 
-        Lanes are independent between controller syncs, so after the
-        vectorized pass covers everyone's first slice, the few lanes
-        split at a phase boundary finish their step through the
-        bit-exact scalar mirror (``_lane_tail``) instead of dragging
-        every lane through extra full-width sub-iterations.
+        Lanes never interact between syncs, so each run keeps its own
+        clock.  Every pass first starts the next tick of each run that
+        is behind the sync and whose lanes have all used up their
+        current one (a multi-socket run's lanes share ticks), then runs
+        one full-width preview/step over the lanes with time left.  A
+        lane split at a phase boundary finishes its tick in the next
+        pass while the other runs move on, so each lane steps the same
+        sub-slices in the same order as a scalar run; lanes with
+        nothing to do this pass sit out with ``dt_l = 0``.  The window
+        ends when no lane has time left.
         """
         dt = self.dt
-        remaining = np.where(lane_mask, dt, 0.0)
-        active = lane_mask
+        rem, ticks = self.rem, self.ticks
+        first = self._run_first
+        while True:
+            start = (rem == 0.0) & (ticks < sync)
+            if first is not None:
+                start = np.logical_and.reduceat(start, first)[self.run_of]
+            if np.count_nonzero(start):
+                rem[start] = dt
+                ticks += start
+            active = rem > 0.0
+            n = np.count_nonzero(active)
+            if n == 0:
+                return
+            self._all_active = n == self.L
+            self._pass(active)
+
+    def _pass(self, active: np.ndarray) -> None:
+        """One sub-slice for every ``active`` lane: preview, step, cross."""
+        rem = self.rem
         if self._check_finish:
             newly = active & self.phase_done & self.unfinished
             if newly.any():
-                self.finish[newly] = step_start + (dt - remaining[newly])
-                self.unfinished[newly] = False
-                for l in np.nonzero(newly)[0]:
-                    r = self.run_of_list[l]
-                    self._lanes_left[r] -= 1
-                    if self._lanes_left[r] == 0:
-                        self._maybe_done.append(r)
-                self._check_finish = bool(
-                    (self.phase_done & self.unfinished).any()
-                )
+                self._finish(newly.nonzero()[0].tolist())
         # ``_step`` and everything below treat the masks read-only, so
         # aliasing is safe when no lane has retired its phase list.
         working = (
             active & ~self.phase_done if self._any_phase_done else active
         )
-        slice_ = remaining
+        slice_ = rem
         ttf = None
-        if working.any():
+        if np.count_nonzero(working):
             rate = self._preview(working)
             bad = working & ~(rate > 0.0)
-            if bad.any():
-                l = int(np.nonzero(bad)[0][0])
+            if np.count_nonzero(bad):
+                l = int(bad.nonzero()[0][0])
                 raise SimulationError(
-                    f"phase {self.cur_name[l]!r} makes no progress"
+                    f"phase {self._names[self.row[l]]!r} makes no progress"
                 )
             ttf = (1.0 - self.frac) / rate
-            slice_ = np.minimum(remaining, np.maximum(ttf, _MIN_SLICE_S))
-        dt_l = np.where(working, slice_, remaining)
+            slice_ = np.minimum(rem, np.maximum(ttf, _MIN_SLICE_S))
+        dt_l = np.where(working, slice_, rem)
         progress_rate = self._step(dt_l, active, working)
         # ``progress_rate`` and ``dt_l`` are exactly zero off the
-        # working set, so the unmasked updates are no-ops there
-        # (and ``r - r == 0.0`` retires idle lanes).
-        made = np.minimum(progress_rate * dt_l, 1.0)
-        self.frac += made
-        remaining = remaining - dt_l
+        # working set, so the unmasked updates are no-ops there (and
+        # ``r - r == 0.0`` uses up a finished lane's tick).
+        self.frac += np.minimum(progress_rate * dt_l, 1.0)
+        rem -= dt_l
         if ttf is not None:
             done = working & (
                 (self.frac >= 1.0 - _DONE_EPS)
@@ -958,34 +993,60 @@ class BatchSimulationEngine:
                     & (self.frac >= 1.0 - 1e-3)
                 )
             )
-            crossed = np.nonzero(done)[0]
-            for l in crossed:
-                end = step_start + (dt - float(remaining[l]))
-                self.spans[l].append(
-                    PhaseSpan(
-                        name=self.cur_name[l],
-                        start_s=self.phase_start[l],
-                        end_s=end,
-                    )
-                )
-                self.phase_idx[l] += 1
-                self.frac[l] = 0.0
-                self.phase_start[l] = end
-                if self.phase_idx[l] >= len(self.phases[l]):
-                    self.phase_done[l] = True
-                    self._check_finish = True
-                else:
-                    self._load_phase(l)
+            crossed = done.nonzero()[0]
             if len(crossed):
-                self._refresh_phase_flags()
-                self._t_cache = None
-        tail = np.nonzero(remaining > 0.0)[0]
-        if len(tail):
-            self._eff = None
-            self._t_cache = None
-            for l in tail.tolist():
-                self._lane_tail(l, float(remaining[l]), step_start)
-            self._refresh_phase_flags()
+                self._cross(crossed)
+
+    def _finish(self, lanes: list[int]) -> None:
+        """Stamp finish times; a run whose last lane finished stops.
+
+        The run still idles out its current tick (its lanes' ``rem``),
+        then parks: its tick counter never starts another tick.
+        """
+        dt = self.dt
+        for l in lanes:
+            k = int(self.ticks[l])
+            self.finish[l] = self._times[k - 1] + (dt - self.rem.item(l))
+            self.unfinished[l] = False
+            r = self.run_of_list[l]
+            self._lanes_left[r] -= 1
+            if self._lanes_left[r] == 0:
+                self._maybe_done.append(r)
+                self._end_tick[r] = k
+                self.ticks[self.run_lanes[r]] = _PARKED
+        self._check_finish = bool((self.phase_done & self.unfinished).any())
+
+    def _cross(self, crossed: np.ndarray) -> None:
+        """Close ``crossed`` lanes' phase spans and load their next rows."""
+        dt, times = self.dt, self._times
+        rows = self.row[crossed]
+        names, spans = self._names, self.spans
+        ends = []
+        for l, row, k, rm, start in zip(
+            crossed.tolist(),
+            rows.tolist(),
+            self.ticks[crossed].tolist(),
+            self.rem[crossed].tolist(),
+            self.phase_start[crossed].tolist(),
+        ):
+            # ``times[k - 1]`` is the start of the lane's current tick.
+            end = times[k - 1] + (dt - rm)
+            spans[l].append(PhaseSpan(name=names[row], start_s=start, end_s=end))
+            ends.append(end)
+        self.phase_start[crossed] = ends
+        self.frac[crossed] = 0.0
+        if self._t_cache is not None:
+            self._t_cache[1][crossed] = False
+        rows += 1
+        self.row[crossed] = rows
+        more = rows < self.row_end[crossed]
+        if not more.all():
+            self.phase_done[crossed[~more]] = True
+            self._check_finish = True
+            crossed, rows = crossed[more], rows[more]
+        if len(crossed):
+            self._load_rows(crossed, rows)
+        self._refresh_phase_flags()
 
     # -- vector kernels ---------------------------------------------------------------
 
@@ -1029,125 +1090,158 @@ class BatchSimulationEngine:
             self._alpha2[l] = 1.0 - math.exp(-d / self.pl2_win[l])
 
     def _ema_alphas(
-        self, dt_l: np.ndarray
+        self, dt_l: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``1 - exp(-dt_l/window)`` factors, bit-exact per lane.
+        """``1 - exp(-dt_l/window)`` factors, bit-exact per active lane.
 
-        Almost every lane steps either the full macro ``dt`` (factor
-        precomputed in ``_refresh_alpha``) or ``0`` (factor exactly
-        ``0.0`` since ``exp(-0.0) == 1``); only lanes split at a phase
+        Almost every active lane steps the full tick ``dt`` (factor
+        precomputed in ``_refresh_alpha``); only lanes split at a phase
         boundary need a fresh :func:`math.exp`, patched per element.
+        Inactive lanes get meaningless factors: the caller masks them.
         """
-        full = dt_l == self.dt
-        if full.all():
-            return (
-                self._alpha1,
-                self._alpha2,
-                self._alpha_th_arr if self.has_thermal else None,
-            )
-        a1 = np.where(full, self._alpha1, 0.0)
-        a2 = np.where(full, self._alpha2, 0.0)
-        a_th = (
-            np.where(full, self._alpha_th, 0.0) if self.has_thermal else None
-        )
-        odd = (dt_l != 0.0) & ~full
-        if odd.any():
-            for l in np.nonzero(odd)[0].tolist():
-                d = dt_l[l]
-                a1[l] = 1.0 - math.exp(-d / self.pl1_win[l])
-                a2[l] = 1.0 - math.exp(-d / self.pl2_win[l])
-                if a_th is not None:
-                    a_th[l] = 1.0 - math.exp(-d / self.th_tau)
+        a1, a2 = self._alpha1, self._alpha2
+        a_th = self._alpha_th_arr if self.has_thermal else None
+        split = dt_l != self.dt
+        if not self._all_active:
+            split &= active
+        odd = split.nonzero()[0]
+        if len(odd):
+            exp = math.exp
+            neg = (-dt_l[odd]).tolist()
+            a1, a2 = a1.copy(), a2.copy()
+            a1[odd] = [
+                1.0 - exp(d / w)
+                for d, w in zip(neg, self.pl1_win[odd].tolist())
+            ]
+            a2[odd] = [
+                1.0 - exp(d / w)
+                for d, w in zip(neg, self.pl2_win[odd].tolist())
+            ]
+            if a_th is not None:
+                tau = self.th_tau
+                a_th = a_th.copy()
+                a_th[odd] = [1.0 - exp(d / tau) for d in neg]
         return a1, a2, a_th
 
     def _phase_time(
-        self, core_hz: np.ndarray, need: np.ndarray
+        self, core_hz: np.ndarray, need: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Roofline phase time ``t`` and compute time ``t_c``.
 
-        Mirrors ``PhaseExecutionModel._roof_times`` + ``smooth_max``;
-        values are meaningful only where ``need`` (working lanes).
+        Values are meaningful only where ``need`` (a lane mask; ``None``
+        means every lane with phases left).
 
         While the uncore is static, ``(t, t_c)`` is a pure function of
         the clock vector and the per-lane phase, so results memoize on
-        the clock bytes; lanes that crossed a phase boundary since an
-        entry was stored are re-derived scalar (``_t_lane``) instead of
-        recomputing the whole batch.  Caching over shrinking ``need``
-        masks is safe because ``working`` only ever shrinks, so a
-        cached entry always covers at least the lanes now needed.
+        the clock bytes.  Each entry records the lanes it computed: a
+        lane may sit out one pass and work the next, so a hit whose
+        need set grew is a miss.  Lanes that crossed a phase boundary
+        since an entry was stored are re-derived on their index set.
         """
         if self._u_static:
             key = core_hz.tobytes()
             hit = self._pt_memo.get(key)
-            if hit is not None:
-                ver, t, t_c = hit
+            # A ``None`` entry covered every lane with phases left when
+            # it was stored; that set only shrinks.
+            if hit is not None and (
+                hit[1] is None
+                or (need is not None and not (need > hit[1]).any())
+            ):
+                ver, _, t, t_c = hit
                 log = self._pt_dirty_log
                 if ver < len(log):
-                    clk = np.frombuffer(key, dtype=np.float64)
-                    for l in set(log[ver:]):
-                        if not self.phase_done[l]:
-                            t[l], t_c[l] = self._t_lane(l, clk[l])
+                    dirty = np.array(sorted(set(log[ver:])))
+                    dirty = dirty[~self.phase_done[dirty]]
+                    if len(dirty):
+                        t[dirty], t_c[dirty] = self._roofline(
+                            core_hz[dirty], dirty
+                        )
                     hit[0] = len(log)
                 return t, t_c
+        t, t_c = self._roofline(core_hz, None, need)
+        if self._u_static:
+            self._pt_memo[key] = [len(self._pt_dirty_log), need, t, t_c]
+        return t, t_c
+
+    def _roofline(
+        self,
+        core_hz: np.ndarray,
+        lanes: np.ndarray | None,
+        need: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``PhaseExecutionModel._roof_times`` + ``smooth_max``.
+
+        Over ``lanes`` (an index array; ``core_hz`` holds just those
+        lanes) or, with ``None``, over every lane, filling the p-norm
+        in only where ``need`` (``None``: every lane with phases left).
+        """
+        ix = slice(None) if lanes is None else lanes
+        cur = self._cur[:, ix]
         if self._any_us or self._any_ls:
             ratio = (
-                self._u_ratio if self._u_static else self.umax / self.ufreq
+                self._u_ratio[ix]
+                if self._u_static
+                else self.umax / self.ufreq[ix]
             )
-        t_c = self.cur_flops / (self.cur_peak_coef * core_hz)
+        # The sensitivity factors are exactly 1.0 for a phase without
+        # the term (``0 * (ratio - 1)`` with a finite ratio >= 1), and
+        # multiply a zero time where a phase has no flops or bytes, so
+        # they apply unmasked.
+        t_c = cur[_FLOPS] / (cur[_PEAK] * core_hz)
         if self._any_us:
-            np.copyto(
-                t_c,
-                t_c * (1.0 + self.cur_us * (ratio - 1.0)),
-                where=self.cur_us_on,
-            )
+            t_c *= 1.0 + cur[_US] * (ratio - 1.0)
         bw_cap = (
-            self._bw_cap
+            self._bw_cap[ix]
             if self._u_static
-            else np.minimum(self.peak_bw, self.bw_per_uncore * self.ufreq)
+            else np.minimum(self.peak_bw, self.bw_per_uncore * self.ufreq[ix])
         )
         bw = np.minimum(bw_cap, (self.bw_per_core * core_hz) * self.count)
-        t_m = self.cur_bytes / bw
+        t_m = cur[_BYTES] / bw
         if self._any_ls:
-            np.copyto(
-                t_m,
-                t_m * (1.0 + self.cur_ls * (ratio - 1.0)),
-                where=self.cur_ls_on,
-            )
+            t_m *= 1.0 + cur[_LS] * (ratio - 1.0)
         t = np.where(t_m == 0.0, t_c, np.where(t_c == 0.0, t_m, np.nan))
-        hole = need & np.isnan(t)
-        if hole.any():
+        hole = np.isnan(t)
+        if lanes is None:
+            if need is not None:
+                hole &= need
+            elif self._any_phase_done:
+                hole &= ~self.phase_done
             # Reuse each lane's last smooth_max result while its
             # roofline inputs are unchanged; only moved lanes take the
             # scalar loop (bit-identity needs ``math``'s pow, and
-            # ``np.power`` differs by ulps).
-            same = hole & (t_c == self._sm_tc) & (t_m == self._sm_tm)
-            np.copyto(t, self._sm_t, where=same)
-            todo = hole & ~same
-            if todo.any():
-                sharp = self.sharpness
-                idxs = np.nonzero(todo)[0].tolist()
-                if len(idxs) > 32:
-                    tcl = t_c.tolist()
-                    tml = t_m.tolist()
-                    for l in idxs:
-                        t[l] = smooth_max(tcl[l], tml[l], sharp[l])
-                else:
-                    for l in idxs:
-                        t[l] = smooth_max(t_c.item(l), t_m.item(l), sharp[l])
-                np.copyto(self._sm_tc, t_c, where=todo)
-                np.copyto(self._sm_tm, t_m, where=todo)
-                np.copyto(self._sm_t, t, where=todo)
-        if self._u_static:
-            self._pt_memo[key] = [len(self._pt_dirty_log), t, t_c]
+            # ``np.power`` differs by ulps).  An index set holds lanes
+            # that just entered a phase, so it skips the reuse check.
+            if np.count_nonzero(hole):
+                sm_tc, sm_tm, sm_t = self._sm
+                same = hole & (t_c == sm_tc) & (t_m == sm_tm)
+                np.copyto(t, sm_t, where=same)
+                hole &= ~same
+        pos = hole.nonzero()[0]
+        if len(pos):
+            ids = pos if lanes is None else lanes[pos]
+            sharp = self.sharpness
+            tcl, tml = t_c[pos].tolist(), t_m[pos].tolist()
+            tl = [
+                smooth_max(a, b, sharp[l])
+                for a, b, l in zip(tcl, tml, ids.tolist())
+            ]
+            t[pos] = tl
+            self._sm[:, ids] = (tcl, tml, tl)
         return t, t_c
 
     def _preview(self, working: np.ndarray) -> np.ndarray:
         """``preview_progress_rate`` for the working lanes."""
         cached = self._t_cache
         if cached is not None:
-            t_prev, need_prev = cached
-            if not (working & ~need_prev).any():
-                return 1.0 / t_prev
+            # The last step's roofline time, re-derived only for lanes
+            # that crossed a phase boundary since (``_t_reuse`` means
+            # the preview clock is the step's effective clock).
+            t, covered = cached
+            stale = (working & ~covered).nonzero()[0]
+            if len(stale):
+                t = t.copy()
+                t[stale] = self._roofline(self._eff[stale], stale)[0]
+            return 1.0 / t
         eff = self._eff
         if eff is None:
             eff = self._csnap(
@@ -1160,294 +1254,8 @@ class BatchSimulationEngine:
                 np.minimum(eff, self.avx_max),
                 eff,
             )
-        t, _ = self._phase_time(core_hz, working)
+        t, _ = self._phase_time(core_hz, None if self._t_reuse else working)
         return 1.0 / t
-
-    # -- scalar lane tail --------------------------------------------------------------
-    #
-    # Phase boundaries split a macro tick into sub-slices, but lanes
-    # never interact between controller syncs, so only the *first*
-    # slice runs through the full-width kernels; each lane split at a
-    # boundary then finishes its tick alone through these pure-Python
-    # mirrors.  Python float arithmetic is the same IEEE-754 double
-    # arithmetic numpy applies elementwise, so as long as every formula
-    # keeps the kernels' exact shape and association the tail is
-    # bit-identical to the full-width path it replaces.
-
-    def _csnap_s(self, f: float) -> float:
-        if f <= self.cmin:
-            return self.cmin
-        if f >= self.cmax:
-            return self.cmax
-        # math.floor == np.trunc for the non-negative quotient here.
-        return self.cmin + math.floor((f - self.cmin) / self.cstep) * self.cstep
-
-    def _usnap_s(self, f: float) -> float:
-        if f <= self.umin:
-            return self.umin
-        if f >= self.umax:
-            return self.umax
-        # round() is round-half-even like np.rint.
-        return self.umin + float(round((f - self.umin) / self.ustep)) * self.ustep
-
-    def _cvolt_s(self, f: float) -> float:
-        core = self.socket_cfg.core
-        if self.cmax == self.cmin:
-            return core.v_max
-        t = (f - self.cmin) / (self.cmax - self.cmin)
-        t = min(max(t, 0.0), 1.0)
-        return core.v_min + t * (core.v_max - core.v_min)
-
-    def _uvolt_s(self, f: float) -> float:
-        unc = self.socket_cfg.uncore
-        if self.umax == self.umin:
-            return unc.v_max
-        t = (f - self.umin) / (self.umax - self.umin)
-        t = min(max(t, 0.0), 1.0)
-        return unc.v_min + t * (unc.v_max - unc.v_min)
-
-    def _t_lane(self, l: int, core_hz: float) -> tuple[float, float]:
-        """Scalar mirror of ``_phase_time`` for one lane."""
-        if self._u_static:
-            u_ratio = self._u_ratio.item(l)
-            bw_cap = self._bw_cap.item(l)
-        else:
-            uf = self.ufreq.item(l)
-            u_ratio = self.umax / uf
-            bw_cap = min(self.peak_bw, self.bw_per_uncore * uf)
-        t_c = self.cur_flops.item(l) / (self.cur_peak_coef.item(l) * core_hz)
-        if self.cur_us_on[l]:
-            t_c = t_c * (1.0 + self.cur_us.item(l) * (u_ratio - 1.0))
-        bw = min(bw_cap, (self.bw_per_core * core_hz) * self.count)
-        t_m = self.cur_bytes.item(l) / bw
-        if self.cur_ls_on[l]:
-            t_m = t_m * (1.0 + self.cur_ls.item(l) * (u_ratio - 1.0))
-        if t_m == 0.0:
-            t = t_c
-        elif t_c == 0.0:
-            t = t_m
-        else:
-            t = smooth_max(t_c, t_m, self.sharpness[l])
-        return t, t_c
-
-    def _preview_lane(self, l: int) -> float:
-        eff = self._csnap_s(
-            min(min(self.req.item(l), self.ctl.item(l)), self.clamp.item(l))
-        )
-        if self.avx_on and self.cur_fpc.item(l) >= self.avx_lic:
-            eff = min(eff, self.avx_max)
-        t, _ = self._t_lane(l, eff)
-        return 1.0 / t if t != 0.0 else math.inf
-
-    def _step_lane(self, l: int, d: float, working: bool) -> float:
-        """Scalar mirror of ``_step`` for one lane; returns the rate."""
-        boost = self.cur_boost.item(l) if working else 1.0
-
-        # 1. RAPL firmware budget -> clamp.
-        pl1 = self.pl1_w.item(l)
-        h = pl1 - self.avg1.item(l)
-        b = pl1 + 2.0 * h
-        if h < 0.0:
-            b = max(b, 0.0)
-        budget = b if self.pl1_en[l] else math.inf
-        if self.pl2_en[l]:
-            budget = min(budget, self.pl2_w.item(l))
-        if self._u_static:
-            u_coef = self._u_coef.item(l)
-        else:
-            uf0 = self.ufreq.item(l)
-            uv = self._uvolt_s(uf0)
-            u_coef = ((self.k_uncore * uv) * uv) * (uf0 / 1e9)
-        prev_traf = self.prev_traf.item(l)
-        prev_act = self.prev_act.item(l)
-        up_prev = u_coef * (self.u0 + self._u1 * prev_traf)
-        budget_cores = budget - (self.static_w + up_prev)
-        scale_prev = self.a0 + self._a1 * prev_act
-        best = self.cmin
-        cpb = self._cpb_list
-        for i in range(self._grid_last, -1, -1):
-            if (cpb[i] * scale_prev) * boost <= budget_cores:
-                best = self._pf_list[i]
-                break
-        clamp = min(max(best, self.cmin), self.cmax)
-        self.clamp[l] = clamp
-
-        # 2. Uncore governor.
-        if self._u_static:
-            uf = self.ufreq.item(l)
-        else:
-            lo = self.win_lo.item(l)
-            hi = self.win_hi.item(l)
-            if lo == hi:
-                uf = lo
-            else:
-                demand_t = min(prev_traf / self.g_sat.item(l), 1.0)
-                if prev_act >= self.g_thresh.item(l):
-                    demand_t = max(demand_t, self.g_floor.item(l))
-                dem = self.demand.item(l)
-                dem = dem + self.g_resp.item(l) * (demand_t - dem)
-                self.demand[l] = dem
-                uf = self._usnap_s(lo + dem * (hi - lo))
-            self.ufreq[l] = uf
-
-        # 3. Core clock (+ AVX license, + PROCHOT).
-        eff = self._csnap_s(
-            min(min(self.req.item(l), self.ctl.item(l)), clamp)
-        )
-        core_hz = eff
-        if (
-            self.avx_on
-            and working
-            and self.cur_fpc.item(l) >= self.avx_lic
-        ):
-            core_hz = min(eff, self.avx_max)
-        if self.has_thermal and self.prochot[l]:
-            core_hz = min(core_hz, self.prochot_snap)
-
-        # 4. Roofline rates.
-        if working:
-            t, t_c = self._t_lane(l, core_hz)
-            flops_rate = self.cur_flops.item(l) / t
-            bytes_rate = self.cur_bytes.item(l) / t
-            activity = min(t_c / t, 1.0)
-            traffic = min(bytes_rate / self.peak_bw, 1.0)
-            progress_rate = 1.0 / t if t != 0.0 else math.inf
-        else:
-            flops_rate = bytes_rate = 0.0
-            activity = traffic = progress_rate = 0.0
-
-        # 5. Package + DRAM power.
-        cv = self._cvolt_s(core_hz)
-        core_w = (((self.ck * cv) * cv) * (core_hz / 1e9)) * (
-            self.a0 + self._a1 * activity
-        )
-        core_w = core_w * boost
-        if self._u_static:
-            uc2 = u_coef
-        else:
-            uv2 = self._uvolt_s(uf)
-            uc2 = ((self.k_uncore * uv2) * uv2) * (uf / 1e9)
-        uncore_w = uc2 * (self.u0 + self._u1 * traffic)
-        total = (self.static_w + core_w) + uncore_w
-        dram_traffic = bytes_rate
-        if working and self.cur_ov_on[l] and uf < self.sat_hz:
-            dram_traffic = bytes_rate * (
-                1.0 + self.cur_ov.item(l) * (1.0 - uf / self.sat_hz)
-            )
-        dram_w = self.dram_static + self.dram_epb * dram_traffic
-
-        # 6. RAPL: latch, meter energy, windowed averages.
-        rn = self.rapl_now.item(l) + d
-        self.rapl_now[l] = rn
-        if self._any_pending:
-            due = self.pend_due.item(l)
-            if due != math.inf and rn >= due:
-                self.pl1_w[l] = self.pend1_w.item(l)
-                self.pl1_win[l] = self.pend1_win.item(l)
-                self.pl2_w[l] = self.pend2_w.item(l)
-                self.pl2_win[l] = self.pend2_win.item(l)
-                self.pl1_en[l] = True
-                self.pl2_en[l] = True
-                self.pend_due[l] = np.inf
-                self._any_pending = bool(np.isfinite(self.pend_due).any())
-                self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
-                self._refresh_alpha((l,))
-        self.e_pkg[l] = self.e_pkg.item(l) + total * d
-        self.e_dram[l] = self.e_dram.item(l) + dram_w * d
-        if d == self.dt:
-            a1 = self._alpha1.item(l)
-            a2 = self._alpha2.item(l)
-            a_th = self._alpha_th if self.has_thermal else 0.0
-        elif d == 0.0:
-            a1 = a2 = a_th = 0.0
-        else:
-            a1 = 1.0 - math.exp(-d / self.pl1_win.item(l))
-            a2 = 1.0 - math.exp(-d / self.pl2_win.item(l))
-            a_th = (
-                1.0 - math.exp(-d / self.th_tau) if self.has_thermal else 0.0
-            )
-        avg1 = self.avg1.item(l)
-        self.avg1[l] = avg1 + a1 * (total - avg1)
-        avg2 = self.avg2.item(l)
-        self.avg2[l] = avg2 + a2 * (total - avg2)
-
-        # 7. Thermal RC + PROCHOT hysteresis.
-        if self.has_thermal:
-            temp = self.temp.item(l)
-            temp = temp + a_th * ((self.th_amb + total * self.th_r) - temp)
-            self.temp[l] = temp
-            if temp >= self.th_trip:
-                self.prochot[l] = True
-            elif temp <= self.th_trip - self.th_hyst:
-                self.prochot[l] = False
-
-        # 8. Counters.
-        self.aperf[l] = self.aperf.item(l) + eff * d
-        self.mperf[l] = self.mperf.item(l) + self.base_hz * d
-        self.flops_ret[l] = self.flops_ret.item(l) + flops_rate * d
-        self.bytes_trans[l] = self.bytes_trans.item(l) + bytes_rate * d
-        self.proc_now[l] = self.proc_now.item(l) + d
-        self.prev_act[l] = activity
-        self.prev_traf[l] = traffic
-
-        # 9. Trace snapshot.
-        if self._tracing:
-            self.st_core[l] = core_hz
-            self.st_uncore[l] = uf
-            self.st_pkg[l] = total
-            self.st_dram[l] = dram_w
-            self.st_flops[l] = flops_rate
-            self.st_bytes[l] = bytes_rate
-        return progress_rate
-
-    def _lane_tail(self, l: int, rem: float, step_start: float) -> None:
-        """Finish lane ``l``'s macro tick alone (see ``_tick``)."""
-        dt = self.dt
-        while rem > 0.0:
-            if self.phase_done[l]:
-                if self.unfinished[l]:
-                    self.finish[l] = step_start + (dt - rem)
-                    self.unfinished[l] = False
-                    r = self.run_of_list[l]
-                    self._lanes_left[r] -= 1
-                    if self._lanes_left[r] == 0:
-                        self._maybe_done.append(r)
-                    self._check_finish = bool(
-                        (self.phase_done & self.unfinished).any()
-                    )
-                self._step_lane(l, rem, False)
-                return
-            rate = self._preview_lane(l)
-            if not rate > 0.0:
-                raise SimulationError(
-                    f"phase {self.cur_name[l]!r} makes no progress"
-                )
-            frac = self.frac.item(l)
-            ttf = (1.0 - frac) / rate
-            slice_ = min(rem, max(ttf, _MIN_SLICE_S))
-            progress_rate = self._step_lane(l, slice_, True)
-            frac = frac + min(progress_rate * slice_, 1.0)
-            self.frac[l] = frac
-            rem = rem - slice_
-            if frac >= 1.0 - _DONE_EPS or (
-                ttf <= slice_ + _MIN_SLICE_S and frac >= 1.0 - 1e-3
-            ):
-                end = step_start + (dt - rem)
-                self.spans[l].append(
-                    PhaseSpan(
-                        name=self.cur_name[l],
-                        start_s=self.phase_start[l],
-                        end_s=end,
-                    )
-                )
-                self.phase_idx[l] += 1
-                self.frac[l] = 0.0
-                self.phase_start[l] = end
-                if self.phase_idx[l] >= len(self.phases[l]):
-                    self.phase_done[l] = True
-                    self._check_finish = True
-                else:
-                    self._load_phase(l)
 
     def _step(
         self, dt_l: np.ndarray, active: np.ndarray, working: np.ndarray
@@ -1482,28 +1290,36 @@ class BatchSimulationEngine:
         top = self._cp_top * scale_prev
         if boost is not None:
             top = top * boost
-        if (top <= budget_cores).all():
+        fit = top <= budget_cores
+        if fit.all():
             # Nobody is power-limited: the search would return the top
             # grid point everywhere.  (``where=True`` is the unmasked
-            # fast path when every lane is still alive.)
+            # fast path when every lane is active this pass.)
             np.copyto(
                 self.clamp,
                 self._clamp_top,
-                where=True if self._all_alive else active,
+                where=True if self._all_active else active,
             )
         else:
-            fits = self.cp_grid * scale_prev[:, None]
-            if boost is not None:
-                fits = fits * boost[:, None]
-            fits = fits <= budget_cores[:, None]
-            any_fit = fits.any(axis=1)
-            idx = self._grid_last - np.argmax(fits[:, ::-1], axis=1)
-            best = np.where(any_fit, self.pfreqs[idx], self.cmin)
+            # A lane whose top grid point fits gets it, as the search
+            # would return; only the power-limited lanes scan the grid.
             np.copyto(
                 self.clamp,
-                np.minimum(np.maximum(best, self.cmin), self.cmax),
-                where=active,
+                self._clamp_top,
+                where=True if self._all_active else active,
             )
+            lim = (active & ~fit).nonzero()[0]
+            if len(lim):
+                fits = self.cp_grid * scale_prev[lim, None]
+                if boost is not None:
+                    fits = fits * boost[lim, None]
+                fits = fits <= budget_cores[lim, None]
+                any_fit = fits.any(axis=1)
+                idx = self._grid_last - np.argmax(fits[:, ::-1], axis=1)
+                best = np.where(any_fit, self.pfreqs[idx], self.cmin)
+                self.clamp[lim] = np.minimum(
+                    np.maximum(best, self.cmin), self.cmax
+                )
 
         # 2. Hardware uncore governor moves inside its window.  When
         # every window is pinned and the frequency already sits on the
@@ -1548,9 +1364,14 @@ class BatchSimulationEngine:
             )
 
         # 4. Roofline rates.
-        t, t_c = self._phase_time(core_hz, working)
-        if self._t_reuse:
-            self._t_cache = (t, working)
+        # When the next preview may reuse ``t`` (from ``_t_cache``, or
+        # from the phase-time memo under a static uncore) it covers
+        # every lane with phases left: lanes sitting this pass out keep
+        # their clock and phase, so their ``smooth_max`` inputs hit the
+        # per-lane memo.
+        t, t_c = self._phase_time(core_hz, None if self._t_reuse else working)
+        if self._t_reuse and not self._u_static:
+            self._t_cache = (t, ~self.phase_done)
         # ``x / inf == +0.0`` exactly, so masking the divisor with inf
         # zeroes every non-working rate in one shot — bit-identical to
         # the per-rate ``where(working, ..., 0.0)`` it replaces.
@@ -1576,7 +1397,7 @@ class BatchSimulationEngine:
         total = (self.static_w + core_w) + uncore_w
         dram_traffic = bytes_rate
         if self._any_ov:
-            ov = working & self.cur_ov_on & (self.ufreq < self.sat_hz)
+            ov = working & (self.cur_ov > 0.0) & (self.ufreq < self.sat_hz)
             if ov.any():
                 dram_traffic = np.where(
                     ov,
@@ -1588,9 +1409,8 @@ class BatchSimulationEngine:
 
         # 6. RAPL step: latch pending limits, meter energy, averages.
         # Accumulators drop the ``active`` mask: inactive lanes have
-        # ``dt_l == 0`` so their increment is an exact ``+0.0`` (and
-        # the EMA factor ``1 - exp(-0/w)`` is exactly zero), both of
-        # which are bitwise no-ops on the non-negative state here.
+        # ``dt_l == 0`` so their increment is an exact ``+0.0``, a
+        # bitwise no-op on the non-negative state here.
         self.rapl_now += dt_l
         if self._any_pending:
             latched = (
@@ -1611,9 +1431,14 @@ class BatchSimulationEngine:
                 self._refresh_alpha(np.nonzero(latched)[0].tolist())
         self.e_pkg += total * dt_l
         self.e_dram += dram_w * dt_l
-        a1, a2, a_th = self._ema_alphas(dt_l)
-        self.avg1 += a1 * (total - self.avg1)
-        self.avg2 += a2 * (total - self.avg2)
+        a1, a2, a_th = self._ema_alphas(dt_l, active)
+        if self._all_active:
+            self.avg1 += a1 * (total - self.avg1)
+            self.avg2 += a2 * (total - self.avg2)
+        else:
+            avg1, avg2 = self.avg1, self.avg2
+            np.copyto(avg1, avg1 + a1 * (total - avg1), where=active)
+            np.copyto(avg2, avg2 + a2 * (total - avg2), where=active)
 
         # 7. Thermal RC + PROCHOT hysteresis.
         if self.has_thermal:
@@ -1640,7 +1465,7 @@ class BatchSimulationEngine:
         self.flops_ret += flops_rate * dt_l
         self.bytes_trans += bytes_rate * dt_l
         self.proc_now += dt_l
-        if self._all_alive:
+        if self._all_active:
             np.copyto(self.prev_act, activity)
             np.copyto(self.prev_traf, traffic)
         else:

@@ -19,14 +19,25 @@ case: the batch engine must reproduce it byte for byte.
 import math
 import pathlib
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.config import ControllerConfig, NoiseConfig
+from repro.config import (
+    ControllerConfig,
+    EngineConfig,
+    MachineConfig,
+    NoiseConfig,
+    ThermalConfig,
+    yeti_socket_config,
+)
 from repro.core.registry import as_spec, policy_info, policy_names
+from repro.errors import SimulationError
 from repro.sim.batch import BatchSimulationEngine, run_batch
+from repro.sim.engine import SimulationEngine
 from repro.sim.export import run_summary, write_trace_jsonl
 from repro.sim.faults import FaultPlan
+from repro.sim.machine import SimulatedMachine
 from repro.sim.run import build_engine
 from repro.workloads.catalog import build_application
 
@@ -269,3 +280,171 @@ def test_matrix_equivalence(policy, app, plan_name):
     _run_pair(
         policy, app, faults=MATRIX_PLANS[plan_name], seed=seed, scale=0.08
     )
+
+
+# -------------------------------------------------------------- run clocks
+#
+# Between syncs each run keeps its own tick clock (docs/BATCHING.md,
+# "Run clocks"), so one batch mixes every way clocks drift apart with
+# every kind of sync: tiny phases that split a tick several times, a
+# two-socket run whose sockets finish in different ticks, 0.1/0.2/0.3 s
+# controller intervals, jittered and missed ticks on the scatter/gather
+# path, a traced run that retires early (one-tick windows while it
+# lives, wide windows after), and two dozen runs whose finishing ticks
+# fall at every offset of a controller window.
+
+#: Jittered and missed ticks only: the run takes the scatter/gather path.
+TICK_PLAN = FaultPlan(tick_miss_rate=0.15, tick_jitter_rate=0.3)
+
+
+def _clock_engine(
+    app,
+    scale=0.02,
+    *,
+    policy="dufp",
+    seed=0,
+    interval_s=0.2,
+    faults=None,
+    record_trace=False,
+    engine_cfg=None,
+    socket=None,
+):
+    """One engine; ``app`` may be a list of ``(name, scale)`` per socket."""
+    cfg = ControllerConfig(tolerated_slowdown=0.10, interval_s=interval_s)
+    if isinstance(app, list):
+        application = [build_application(a, scale=s) for a, s in app]
+    else:
+        application = build_application(app, scale=scale)
+    machine = None
+    if socket is not None:
+        sockets = len(application) if isinstance(app, list) else 1
+        machine = SimulatedMachine(MachineConfig(socket=socket, socket_count=sockets))
+    return build_engine(
+        application,
+        as_spec(policy).build(cfg),
+        controller_cfg=cfg,
+        machine=machine,
+        noise=NoiseConfig(),
+        seed=seed,
+        faults=faults,
+        record_trace=record_trace,
+        engine_cfg=engine_cfg,
+    )
+
+
+def _clock_cases(policy, seed):
+    """Builders for the run-clock batch (see the section comment)."""
+    cases = [
+        lambda: _clock_engine("MG", policy=policy, seed=seed),
+        lambda: _clock_engine(
+            [("MG", 0.02), ("EP", 0.012)], policy=policy, seed=seed + 1
+        ),
+        lambda: _clock_engine("CG", policy=policy, seed=seed + 2, interval_s=0.1),
+        lambda: _clock_engine(
+            "LAMMPS", 0.03, policy=policy, seed=seed + 3, interval_s=0.3
+        ),
+        lambda: _clock_engine("LU", policy=policy, seed=seed + 4, faults=TICK_PLAN),
+        lambda: _clock_engine(
+            "EP", 0.004, policy=policy, seed=seed + 5, record_trace=True
+        ),
+    ]
+    # EP runs 25 s per unit scale: 0.4e-3 steps move the finish by
+    # about one 10 ms tick, so 24 runs cover a whole 0.2 s window.
+    cases += [
+        lambda i=i: _clock_engine(
+            "EP", 0.004 + 0.0004 * i, policy=policy, seed=seed + 10 + i
+        )
+        for i in range(24)
+    ]
+    return cases
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Each engine's :class:`RunContext`, to read its final injector clock."""
+    seen = {}
+    prepare = SimulationEngine.prepare
+
+    def recording(engine):
+        seen[id(engine)] = ctx = prepare(engine)
+        return ctx
+
+    monkeypatch.setattr(SimulationEngine, "prepare", recording)
+    return seen
+
+
+def _assert_batch_matches_scalar(builders, contexts):
+    """One batch of ``builders`` equals each engine's scalar run."""
+    scalar_engines = [build() for build in builders]
+    batch_engines = [build() for build in builders]
+    scalars = [e.run() for e in scalar_engines]
+    batched = BatchSimulationEngine(batch_engines).run()
+    for se, be, scalar, batch in zip(
+        scalar_engines, batch_engines, scalars, batched
+    ):
+        assert_runs_equivalent(scalar, batch)
+        assert [c.ticks for c in be.controllers] == [
+            c.ticks for c in se.controllers
+        ]
+        # A run that ended between syncs keeps its own end time.
+        si, bi = contexts[id(se)].injector, contexts[id(be)].injector
+        assert (bi and bi.now_s) == (si and si.now_s)
+
+
+def test_run_clocks_match_scalar(contexts):
+    _assert_batch_matches_scalar(_clock_cases("dufp", 0), contexts)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 100, 200])
+@pytest.mark.parametrize("policy", ["duf", "dufp", "default", "dnpc"])
+def test_run_clock_matrix(policy, seed, contexts):
+    _assert_batch_matches_scalar(_clock_cases(policy, seed), contexts)
+
+
+def test_batch_time_limit_raises_the_scalar_error():
+    """The limit is checked over live runs, where the scalar loop does."""
+    builders = [
+        # Finishes before its own (smallest) limit: never raises.
+        lambda: _clock_engine(
+            "EP", 0.004, seed=3, engine_cfg=EngineConfig(max_sim_time_s=0.15)
+        ),
+        lambda: _clock_engine(
+            "MG", 0.05, seed=4, engine_cfg=EngineConfig(max_sim_time_s=0.25)
+        ),
+        lambda: _clock_engine(
+            "CG", 0.05, seed=5, engine_cfg=EngineConfig(max_sim_time_s=0.4)
+        ),
+    ]
+    with pytest.raises(SimulationError) as scalar:
+        builders[1]().run()
+    with pytest.raises(SimulationError) as batch:
+        BatchSimulationEngine([build() for build in builders]).run()
+    assert "exceeded 0.25s" in str(scalar.value)
+    assert str(batch.value) == str(scalar.value)
+
+
+#: A thermal socket: PROCHOT can split step and preview clocks, so the
+#: previews cannot reuse the step's roofline and every pass asks the
+#: phase-time memo with its own working set.
+THERMAL_SOCKET = replace(yeti_socket_config(), thermal=ThermalConfig())
+
+
+def test_phase_time_memo_misses_when_the_need_set_grows(contexts):
+    """A DUF/DUFP-only batch pins its uncore, so the memo is live.
+
+    Each two-socket run's sockets split their ticks at different
+    passes: the socket that used up its tick sits out its run-mate's
+    catch-up passes and then works again, so a memo entry stored for
+    fewer lanes must not serve a pass that needs more.
+    """
+    builders = [
+        lambda apps=apps, policy=policy, seed=seed: _clock_engine(
+            apps, policy=policy, seed=seed, socket=THERMAL_SOCKET
+        )
+        for seed, apps in enumerate(
+            [[("LAMMPS", 0.1), ("CG", 0.1)], [("MG", 0.05), ("LAMMPS", 0.05)]]
+        )
+        for policy in ("duf", "dufp")
+    ]
+    _assert_batch_matches_scalar(builders, contexts)

@@ -189,6 +189,16 @@ class TestNoiseAndEngine:
         with pytest.raises(ConfigurationError):
             EngineConfig(dt_s=0.0).validate()
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_engine_nan_or_infinite_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt_s"):
+            EngineConfig(dt_s=dt).validate()
+
+    def test_engine_nan_time_limit_rejected(self):
+        # A NaN limit would silently disable the stuck-run check.
+        with pytest.raises(ConfigurationError, match="max_sim_time_s"):
+            EngineConfig(max_sim_time_s=float("nan")).validate()
+
 
 class TestSocketConfigComposition:
     def test_validate_cascades(self):
