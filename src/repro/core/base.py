@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..papi.highlevel import Measurement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import SocketContext
 
-__all__ = ["Controller", "TickLog"]
+__all__ = ["Controller", "LaneTickForm", "TickLog"]
 
 
 @dataclass
@@ -24,6 +24,23 @@ class TickLog:
     phase_change: bool = False
     cap_action: str = "hold"  # hold | decrease | increase | reset
     uncore_action: str = "hold"
+
+
+@dataclass(frozen=True)
+class LaneTickForm:
+    """A controller's lane-parallel tick, as the batch engine runs it.
+
+    ``tick(state, idx, fl, by, pk, oi)`` decides for the lanes in
+    ``idx`` and returns ``(phase_change, cap_actions, uncore_actions)``
+    (see ``DUF.tick_lanes``).
+    """
+
+    tick: Callable
+    #: The controller acts only at attach: its ticks log the latched
+    #: cap and the uncore clock the hardware runs at, and the engine
+    #: replays no actuator state into the objects after the run.  An
+    #: acting form logs its uncore pin and has that state replayed.
+    log_only: bool = False
 
 
 class Controller(abc.ABC):

@@ -17,14 +17,19 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import ControllerConfig
 from ..errors import ControllerError
 from ..papi.highlevel import Measurement
 from ..units import watts_to_uw
-from .base import Controller, TickLog
+from .base import Controller, LaneTickForm, TickLog
+from .duf import LANE_HOLD
 
 __all__ = [
     "Controller",
+    "LogOnlyController",
+    "LOG_ONLY_FORM",
     "DefaultController",
     "StaticPowerCap",
     "StaticUncore",
@@ -33,10 +38,12 @@ __all__ = [
 ]
 
 
-class DefaultController(Controller):
-    """No-op: the architecture's default configuration."""
+class LogOnlyController(Controller):
+    """A baseline that acts only at attach: every tick just logs.
 
-    name = "default"
+    Each tick logs the latched cap and the uncore clock the hardware
+    runs at.  :data:`LOG_ONLY_FORM` is the same tick over batch lanes.
+    """
 
     def tick(self, now_s: float, m: Measurement) -> None:
         self.log(
@@ -47,8 +54,24 @@ class DefaultController(Controller):
             )
         )
 
+    @staticmethod
+    def tick_lanes(st, idx, fl, by, pk, oi):
+        """Lane-parallel :meth:`tick`: no decision, ``hold`` everywhere."""
+        n = len(idx)
+        return np.zeros(n, dtype=bool), None, np.full(n, LANE_HOLD, np.int8)
 
-class StaticPowerCap(Controller):
+
+#: The lane-parallel tick shared by every :class:`LogOnlyController`.
+LOG_ONLY_FORM = LaneTickForm(LogOnlyController.tick_lanes, log_only=True)
+
+
+class DefaultController(LogOnlyController):
+    """No-op: the architecture's default configuration."""
+
+    name = "default"
+
+
+class StaticPowerCap(LogOnlyController):
     """A fixed package power cap for the whole run (Fig. 1a)."""
 
     def __init__(self, cap_w: float):
@@ -62,15 +85,6 @@ class StaticPowerCap(Controller):
         super().attach(ctx)
         cap_uw = watts_to_uw(self.cap_w)
         ctx.cap.zone.set_both_limits_uw(cap_uw, cap_uw)
-
-    def tick(self, now_s: float, m: Measurement) -> None:
-        self.log(
-            TickLog(
-                time_s=now_s,
-                cap_w=self.ctx.cap.cap_w,
-                uncore_hz=self.ctx.processor.uncore.frequency_hz,
-            )
-        )
 
 
 class TimeWindowCap(Controller):
@@ -117,7 +131,7 @@ class TimeWindowCap(Controller):
         )
 
 
-class StaticUncore(Controller):
+class StaticUncore(LogOnlyController):
     """The uncore pinned to one frequency for the whole run."""
 
     def __init__(self, freq_hz: float):
@@ -130,15 +144,6 @@ class StaticUncore(Controller):
     def attach(self, ctx) -> None:
         super().attach(ctx)
         ctx.processor.uncore.pin(self.freq_hz)
-
-    def tick(self, now_s: float, m: Measurement) -> None:
-        self.log(
-            TickLog(
-                time_s=now_s,
-                cap_w=self.ctx.cap.cap_w,
-                uncore_hz=self.ctx.processor.uncore.frequency_hz,
-            )
-        )
 
 
 class DNPCLike(Controller):

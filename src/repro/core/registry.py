@@ -47,8 +47,9 @@ from typing import Callable, ClassVar
 from ..config import ControllerConfig
 from ..errors import PolicyError
 from ..units import ghz
-from .base import Controller
+from .base import Controller, LaneTickForm
 from .baselines import (
+    LOG_ONLY_FORM,
     DefaultController,
     DNPCLike,
     StaticPowerCap,
@@ -96,15 +97,19 @@ SCOPES = ("socket", "device", "node")
 #: Controllers with a registered lane-parallel tick form, keyed by
 #: *exact* type: subclasses (DUFPF, the adaptive-interval variant)
 #: override scalar hooks the vector kernels do not model, so they must
-#: not inherit a parent's vector form.  The value is the ``tick_lanes``
-#: staticmethod the batch engine dispatches to.
-_VECTOR_TICKS: dict[type, Callable] = {
-    DUF: DUF.tick_lanes,
-    DUFP: DUFP.tick_lanes,
+#: not inherit a parent's vector form.  The value wraps the
+#: ``tick_lanes`` staticmethod the batch engine dispatches to; the
+#: baselines that act only at attach share one log-only form.
+_VECTOR_TICKS: dict[type, LaneTickForm] = {
+    DUF: LaneTickForm(DUF.tick_lanes),
+    DUFP: LaneTickForm(DUFP.tick_lanes),
+    DefaultController: LOG_ONLY_FORM,
+    StaticPowerCap: LOG_ONLY_FORM,
+    StaticUncore: LOG_ONLY_FORM,
 }
 
 
-def vector_tick_form(controller: Controller) -> "Callable | None":
+def vector_tick_form(controller: Controller) -> LaneTickForm | None:
     """The lane-parallel tick form of ``controller``, or ``None``.
 
     This is the batch engine's only controller-type probe: a non-None

@@ -66,6 +66,16 @@ from ..hardware.dvfs import PerformanceGovernor, PowersaveGovernor
 from ..hardware.uncore import DefaultUncoreGovernor, TpmiUncore
 from ..papi.events import CACHE_LINE_BYTES
 from ..units import smooth_max
+from ..workloads.phase import (
+    BOOST as _BOOST,
+    BYTES as _BYTES,
+    FLOPS as _FLOPS,
+    FPC as _FPC,
+    LATENCY as _LS,
+    OVERFETCH as _OV,
+    TABLE_ROWS,
+    UNCORE as _US,
+)
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
 from .result import PhaseSpan, RunResult, TraceSample
 
@@ -79,8 +89,10 @@ __all__ = [
 #: Tick counter of a run that stopped: it never starts another tick.
 _PARKED = np.iinfo(np.int64).max
 
-#: Rows of the per-phase constant tables (see ``_build_lanes``).
-_FLOPS, _BYTES, _FPC, _PEAK, _US, _LS, _OV, _BOOST = range(8)
+#: Rows of the per-phase constant tables (see ``_build_lanes``): an
+#: application's :class:`~repro.workloads.phase.PhaseTable` rows plus
+#: the peak rate ``count * fpc``.
+_PEAK = TABLE_ROWS
 
 
 def batch_fallback_reason(engine: SimulationEngine) -> str | None:
@@ -227,11 +239,19 @@ class BatchSimulationEngine:
     # -- setup ----------------------------------------------------------------------
 
     def _build_lanes(self, ctxs: list[RunContext]) -> None:
+        """Mirror every run's objects into the lane arrays.
+
+        Each lane's workload comes from its jittered application's
+        phase table, never its ``phases``: the tables are joined into
+        one, and the span names come from the tables' name tuples,
+        which jitter shares with the base application.
+        """
         engines = self.engines
         self.procs = []
         self.run_of_list: list[int] = []
         self.run_lanes: list[list[int]] = []
-        phases: list = []
+        tables: list[np.ndarray] = []
+        names: list[str] = []
         row_first: list[int] = []
         row_end: list[int] = []
         for r, (e, ctx) in enumerate(zip(engines, ctxs)):
@@ -240,9 +260,11 @@ class BatchSimulationEngine:
                 lanes.append(len(self.procs))
                 self.procs.append(proc)
                 self.run_of_list.append(r)
-                row_first.append(len(phases))
-                phases.extend(ctx.socket_apps[s].phases)
-                row_end.append(len(phases))
+                table = ctx.socket_apps[s].table
+                row_first.append(len(names))
+                tables.append(table.values)
+                names.extend(table.names)
+                row_end.append(len(names))
             self.run_lanes.append(lanes)
         L = self.L = len(self.procs)
         R = len(engines)
@@ -377,7 +399,7 @@ class BatchSimulationEngine:
         # ``row_end`` one past its last.
         self.row = np.array(row_first, dtype=np.int64)
         self.row_end = np.array(row_end, dtype=np.int64)
-        self._names = [ph.name for ph in phases]
+        self._names = names
         self.phase_done = self.row >= self.row_end
         self.unfinished = np.ones(L, dtype=bool)
         self._check_finish = bool(self.phase_done.any())
@@ -388,24 +410,10 @@ class BatchSimulationEngine:
         # The current phase's constants, one row per quantity (the
         # ``cur_*`` names are views), and the matching phase tables: a
         # crossing gathers every quantity of its next row in one go.
-        tab = np.array(
-            [
-                (
-                    ph.flops,
-                    ph.bytes,
-                    ph.fpc,
-                    self.count * ph.fpc,
-                    ph.uncore_sensitivity,
-                    ph.latency_sensitivity,
-                    ph.overfetch,
-                    ph.power_boost,
-                )
-                for ph in phases
-            ],
-            dtype=np.float64,
-        ).reshape(-1, 8)
-        self._tab = tab.T.copy()
-        self._cur = np.zeros((8, L), dtype=np.float64)
+        self._tab = np.empty((_PEAK + 1, len(names)), dtype=np.float64)
+        np.concatenate(tables, axis=1, out=self._tab[:_PEAK])
+        np.multiply(self.count, self._tab[_FPC], out=self._tab[_PEAK])
+        self._cur = np.zeros((_PEAK + 1, L), dtype=np.float64)
         self._cur[[_FPC, _BOOST]] = 1.0
         self.cur_flops, self.cur_bytes = self._cur[_FLOPS], self._cur[_BYTES]
         self.cur_fpc, self.cur_boost = self._cur[_FPC], self._cur[_BOOST]
@@ -855,10 +863,12 @@ class BatchSimulationEngine:
         for code in np.unique(kinds):
             pos_k = (kinds == code).nonzero()[0]
             sub = idx[pos_k]
-            changed, cap_act, unc_act = self._tick_forms[code](
+            form = self._tick_forms[code]
+            changed, cap_act, unc_act = form.tick(
                 st, sub, fl[pos_k], by[pos_k], pk[pos_k], oi[pos_k]
             )
-            self._log_lane_ticks(now, sub, changed, cap_act, unc_act)
+            uncore = self.ufreq if form.log_only else st.uncore.pin
+            self._log_lane_ticks(now, sub, changed, cap_act, unc_act, uncore)
 
         # Cache maintenance the scalar path performs via ``_gather`` /
         # ``_after_gather``: staged cap writes re-arm the pending-latch
@@ -881,17 +891,19 @@ class BatchSimulationEngine:
         changed: np.ndarray,
         cap_act: np.ndarray | None,
         unc_act: np.ndarray,
+        uncore: np.ndarray,
     ) -> None:
         """Append each lane's :class:`TickLog`, as the scalar tick does.
 
         ``cap_w`` reads the *latched* PL1 limit (pending writes from
         this very tick have not taken effect — same as the scalar
-        ``ctx.cap.cap_w`` read at log time); ``uncore_hz`` reads the
-        post-action pin (the scalar MSR write is immediate).
+        ``ctx.cap.cap_w`` read at log time); ``uncore_hz`` reads
+        ``uncore``: an acting form's post-action pin (the scalar MSR
+        write is immediate), a log-only form's running uncore clock.
         """
         ctrls = self.ctrls
         pl1 = self.pl1_w[idx].tolist()
-        pin = self._lane_state.uncore.pin[idx].tolist()
+        uncore_hz = uncore[idx].tolist()
         ch = changed.tolist()
         ca = (
             [LANE_ACTIONS[c] for c in cap_act.tolist()]
@@ -901,7 +913,7 @@ class BatchSimulationEngine:
         ua = [LANE_ACTIONS[c] for c in unc_act.tolist()]
         for i, l in enumerate(idx.tolist()):
             ctrls[l].ticks.append(
-                TickLog(now, pl1[i], pin[i], ch[i], ca[i], ua[i])
+                TickLog(now, pl1[i], uncore_hz[i], ch[i], ca[i], ua[i])
             )
 
     def _sync_lane_controllers(self, r: int, ctx: RunContext) -> None:
@@ -914,9 +926,15 @@ class BatchSimulationEngine:
         the cap actuator's ``just_reset`` latch.  Controller-internal
         tracker state (phase maxima, detector history) is deliberately
         not synced: nothing observable reads it after the run ends.
+        A log-only form never actuated, so its lanes replay nothing: a
+        re-pin would close a default run's open uncore window and
+        overwrite the pin a static-uncore baseline set at attach.
         """
         st = self._lane_state
+        forms = self._tick_forms
         for s, l in enumerate(self.run_lanes[r]):
+            if forms[self.ctrl_kind[l]].log_only:
+                continue
             sctx = ctx.runtime.contexts[s]
             sctx.uncore._pin(float(st.uncore.pin[l]))
             sctx.cap.just_reset = bool(st.cap.just_reset[l])

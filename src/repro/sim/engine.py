@@ -26,6 +26,7 @@ from ..core.runtime import ControllerRuntime
 from ..errors import SimulationError
 from ..hardware.processor import PhaseWork
 from ..workloads.application import Application
+from ..workloads.phase import Phase
 from .faults import FaultInjector, FaultPlan
 from .machine import SimulatedMachine
 from .result import PhaseSpan, RunResult, SocketResult, TraceSample
@@ -233,21 +234,21 @@ class SimulationEngine:
     def _advance_socket(
         self,
         proc,
-        app: Application,
+        phases: tuple[Phase, ...],
         p: _SocketProgress,
         step_start_s: float,
         dt: float,
     ) -> None:
         remaining_dt = dt
         while remaining_dt > 0.0:
-            if p.phase_index >= len(app.phases):
+            if p.phase_index >= len(phases):
                 # Application finished: the socket idles out the run
                 # (waiting on the slowest socket's barrier).
                 if p.finish_time_s is None:
                     p.finish_time_s = step_start_s + (dt - remaining_dt)
                 proc.step(remaining_dt, None)
                 return
-            phase = app.phases[p.phase_index]
+            phase = phases[p.phase_index]
             if p.work is None:
                 p.work = phase.to_work()
             work = p.work
@@ -294,6 +295,9 @@ class SimulationStepper:
         self.progress = [
             _SocketProgress() for _ in range(engine.machine.socket_count)
         ]
+        #: Each socket's phase tuple, read once: a jittered application
+        #: builds it on first read (see ``Application.jittered``).
+        self.phases = [app.phases for app in self.ctx.socket_apps]
         self.now = 0.0
         #: True once every socket has finished its phase list; only
         #: :meth:`tick` finishes sockets, so it updates the flag.
@@ -316,7 +320,7 @@ class SimulationStepper:
         running = False
         for sid, proc in enumerate(engine.machine.processors):
             p = self.progress[sid]
-            engine._advance_socket(proc, ctx.socket_apps[sid], p, self.now, dt)
+            engine._advance_socket(proc, self.phases[sid], p, self.now, dt)
             if p.finish_time_s is None:
                 running = True
             if sink is not None:

@@ -366,7 +366,7 @@ class HeteroEngine:
                     injector.advance(now)
 
                 # CPU side.
-                if cpu_phase < len(app.phases):
+                if cpu_phase < len(cpu_work):
                     if cpu_done_frac == 0.0:
                         cpu_tracker.reset(cpu_ref[cpu_phase])
                     cpu_done_frac += cpu.step(dt, cpu_work[cpu_phase])

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import SocketConfig, yeti_socket_config
 from ..errors import WorkloadError
 from ..hardware.memory import MemorySystem
 from ..hardware.perf import PhaseExecutionModel
 from ..hardware.processor import PhaseWork
 
-__all__ = ["Phase", "NominalRates", "phase_from_duration"]
+__all__ = ["Phase", "PhaseTable", "NominalRates", "phase_from_duration"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,87 @@ class Phase:
             power_boost=self.power_boost,
             idleness=self.idleness,
         )
+
+
+#: Rows of a :class:`PhaseTable`, in :class:`Phase` field order.
+FLOPS, BYTES, FPC, LATENCY, UNCORE, OVERFETCH, BOOST, IDLENESS = range(8)
+TABLE_ROWS = 8
+
+
+class PhaseTable:
+    """A phase sequence as columns: the names plus one row per constant.
+
+    ``values`` holds one ``float64`` row per :class:`Phase` constant
+    (rows ``FLOPS`` … ``IDLENESS``, in field order), one column per
+    phase.  Jitter makes a new table that shares the names.
+    """
+
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: tuple[str, ...], values: np.ndarray):
+        self.names = names
+        self.values = values
+
+    @staticmethod
+    def of(phases) -> "PhaseTable":
+        """The table of a sequence of :class:`Phase` objects."""
+        phases = list(phases)
+        values = np.array(
+            [
+                (
+                    p.flops,
+                    p.bytes,
+                    p.fpc,
+                    p.latency_sensitivity,
+                    p.uncore_sensitivity,
+                    p.overfetch,
+                    p.power_boost,
+                    p.idleness,
+                )
+                for p in phases
+            ],
+            dtype=np.float64,
+        ).reshape(-1, TABLE_ROWS)
+        return PhaseTable(tuple(p.name for p in phases), values.T.copy())
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def phases(self) -> tuple[Phase, ...]:
+        """The :class:`Phase` objects, with the table's exact values."""
+        return tuple(
+            Phase(name, *column)
+            for name, column in zip(self.names, self.values.T.tolist())
+        )
+
+    def scaled(self, factors: np.ndarray) -> "PhaseTable":
+        """A copy with phase ``i``'s volumes multiplied by ``factors[i]``."""
+        values = self.values.copy()
+        values[FLOPS] *= factors
+        values[BYTES] *= factors
+        return PhaseTable(self.names, values)
+
+    def check(self) -> None:
+        """:class:`Phase`'s validity checks over every column at once.
+
+        The first invalid phase's constructor then raises its
+        :class:`WorkloadError`.
+        """
+        flops, bytes_, fpc, ls, us, ov, boost, idle = self.values
+        bad = (
+            (flops < 0)
+            | (bytes_ < 0)
+            | ((flops == 0) & (bytes_ == 0))
+            | (fpc <= 0)
+            | (ls < 0)
+            | (us < 0)
+            | (ov < 0)
+            | (boost <= 0)
+            | ~((0.0 <= idle) & (idle < 1.0))
+        )
+        if bad.any():
+            i = int(bad.argmax())
+            Phase(self.names[i], *self.values[:, i].tolist())
 
 
 @dataclass

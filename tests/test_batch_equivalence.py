@@ -33,7 +33,12 @@ from repro.config import (
 )
 from repro.core.registry import as_spec, policy_info, policy_names
 from repro.errors import SimulationError
-from repro.sim.batch import BatchSimulationEngine, run_batch
+from repro.hardware.msr import MSR
+from repro.sim.batch import (
+    BatchSimulationEngine,
+    controller_lane_fallback_reason,
+    run_batch,
+)
 from repro.sim.engine import SimulationEngine
 from repro.sim.export import run_summary, write_trace_jsonl
 from repro.sim.faults import FaultPlan
@@ -224,6 +229,58 @@ def test_mixed_batch_matches_individual_scalar_runs():
     batched = run_batch([be for _, be in pairs])
     for scalar, batch in zip(scalars, batched):
         assert_runs_equivalent(scalar, batch)
+
+
+def test_log_only_lanes_match_scalar_runs():
+    """The log-only baselines tick lane-parallel, mixed with DUF/DUFP.
+
+    Beyond the results, each run's tick log and the hardware left
+    behind must equal the scalar run's: the logged uncore clock is the
+    one the hardware ran at, and after the run MSR 0x620 and the uncore
+    driver's window are what the baseline's attach programmed.
+    """
+    cases = [
+        ("default", "EP", 0, 1, True),
+        ("default", "CG", 1, 2, False),
+        ("static:cap_w=90", "FT", 2, 1, False),
+        ("uncore:freq_ghz=1.6", "UA", 3, 1, True),
+        ("uncore:freq_ghz=1.6", "MG", 4, 1, False),
+        ("duf", "EP", 5, 1, False),
+        ("dufp", "CG", 6, 1, False),
+    ]
+
+    def build(policy, app, seed, sockets, traced):
+        cfg = ControllerConfig(tolerated_slowdown=0.10)
+        return build_engine(
+            build_application(app, scale=0.06),
+            as_spec(policy).build(cfg),
+            controller_cfg=cfg,
+            socket_count=sockets,
+            noise=NoiseConfig(),
+            seed=seed,
+            record_trace=traced,
+        )
+
+    scalar_engines = [build(*c) for c in cases]
+    batch_engines = [build(*c) for c in cases]
+    assert all(controller_lane_fallback_reason(e) is None for e in batch_engines)
+    scalars = [e.run() for e in scalar_engines]
+    batched = run_batch(batch_engines)
+    for se, be, scalar, batch in zip(
+        scalar_engines, batch_engines, scalars, batched
+    ):
+        assert_runs_equivalent(scalar, batch)
+        assert [c.ticks for c in be.controllers] == [
+            c.ticks for c in se.controllers
+        ]
+        for ps, pb in zip(se.machine.processors, be.machine.processors):
+            assert pb.msrs.read(MSR.MSR_UNCORE_RATIO_LIMIT) == ps.msrs.read(
+                MSR.MSR_UNCORE_RATIO_LIMIT
+            )
+            assert (pb.uncore.window_lo_hz, pb.uncore.window_hi_hz) == (
+                ps.uncore.window_lo_hz,
+                ps.uncore.window_hi_hz,
+            )
 
 
 @pytest.mark.slow

@@ -17,9 +17,9 @@ lockstep execution must preserve:
   the lane-parallel controller path or the scatter/gather fallback;
 * the lane-parallel/fallback routing decision
   (:func:`~repro.sim.batch.controller_lane_fallback_reason`) is exact:
-  ``None`` for clean DUF/DUFP runs, a named reason for everything
-  else, and lane *permutation* on eligible batches never leaks one
-  lane's state into another.
+  ``None`` for clean DUF/DUFP and log-only baseline runs, a named
+  reason for everything else, and lane *permutation* on eligible
+  batches never leaks one lane's state into another.
 
 Hypothesis examples simulate full (short) applications, so the heavy
 sweeps carry the ``slow`` marker; a small deterministic smoke case
@@ -59,8 +59,8 @@ POLICIES = ("default", "duf", "dufp", "dufpf", "static", "uncore", "dnpc")
 SPECS = POLICIES + ("static:cap_w=90", "dufp-adaptive")
 
 #: Members guaranteed eligible for lane-parallel controller ticks:
-#: clean (fault-free) DUF/DUFP runs.
-VECTOR_POLICIES = ("duf", "dufp")
+#: clean (fault-free) DUF/DUFP runs and the log-only baselines.
+VECTOR_POLICIES = ("default", "duf", "dufp", "static", "uncore")
 
 plans = st.sampled_from(
     [
@@ -243,7 +243,7 @@ def test_lane_fallback_reasons():
     )
     # Exact-type registry: subclasses (dufpf, dufp-adaptive) fall back
     # alongside genuinely scalar-only controllers.
-    for policy in ("default", "dufpf", "dufp-adaptive", "static", "uncore", "dnpc"):
+    for policy in ("dufpf", "dufp-adaptive", "dnpc", "window"):
         reason = controller_lane_fallback_reason(_build(policy, "EP", 1, 0.05, None))
         assert reason is not None and "no vector tick form" in reason
     reason = controller_lane_fallback_reason(

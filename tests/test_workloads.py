@@ -1,7 +1,10 @@
 """Workload models: phases, applications, the ten-app catalog."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import yeti_socket_config
 from repro.errors import WorkloadError
@@ -12,7 +15,19 @@ from repro.workloads import (
     build_application,
     random_application,
 )
-from repro.workloads.phase import NominalRates, phase_from_duration
+from repro.workloads.phase import (
+    BOOST,
+    FLOPS,
+    FPC,
+    IDLENESS,
+    LATENCY,
+    OVERFETCH,
+    UNCORE,
+    NominalRates,
+    PhaseTable,
+    phase_from_duration,
+)
+from repro.workloads.service import batch
 
 
 class TestPhase:
@@ -129,6 +144,183 @@ class TestApplication:
         j = app.jittered(np.random.default_rng(3), 0.01)
         for p0, p1 in zip(app.phases, j.phases):
             assert p1.flops == pytest.approx(p0.flops, rel=0.1)
+
+
+@lru_cache(maxsize=None)
+def _catalog_app(name):
+    return build_application(name)
+
+
+def _per_phase_jitter(app, rng, sigma):
+    """The former jitter, one scalar draw and ``Phase.scaled`` per phase."""
+    out = []
+    for p in app.phases:
+        factor = max(1.0 + sigma * rng.standard_normal(), 0.2)
+        out.append((p.flops * factor, p.bytes * factor))
+    return out
+
+
+class TestJitterTables:
+    """``jittered`` is one vector draw over the phase table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(application_names()),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sigma=st.one_of(
+            st.floats(min_value=1e-4, max_value=0.1),
+            st.floats(min_value=1.0, max_value=10.0),
+        ),
+    )
+    def test_matches_per_phase_draws(self, name, seed, sigma):
+        app = _catalog_app(name)
+        rng_old = np.random.default_rng(seed)
+        rng_new = np.random.default_rng(seed)
+        expected = _per_phase_jitter(app, rng_old, sigma)
+        j = app.jittered(rng_new, sigma)
+        assert [(p.flops, p.bytes) for p in j.phases] == expected
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        # Everything but the volumes is the base application's.
+        assert (j.name, j.structure) == (app.name, app.structure)
+        for p0, p1 in zip(app.phases, j.phases):
+            assert (p1.name, p1.fpc, p1.latency_sensitivity) == (
+                p0.name,
+                p0.fpc,
+                p0.latency_sensitivity,
+            )
+            assert (
+                p1.uncore_sensitivity,
+                p1.overfetch,
+                p1.power_boost,
+                p1.idleness,
+            ) == (
+                p0.uncore_sensitivity,
+                p0.overfetch,
+                p0.power_boost,
+                p0.idleness,
+            )
+
+    def test_floor_binds_at_large_sigma(self):
+        app = _catalog_app("CG")
+        expected = _per_phase_jitter(app, np.random.default_rng(1), 3.0)
+        j = app.jittered(np.random.default_rng(1), 3.0)
+        floored = [
+            p1.flops == p0.flops * 0.2 for p0, p1 in zip(app.phases, j.phases)
+        ]
+        assert any(floored) and not all(floored)
+        assert [(p.flops, p.bytes) for p in j.phases] == expected
+
+    def test_underflow_to_no_work_still_raises(self):
+        """A valid subnormal phase floored to 0.2x loses all its work."""
+        tiny = Phase("tiny", flops=5e-324, bytes=0.0, fpc=1.0)
+        app = Application(
+            "A", phases=(Phase("ok", 1.0, 1.0, 1.0), tiny, tiny)
+        )
+        # A seed whose three draws are negative: at sigma 1e6 every
+        # factor floors at 0.2.
+        seed = next(
+            s
+            for s in range(100)
+            if (np.random.default_rng(s).standard_normal(3) < 0.0).all()
+        )
+        with pytest.raises(WorkloadError) as scalar:
+            tiny.scaled(0.2)
+        with pytest.raises(WorkloadError) as vector:
+            app.jittered(np.random.default_rng(seed), 1e6)
+        assert str(vector.value) == str(scalar.value)
+        assert "no work at all" in str(vector.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"flops": -1.0},
+            {"fpc": 0.0},
+            {"latency_sensitivity": -0.1},
+            {"uncore_sensitivity": -0.1},
+            {"overfetch": -0.1},
+            {"power_boost": 0.0},
+            {"idleness": 1.0},
+            {"idleness": float("nan")},
+        ],
+    )
+    def test_table_check_raises_the_phase_error(self, bad):
+        fields = dict(flops=1.0, bytes=1.0, fpc=1.0)
+        with pytest.raises(WorkloadError) as scalar:
+            Phase("bad", **{**fields, **bad})
+        table = PhaseTable.of([Phase("ok", **fields)] * 2)
+        col = {
+            "flops": FLOPS,
+            "fpc": FPC,
+            "latency_sensitivity": LATENCY,
+            "uncore_sensitivity": UNCORE,
+            "overfetch": OVERFETCH,
+            "power_boost": BOOST,
+            "idleness": IDLENESS,
+        }
+        ((field, value),) = bad.items()
+        table.values[col[field], 1] = value
+        table = PhaseTable(("ok", "bad"), table.values)
+        with pytest.raises(WorkloadError) as vector:
+            table.check()
+        assert str(vector.value) == str(scalar.value)
+
+    def test_batch_run_builds_no_phase_objects(self, monkeypatch):
+        from repro.config import ControllerConfig
+        from repro.core.registry import as_spec
+        from repro.sim.batch import run_batch
+        from repro.sim.run import build_engine
+
+        cfg = ControllerConfig(tolerated_slowdown=0.05)
+        engines = [
+            build_engine(
+                build_application(name, scale=0.05),
+                as_spec("duf").build(cfg),
+                controller_cfg=cfg,
+                seed=seed,
+                record_trace=False,
+            )
+            for seed, name in enumerate(("CG", "MG", "LAMMPS"))
+        ]
+        built = []
+        post_init = Phase.__post_init__
+
+        def counting(phase):
+            built.append(phase.name)
+            post_init(phase)
+
+        monkeypatch.setattr(Phase, "__post_init__", counting)
+        results = run_batch(engines)
+        assert [r.app_name for r in results] == ["CG", "MG", "LAMMPS"]
+        assert built == []
+
+    def test_phases_built_on_read_from_the_table(self):
+        app = _catalog_app("MG")
+        j = app.jittered(np.random.default_rng(0), 0.01)
+        assert "phases" not in vars(j)
+        assert len(j.phases) == len(app.phases)
+        assert j.phases is j.phases
+        assert j.table.names is app.table.names
+
+
+class TestFromPatternDefect:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="from_pattern drops power_boost and idleness from loop phases",
+    )
+    def test_loop_phases_keep_power_boost_and_idleness(self):
+        k = Phase("k", 1.0, 1.0, 1.0, power_boost=1.05, idleness=0.1)
+        app = Application.from_pattern("A", loop=[k], iterations=2)
+        assert [(p.power_boost, p.idleness) for p in app.phases] == [
+            (1.05, 0.1),
+            (1.05, 0.1),
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="from_pattern drops power_boost and idleness from loop phases",
+    )
+    def test_batch_scan_runs_boosted(self):
+        assert batch().phases[0].power_boost == 1.05
 
 
 class TestCatalog:
