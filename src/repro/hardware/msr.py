@@ -16,6 +16,7 @@ sitting behind ``/dev/cpu/*/msr``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -86,23 +87,51 @@ def set_bits(value: int, hi: int, lo: int, bits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: ``2^Y * (1 + Z/4)`` for every 7-bit field, in field-search order
+#: (Y-major, Z-minor), which is also ascending order.
+_WINDOW_STEPS = tuple(
+    (2.0**y) * (1.0 + z / 4.0) for y in range(32) for z in range(4)
+)
+
+
 def encode_rapl_window(seconds: float, time_unit_s: float) -> int:
     """Encode a window length into the 7-bit RAPL ``(Y, Z)`` format.
 
     Returns the 7-bit field (Z in bits 6:5, Y in bits 4:0) whose decoded
-    value is the closest representable window not exceeding practical
-    rounding error.
+    value is nearest ``seconds``; of equally near fields, the first in
+    Y-major, Z-minor order wins.
+
+    The representable windows ascend in that order, so the rounded
+    errors fall and then rise.  The search starts at the field at or
+    just below ``seconds``, found from the binary exponent of
+    ``seconds / time_unit_s``, and steps to its neighbours while the
+    error does not grow.
     """
-    if seconds <= 0 or time_unit_s <= 0:
-        raise MSRError("window and time unit must be positive")
-    best_field, best_err = 0, float("inf")
-    for y in range(32):
-        for z in range(4):
-            w = (2.0**y) * (1.0 + z / 4.0) * time_unit_s
-            err = abs(w - seconds)
-            if err < best_err:
-                best_err, best_field = err, (z << 5) | y
-    return best_field
+    if not (0.0 < seconds < math.inf and 0.0 < time_unit_s < math.inf):
+        raise MSRError(
+            f"window {seconds!r} s and time unit {time_unit_s!r} s must be "
+            "positive and finite"
+        )
+
+    def err(k: int) -> float:
+        return abs(_WINDOW_STEPS[k] * time_unit_s - seconds)
+
+    last = len(_WINDOW_STEPS) - 1
+    ratio = seconds / time_unit_s
+    if ratio < 1.0:
+        k = 0
+    elif ratio == math.inf:
+        k = last
+    else:
+        mantissa, exp = math.frexp(ratio)  # ratio = mantissa * 2**exp
+        k = min(4 * (exp - 1) + int((2.0 * mantissa - 1.0) * 4.0), last)
+    # Past any run of ties to the first rise, then back to the first
+    # of the smallest errors.
+    while k < last and err(k + 1) <= err(k):
+        k += 1
+    while k > 0 and err(k - 1) <= err(k):
+        k -= 1
+    return ((k & 3) << 5) | (k >> 2)
 
 
 def decode_rapl_window(field7: int, time_unit_s: float) -> float:

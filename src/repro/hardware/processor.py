@@ -310,6 +310,20 @@ class SimulatedProcessor:
     # -- views ------------------------------------------------------------------------
 
     @property
+    def snapshot(self) -> tuple:
+        """The most recent step's raw record, with no object built.
+
+        ``(now_s, core_hz, uncore_hz, package, dram_w, rates,
+        temperature_c)``: ``package`` is the step's
+        :class:`PowerBreakdown`, ``rates`` its :class:`ExecutionRates`.
+        :attr:`state` is built from it; a traced tick reads it directly.
+        """
+        snap = self._snap
+        if snap is None:
+            raise SimulationError("processor has not stepped yet")
+        return snap
+
+    @property
     def state(self) -> ProcessorState:
         """Snapshot taken at the end of the most recent step.
 
@@ -318,9 +332,7 @@ class SimulatedProcessor:
         """
         state = self._last_state
         if state is None:
-            if self._snap is None:
-                raise SimulationError("processor has not stepped yet")
-            now_s, core_hz, uncore_hz, pkg, dram_w, rates, temp_c = self._snap
+            now_s, core_hz, uncore_hz, pkg, dram_w, rates, temp_c = self.snapshot
             state = self._last_state = ProcessorState(
                 time_s=now_s,
                 core_freq_hz=core_hz,

@@ -131,12 +131,22 @@ class RAPLPackage:
         pl1_window_s: float | None = None,
         pl2_window_s: float | None = None,
     ) -> None:
-        """Program both constraints; they latch after the actuation delay."""
+        """Program both constraints; they latch after the actuation delay.
+
+        A window of ``None`` (or ``0``) keeps that constraint's current
+        window; any other window must be positive and finite.
+        """
         for w in (pl1_w, pl2_w):
             if not self.cfg.min_limit_w <= w <= 10 * self.cfg.pl2_default_w:
                 raise RAPLError(f"power limit {w!r} W outside accepted range")
         if pl1_w > pl2_w:
             raise RAPLError(f"PL1 ({pl1_w} W) must not exceed PL2 ({pl2_w} W)")
+        for window in (pl1_window_s, pl2_window_s):
+            # NaN, ±inf and negatives would poison the running averages.
+            if window and not 0.0 < window < math.inf:
+                raise RAPLError(
+                    f"time window {window!r} s is not positive and finite"
+                )
         extra_delay_s = 0.0
         if self.latch_fault is not None:
             dropped, extra_delay_s = self.latch_fault()

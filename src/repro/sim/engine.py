@@ -324,19 +324,22 @@ class SimulationStepper:
             if p.finish_time_s is None:
                 running = True
             if sink is not None:
-                s = proc.state
+                # Straight from the step's record: no ProcessorState.
+                now_s, core_hz, uncore_hz, pkg, dram_w, rates, temp_c = (
+                    proc.snapshot
+                )
                 sink.record(
                     sid,
                     TraceSample(
-                        time_s=s.time_s,
-                        core_freq_hz=s.core_freq_hz,
-                        uncore_freq_hz=s.uncore_freq_hz,
-                        package_power_w=s.package.total_w,
-                        dram_power_w=s.dram_power_w,
-                        cap_w=proc.rapl.pl1.limit_w,
-                        flops_rate=s.flops_rate,
-                        bytes_rate=s.bytes_rate,
-                        temperature_c=s.temperature_c,
+                        now_s,
+                        core_hz,
+                        uncore_hz,
+                        pkg.total_w,
+                        dram_w,
+                        proc.rapl.pl1.limit_w,
+                        rates.flops_rate,
+                        rates.bytes_rate,
+                        temp_c,
                     ),
                 )
         self.done = not running

@@ -16,7 +16,7 @@ from typing import IO
 from ..errors import SimulationError
 from .faults import NODE_WIDE, FaultEvent
 from .result import RunResult, SocketResult
-from .trace import jsonl_event_line, jsonl_sample_line
+from .trace import JsonlSampleEncoder, jsonl_event_line
 
 __all__ = [
     "trace_to_csv",
@@ -80,7 +80,7 @@ def trace_to_jsonl(
     """Write one socket's trace as JSONL; returns the line count.
 
     Uses the same encoders as the streaming JSONL sink
-    (:func:`repro.sim.trace.jsonl_sample_line` /
+    (:class:`repro.sim.trace.JsonlSampleEncoder` /
     :func:`repro.sim.trace.jsonl_event_line`), so serialising an
     in-memory trace is byte-identical to having streamed the run:
     samples first, then ``events`` (if given) as one trailing block —
@@ -90,8 +90,9 @@ def trace_to_jsonl(
     if not socket.trace:
         raise SimulationError("run recorded no trace (record_trace=False?)")
     lines = 0
+    encoder = JsonlSampleEncoder()
     for s in socket.trace:
-        stream.write(jsonl_sample_line(socket.socket_id, s))
+        stream.write(encoder.line(socket.socket_id, s))
         lines += 1
     for event in events or ():
         stream.write(jsonl_event_line(event))

@@ -411,18 +411,20 @@ class HeteroEngine:
                     apply(now)
 
                 if sink is not None:
-                    st = cpu.state
+                    # The step's own record, as the CPU engine traces it,
+                    # stamped with the node clock and no temperature.
+                    _, core_hz, uncore_hz, pkg, dram_w, rates, _ = cpu.snapshot
                     sink.record(
                         0,
                         TraceSample(
-                            time_s=now,
-                            core_freq_hz=st.core_freq_hz,
-                            uncore_freq_hz=st.uncore_freq_hz,
-                            package_power_w=st.package.total_w,
-                            dram_power_w=st.dram_power_w,
-                            cap_w=allocs[0],
-                            flops_rate=st.flops_rate,
-                            bytes_rate=st.bytes_rate,
+                            now,
+                            core_hz,
+                            uncore_hz,
+                            pkg.total_w,
+                            dram_w,
+                            allocs[0],
+                            rates.flops_rate,
+                            rates.bytes_rate,
                         ),
                     )
                     for i, gpu in enumerate(gpus):

@@ -10,7 +10,8 @@ sample into a :class:`TraceSink` and never owns the storage policy.
 * :class:`StreamingTraceSink` — writes JSONL or CSV rows as they are
   produced; RAM stays O(1) regardless of run length, and the JSONL
   content is byte-identical to serialising an in-memory trace of the
-  same run (``jsonl_sample_line`` is the single encoder for both).
+  same run (one :class:`JsonlSampleEncoder` per stream, whose bytes
+  ``jsonl_sample_line`` defines, serves both).
 * :class:`RingBufferTraceSink` — keeps only the last ``capacity``
   samples per socket (bounded post-mortem window).
 * :class:`CompositeTraceSink` — fans each sample out to several sinks,
@@ -38,6 +39,7 @@ __all__ = [
     "RingBufferTraceSink",
     "StreamingTraceSink",
     "CompositeTraceSink",
+    "JsonlSampleEncoder",
     "jsonl_sample_line",
     "jsonl_event_line",
     "csv_sample_row",
@@ -72,9 +74,11 @@ _FLOAT = frozenset((float,))
 def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
     """One JSONL record (with trailing newline) for one trace sample.
 
-    The single encoder shared by the streaming sink and the exporter:
-    a streamed file and a serialised in-memory trace of the same run
-    are byte-identical because both call this function.
+    The stateless definition of a sample line's bytes.  The streaming
+    sink and the exporter both encode through a
+    :class:`JsonlSampleEncoder`, which writes exactly these bytes, so a
+    streamed file and a serialised in-memory trace of the same run are
+    byte-identical.
 
     Plain ints and finite floats are formatted directly; any other
     value (NaN, ±inf, a float subclass) falls back to ``json.dumps``,
@@ -119,13 +123,88 @@ def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
+#: The part of a sample line before its tail, for a plain int socket
+#: id and a finite float time.
+_SAMPLE_HEAD = '{"socket_id":%r,"time_s":%r,'
+#: Where the tail (the eight fields after ``time_s``) starts in a line.
+_TAIL_KEY = '"core_freq_hz":'
+#: Exact types a sample's tail may hold to reuse a kept tail; a ``None``
+#: can only equal a kept ``None`` temperature.
+_TAIL_TYPES = frozenset((float, type(None)))
+
+
+class JsonlSampleEncoder:
+    """:func:`jsonl_sample_line` for one stream, reusing unchanged tails.
+
+    From one 10 ms sample to the next a socket's eight non-time fields
+    rarely change, yet formatting their floats is most of a line's
+    cost.  Per socket, the encoder keeps the last tail's values and
+    their text; a sample whose tail equals them costs only its
+    ``socket_id``/``time_s`` head.  Every line is byte-identical to
+    :func:`jsonl_sample_line`, which encodes any line not reused.
+
+    Only a tail whose fields are all exactly ``float`` (temperature may
+    be ``None``), finite and nonzero is kept, and a sample reuses it
+    only when its own fields have those exact types too, with a plain
+    ``int`` socket id and a finite float time.  So ``-0.0``/``0.0``
+    flips, NaN, ±inf, bools, ints, float subclasses and numpy scalars —
+    values that compare equal yet print differently — never reuse a
+    tail.  The state is one entry per socket id; :meth:`reset` clears
+    it between streams.
+    """
+
+    __slots__ = ("_tails",)
+
+    def __init__(self) -> None:
+        #: socket id -> (tail values, tail text).
+        self._tails: dict[int, tuple[tuple, str]] = {}
+
+    def reset(self) -> None:
+        """Forget every socket's last tail."""
+        self._tails.clear()
+
+    def line(self, socket_id: int, sample: TraceSample) -> str:
+        """One JSONL record for ``sample``, as :func:`jsonl_sample_line`."""
+        if type(socket_id) is not int:
+            return jsonl_sample_line(socket_id, sample)
+        tail = (
+            sample.core_freq_hz,
+            sample.uncore_freq_hz,
+            sample.package_power_w,
+            sample.dram_power_w,
+            sample.cap_w,
+            sample.flops_rate,
+            sample.bytes_rate,
+            sample.temperature_c,
+        )
+        time_s = sample.time_s
+        last = self._tails.get(socket_id)
+        if (
+            last is not None
+            and last[0] == tail
+            and _TAIL_TYPES.issuperset(map(type, tail))
+            and type(time_s) is float
+            and math.isfinite(time_s)
+        ):
+            return _SAMPLE_HEAD % (socket_id, time_s) + last[1]
+        line = jsonl_sample_line(socket_id, sample)
+        values = tail if tail[-1] is not None else tail[:-1]
+        if (
+            _FLOAT.issuperset(map(type, values))
+            and 0.0 not in values
+            and math.isfinite(sum(values))
+        ):
+            self._tails[socket_id] = (tail, line[line.index(_TAIL_KEY):])
+        return line
+
+
 def jsonl_event_line(event: "FaultEvent") -> str:
     """One JSONL record (with trailing newline) for one fault event.
 
     Event records carry an ``"event"`` key (sample records never do),
-    so mixed trace files stay trivially splittable.  Like
-    :func:`jsonl_sample_line`, this is the single encoder shared by the
-    streaming sink and the exporter, keeping the two byte-identical.
+    so mixed trace files stay trivially splittable.  This is the single
+    event encoder shared by the streaming sink and the exporter,
+    keeping the two byte-identical.
     """
     record = {
         "event": event.channel,
@@ -277,9 +356,11 @@ class StreamingTraceSink(TraceSink):
         self._owns_stream = False
         self._csv_writer = None
         self._events: "list[FaultEvent]" = []
+        self._encoder = JsonlSampleEncoder()
 
     def open(self, socket_count: int) -> None:
         """Open the target (if a path) and emit the CSV header."""
+        self._encoder.reset()
         if hasattr(self._target, "write"):
             self._stream = self._target  # type: ignore[assignment]
         else:
@@ -294,7 +375,7 @@ class StreamingTraceSink(TraceSink):
         if self._stream is None:
             raise SimulationError("streaming sink used before open()")
         if self.fmt == "jsonl":
-            self._stream.write(jsonl_sample_line(socket_id, sample))
+            self._stream.write(self._encoder.line(socket_id, sample))
         else:
             self._csv_writer.writerow(csv_sample_row(socket_id, sample))
         self.rows += 1
@@ -319,6 +400,7 @@ class StreamingTraceSink(TraceSink):
                 self._stream.write(jsonl_event_line(event))
                 self.rows += 1
         self._events = []
+        self._encoder.reset()
         self._stream.flush()
         if self._owns_stream:
             self._stream.close()

@@ -1,5 +1,7 @@
 """MSR register file: bitfields, window codec, access semantics."""
 
+import math
+
 import pytest
 
 from repro.errors import MSRError, MSRPermissionError
@@ -93,6 +95,70 @@ class TestRAPLWindowCodec:
             encode_rapl_window(1.0, self.TIME_UNIT), self.TIME_UNIT
         )
         assert w1 < w2
+
+    @pytest.mark.parametrize(
+        "seconds, unit",
+        [
+            (math.nan, TIME_UNIT),
+            (math.inf, TIME_UNIT),
+            (-math.inf, TIME_UNIT),
+            (-1.0, TIME_UNIT),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (1.0, 0.0),
+        ],
+    )
+    def test_encode_rejects_non_finite(self, seconds, unit):
+        with pytest.raises(MSRError):
+            encode_rapl_window(seconds, unit)
+
+
+def _brute_force_window(seconds, time_unit_s):
+    """Every (Y, Z) pair in Y-major, Z-minor order; the first of the
+    smallest errors wins."""
+    best_field, best_err = 0, float("inf")
+    for y in range(32):
+        for z in range(4):
+            w = (2.0**y) * (1.0 + z / 4.0) * time_unit_s
+            err = abs(w - seconds)
+            if err < best_err:
+                best_err, best_field = err, (z << 5) | y
+    return best_field
+
+
+class TestRAPLWindowSearch:
+    """The neighbour search returns exactly the brute force's field."""
+
+    UNITS = (2.0**-10, 1e-3, 0.37, 5e-324, 1e-300, 1e300)
+
+    def _check(self, seconds, unit):
+        if 0.0 < seconds < math.inf:
+            assert encode_rapl_window(seconds, unit) == _brute_force_window(
+                seconds, unit
+            ), (seconds, unit)
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_dense_log_grid(self, unit):
+        # 2**-60 .. 2**60 unit lengths, 16 points per octave.
+        for i in range(-960, 961):
+            self._check(unit * 2.0 ** (i / 16), unit)
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_every_window_and_midpoint(self, unit):
+        windows = [decode_rapl_window(f, unit) for f in range(0x80)]
+        ascending = sorted(w for w in windows if w < math.inf)
+        for lo, hi in zip(ascending, ascending[1:]):
+            # The exact midpoint is a tie: the lower field must win.
+            for seconds in (lo, (lo + hi) / 2, lo + (hi - lo) / 2):
+                self._check(seconds, unit)
+                self._check(math.nextafter(seconds, 0.0), unit)
+                self._check(math.nextafter(seconds, math.inf), unit)
+        self._check(ascending[-1], unit)
+
+    def test_extremes(self):
+        for seconds in (5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308):
+            for unit in self.UNITS:
+                self._check(seconds, unit)
 
 
 class TestMSRFile:

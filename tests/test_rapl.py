@@ -78,6 +78,31 @@ class TestLimitProgramming:
         rapl.step(0.01, 100.0, 20.0)
         assert rapl.pl1.limit_w == 90.0
 
+    @pytest.mark.parametrize("window", [math.nan, -1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["pl1_window_s", "pl2_window_s"])
+    def test_bad_window_rejected(self, rapl, which, window):
+        with pytest.raises(RAPLError, match=repr(window)):
+            rapl.set_limits(100.0, 100.0, **{which: window})
+        # Nothing was queued: five steps at 90 W behave as on a fresh socket.
+        fresh = RAPLPackage(RAPLConfig())
+        for r in (rapl, fresh):
+            for _ in range(5):
+                r.step(0.01, 90.0, 10.0)
+        assert rapl._avg_pl1_w == fresh._avg_pl1_w
+        assert rapl.allowed_power() == fresh.allowed_power()
+
+    @pytest.mark.parametrize("window", [None, 0.0])
+    def test_none_or_zero_window_keeps_current(self, rapl, window):
+        rapl.set_limits(100.0, 100.0, pl1_window_s=window, pl2_window_s=window)
+        rapl.step(0.01, 100.0, 20.0)
+        assert rapl.pl1.window_s == RAPLConfig().pl1_window_s
+        assert rapl.pl2.window_s == RAPLConfig().pl2_window_s
+
+    def test_good_window_latches(self, rapl):
+        rapl.set_limits(100.0, 100.0, pl1_window_s=0.5, pl2_window_s=0.002)
+        rapl.step(0.01, 100.0, 20.0)
+        assert (rapl.pl1.window_s, rapl.pl2.window_s) == (0.5, 0.002)
+
 
 class TestBudget:
     def test_headroom_allows_burst_up_to_pl2(self, rapl):

@@ -4,6 +4,7 @@ import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,9 @@ from repro.config import (
 from repro.core.registry import controller_factory
 from repro.errors import SimulationError
 from repro.sim.export import trace_to_jsonl
+from repro.sim.faults import FaultEvent
 from repro.sim.machine import SimulatedMachine
-from repro.sim.result import TraceSample
+from repro.sim.result import SocketResult, TraceSample
 from repro.sim.run import run_application
 from repro.sim.trace import (
     CSV_HEADER,
@@ -26,6 +28,7 @@ from repro.sim.trace import (
     InMemoryTraceSink,
     RingBufferTraceSink,
     StreamingTraceSink,
+    jsonl_event_line,
     jsonl_sample_line,
 )
 from repro.workloads.catalog import build_application
@@ -168,6 +171,87 @@ ANY_FLOAT = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
+class _Float(float):
+    """A float subclass: equal to its value, encoded by ``json.dumps``."""
+
+
+#: Tail values: forms of 1.0 that compare equal yet must print
+#: differently (1, True, a subclass, numpy), 0.0 and -0.0, non-finite
+#: values, and plain floats that may be reused.
+TAIL_VALUE = st.sampled_from(
+    [
+        1.0,
+        1.0,
+        1,
+        True,
+        _Float(1.0),
+        np.float64(1.0),
+        0.0,
+        -0.0,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        118.92911093898077,
+    ]
+)
+TIME_VALUE = st.one_of(
+    st.sampled_from([0.01, 12.340000000000009, 0.0, -0.0, float("nan"), 1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: How one sample's tail differs from its socket's previous one: not at
+#: all (so tails repeat in runs), in a float field, or in the
+#: temperature (which may also be ``None``).
+TAIL_CHANGE = st.one_of(
+    st.none(),
+    # Few fields, so a field often flips back and forth between forms.
+    st.tuples(st.sampled_from([0, 3, 6]), TAIL_VALUE),
+    st.tuples(st.just(7), st.one_of(st.none(), TAIL_VALUE)),
+)
+FAULT_EVENT = st.builds(
+    FaultEvent,
+    time_s=st.floats(allow_nan=False, allow_infinity=False),
+    socket_id=st.sampled_from([-1, 0, 1]),
+    channel=st.sampled_from(["msr_fail", "rapl_latch_drop"]),
+    detail=st.text(max_size=8),
+)
+PLAIN_SAMPLE = TraceSample(0.01, 2.4e9, 1.2e9, 88.5, 7.25, 125.0, 1e9, 2e9)
+
+
+@st.composite
+def _sample_run(draw):
+    """Records of one run on two interleaved sockets: a list of
+    ``("sample", socket_id, sample)`` and ``("event", event)`` items."""
+    tails = {
+        # Socket 0 starts anywhere, socket 1 on a reusable tail.
+        0: [*draw(st.lists(TAIL_VALUE, min_size=7, max_size=7)), None],
+        1: [1.0] * 7 + [None],
+    }
+    records = []
+    for socket_id, change, time_s in draw(
+        st.lists(
+            # ``True`` hashes like socket 1 but must print as ``true``.
+            st.tuples(st.sampled_from([0, 1, 1, True]), TAIL_CHANGE, TIME_VALUE),
+            max_size=40,
+        )
+    ):
+        if change is not None:
+            tails[socket_id][change[0]] = change[1]
+        sample = TraceSample(time_s, *tails[socket_id])
+        records.append(("sample", socket_id, sample))
+    for event in draw(st.lists(FAULT_EVENT, max_size=3)):
+        records.insert(draw(st.integers(0, len(records))), ("event", event))
+    return records
+
+
+def _stateless_lines(records):
+    """The reference file: ``jsonl_sample_line`` per sample, then the
+    event block."""
+    return "".join(
+        [jsonl_sample_line(r[1], r[2]) for r in records if r[0] == "sample"]
+        + [jsonl_event_line(r[1]) for r in records if r[0] == "event"]
+    )
+
+
 class TestJsonlEncoder:
     """``jsonl_sample_line`` is byte-equal to ``json.dumps``."""
 
@@ -208,3 +292,118 @@ class TestJsonlEncoder:
         sample = TraceSample(1, 2.4e9, 1.2e9, True, 7.25, 125.0, 0.0, 0.0, 40)
         assert jsonl_sample_line(0, sample) == _json_reference(0, sample)
         assert jsonl_sample_line(True, sample) == _json_reference(True, sample)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(_sample_run(), min_size=2, max_size=2))
+    def test_streamed_sequences_match_stateless_lines(self, runs):
+        fresh = StreamingTraceSink(io.StringIO())
+        with pytest.raises(SimulationError):
+            fresh.record(0, PLAIN_SAMPLE)
+        # One sink over two runs into one stream: the second run starts
+        # clean, so the stream is the two reference files back to back.
+        stream = io.StringIO()
+        sink = StreamingTraceSink(stream)
+        expected = ""
+        for records in runs:
+            sink.open(2)
+            for record in records:
+                if record[0] == "sample":
+                    sink.record(record[1], record[2])
+                else:
+                    sink.record_event(record[1].socket_id, record[1])
+            sink.close()
+            expected += _stateless_lines(records)
+            assert stream.getvalue() == expected
+        assert sink.rows == expected.count("\n")
+        with pytest.raises(SimulationError):
+            sink.record(0, PLAIN_SAMPLE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_sample_run())
+    def test_exported_trace_matches_stateless_lines(self, records):
+        # Socket 1's samples (it starts on a reusable tail) as one trace.
+        records = [
+            ("sample", 1, r[2]) if r[0] == "sample" else r
+            for r in records
+            if r[0] == "event" or r[1] == 1
+        ]
+        trace = [r[2] for r in records if r[0] == "sample"]
+        events = [r[1] for r in records if r[0] == "event"]
+        socket = SocketResult(
+            socket_id=1,
+            finish_time_s=1.0,
+            package_energy_j=0.0,
+            dram_energy_j=0.0,
+            trace=trace,
+        )
+        stream = io.StringIO()
+        if not trace:
+            with pytest.raises(SimulationError):
+                trace_to_jsonl(socket, stream, events=events)
+            return
+        lines = trace_to_jsonl(socket, stream, events=events)
+        assert lines == len(trace) + len(events)
+        assert stream.getvalue() == _stateless_lines(records)
+
+    @pytest.mark.parametrize("field", range(8))
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (1, 1.0),
+            (True, 1.0),
+            (_Float(1.0), 1.0),
+            (np.float64(1.0), 1.0),
+            (1.0, 1),
+            (1.0, True),
+            (1.0, _Float(1.0)),
+            (1.0, np.float64(1.0)),
+            (float("inf"), float("inf")),
+            (float("nan"), float("nan")),
+        ],
+    )
+    def test_equal_values_that_print_differently(self, field, first, then):
+        # A tail of equal values must not reuse the text of the other form.
+        tail = [1.0] * 7 + [None]
+        samples = []
+        for value in (first, then, then):
+            tail[field] = value
+            samples.append(TraceSample(0.01 * len(samples), *tail))
+        stream = io.StringIO()
+        sink = StreamingTraceSink(stream)
+        sink.open(1)
+        for sample in samples:
+            sink.record(0, sample)
+        sink.close()
+        assert stream.getvalue() == "".join(
+            jsonl_sample_line(0, sample) for sample in samples
+        )
+
+    @pytest.mark.parametrize(
+        "socket_id, time_s",
+        [
+            (0, float("nan")),
+            (0, float("inf")),
+            (0, 1),
+            (0, True),
+            (0, np.float64(0.5)),
+            (0, _Float(0.5)),
+            (True, 0.5),
+        ],
+    )
+    def test_odd_heads_on_a_reused_tail(self, socket_id, time_s):
+        sample = replace(PLAIN_SAMPLE, time_s=0.5)
+        odd = replace(PLAIN_SAMPLE, time_s=time_s)
+        stream = io.StringIO()
+        sink = StreamingTraceSink(stream)
+        sink.open(2)
+        sink.record(0, sample)
+        sink.record(1, sample)
+        sink.record(socket_id, odd)
+        sink.close()
+        assert stream.getvalue() == (
+            jsonl_sample_line(0, sample)
+            + jsonl_sample_line(1, sample)
+            + jsonl_sample_line(socket_id, odd)
+        )
