@@ -55,8 +55,34 @@ class Controller(abc.ABC):
     name: str = "controller"
 
     def __init__(self) -> None:
-        self.ticks: list[TickLog] = []
+        self._ticks: list[TickLog] = []
+        self._tick_source: Callable[[], list[TickLog]] | None = None
         self._ctx: "SocketContext | None" = None
+
+    @property
+    def ticks(self) -> list[TickLog]:
+        """One :class:`TickLog` per tick, in tick order.
+
+        The scalar tick appends each entry as it logs it.  A run the
+        batch engine ticked lane-parallel keeps its log as columns and
+        attaches a source when the run ends; the entries are built from
+        it on first read (plain ``float``/``bool``/``str`` values, equal
+        to the scalar ones) and the source is dropped, so later reads
+        return the same list.
+        """
+        source = self._tick_source
+        if source is not None:
+            self._tick_source = None
+            self._ticks[:0] = source()
+        return self._ticks
+
+    def attach_tick_source(self, source: Callable[[], list[TickLog]]) -> None:
+        """Build this controller's tick log from ``source()`` on first read.
+
+        The built entries precede any logged since: a source holds the
+        ticks of a run that has already ended.
+        """
+        self._tick_source = source
 
     @property
     def ctx(self) -> "SocketContext":
@@ -73,4 +99,4 @@ class Controller(abc.ABC):
         """One control interval with its measurement."""
 
     def log(self, entry: TickLog) -> None:
-        self.ticks.append(entry)
+        self._ticks.append(entry)

@@ -82,9 +82,11 @@ __all__ = [
 #: batches each shard runs, and smaller ones widen those batches, whose
 #: memory grows with lanes × phases.  Measured on 2 vCPUs (ten
 #: alternating pairs of ``perf/run.py --workloads sharded_cache --reps 1``,
-#: seed 0), 1 shard per worker instead of 3 cut ``wall_s`` from 3.31 s
-#: to 2.37 s but raised ``peak_rss_mb`` from 54.2 to 85.8 MB (+58 %,
-#: against the benchmark's 10 % memory bound), so the value stays 3.
+#: seed 0, with lane-parallel tick logs kept as columns), 1 shard per
+#: worker instead of 3 cut ``wall_s`` from 5.84 s to 3.04 s but raised
+#: ``peak_rss_mb`` from 53.0 to 63.3 MB (+19 %, against the benchmark's
+#: 10 % memory bound; +58 % when each tick logged a ``TickLog`` object),
+#: so the value stays 3.
 SHARD_OVERSUBSCRIPTION = 3
 
 #: Planner fallback when an application cannot be sized ahead of time

@@ -50,6 +50,7 @@ the scalar engine in :func:`run_batch` (see ``docs/BATCHING.md``).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ import numpy as np
 from ..core.base import TickLog
 from ..core.capping import CapLanes
 from ..core.detector import PhaseDetectorLanes
-from ..core.duf import LANE_ACTIONS, LaneControllerState
+from ..core.duf import LANE_ACTIONS, LANE_HOLD, LaneControllerState
 from ..core.registry import vector_tick_form
 from ..core.tolerance import SlowdownLanes
 from ..core.uncore_actuator import UncoreLanes
@@ -93,6 +94,71 @@ _PARKED = np.iinfo(np.int64).max
 #: application's :class:`~repro.workloads.phase.PhaseTable` rows plus
 #: the peak rate ``count * fpc``.
 _PEAK = TABLE_ROWS
+
+#: Measured rates per lane and tick, in the scalar draw order: flops,
+#: bytes, package power, DRAM power.
+_RATES = 4
+
+#: Ticks of measurement noise one prefetched block holds: a run's block
+#: is ``_NOISE_BLOCK_TICKS * _RATES * sockets`` draws, at least two
+#: ticks' worth, so a refill always covers the tick that asked for it.
+_NOISE_BLOCK_TICKS = 16
+
+
+def noise_block_len(sockets):
+    """Draws in the noise block of a run with ``sockets`` (int or array)."""
+    return _NOISE_BLOCK_TICKS * _RATES * sockets
+
+
+class _TickColumns:
+    """The lane-parallel tick logs of one batch, as columns.
+
+    Each due tick form appends one record of arrays: the tick time,
+    the lanes, the latched PL1 limit, the logged uncore clock, the
+    phase-change flags and the ``int8`` action codes (see
+    :data:`~repro.core.duf.LANE_ACTIONS`).  :meth:`entries` builds one
+    lane's :class:`TickLog` list when a controller's ``ticks`` is first
+    read.
+    """
+
+    def __init__(self) -> None:
+        #: ``(now, lanes, pl1_w, uncore_hz, changed, cap_act, unc_act)``
+        self.records: list[tuple] = []
+        self._flat: tuple | None = None
+        self._flat_n = -1
+
+    def _sorted(self) -> tuple:
+        """Every record joined and stable-sorted by lane (cached)."""
+        recs = self.records
+        if self._flat_n != len(recs):
+            sizes = [len(rec[1]) for rec in recs]
+            cols = [
+                np.repeat([rec[0] for rec in recs], sizes),
+                *(np.concatenate([rec[i] for rec in recs]) for i in range(1, 7)),
+            ]
+            order = np.argsort(cols[1], kind="stable")
+            self._flat = tuple(c[order] for c in cols)
+            self._flat_n = len(recs)
+        return self._flat
+
+    def entries(self, lane: int) -> list[TickLog]:
+        """``lane``'s tick log, oldest first."""
+        if not self.records:
+            return []
+        now, lanes, pl1, uncore, changed, cap_act, unc_act = self._sorted()
+        lo, hi = np.searchsorted(lanes, (lane, lane + 1))
+        acts = LANE_ACTIONS
+        return [
+            TickLog(t, p, u, c, acts[a], acts[b])
+            for t, p, u, c, a, b in zip(
+                now[lo:hi].tolist(),
+                pl1[lo:hi].tolist(),
+                uncore[lo:hi].tolist(),
+                changed[lo:hi].tolist(),
+                cap_act[lo:hi].tolist(),
+                unc_act[lo:hi].tolist(),
+            )
+        ]
 
 
 def batch_fallback_reason(engine: SimulationEngine) -> str | None:
@@ -465,6 +531,8 @@ class BatchSimulationEngine:
         # whose last lane finished parks its counter and records the
         # tick its clock stopped at.
         self._times = [0.0]
+        self._times_arr = np.zeros(64)
+        self._times_n = 1
         self.ticks = np.zeros(L, dtype=np.int64)
         self.rem = z()
         self._end_tick = [0] * R
@@ -493,11 +561,30 @@ class BatchSimulationEngine:
         if not self._any_vec:
             return
 
-        # Per-run tick parameters (the runtime's measurement loop).
-        self._interval = [e.controller_cfg.interval_s for e in engines]
+        # Per-run tick parameters (the runtime's measurement loop), and
+        # the size of each run's contiguous lane block.
+        self._interval = np.array(
+            [e.controller_cfg.interval_s for e in engines]
+        )
+        self._nlanes = np.array([len(lanes) for lanes in self.run_lanes])
+        # Per-lane noise sigma of each measured rate, in draw order.
+        sigma = np.array(
+            [
+                (e.noise.counter_noise,) * 2 + (e.noise.power_noise,) * 2
+                for e in engines
+            ]
+        )
+        self._sigma = sigma[self.run_of]
+        # Prefetched measurement-noise blocks (see ``_noise_draws``):
+        # run ``r``'s block is ``_nz[_nz_off[r]:][:_nz_len[r]]`` and its
+        # next unused draw sits at ``_nz_cur[r]``; a block starts used up.
         self._rngs = [ctx.rng for ctx in ctxs]
-        self._counter_noise = [e.noise.counter_noise for e in engines]
-        self._power_noise = [e.noise.power_noise for e in engines]
+        noisy = np.array(self._vec_run) & (sigma > 0.0).any(axis=1)
+        self._nz_len = np.where(noisy, noise_block_len(self._nlanes), 0)
+        self._nz_off = np.cumsum(self._nz_len) - self._nz_len
+        self._nz_cur = self._nz_len.copy()
+        self._nz = np.empty(self._nz_len.sum())
+        self._tick_log = _TickColumns()
 
         # Per-lane controllers and their vector tick forms, dispatched
         # by a small integer code so one due set groups by form.
@@ -654,6 +741,7 @@ class BatchSimulationEngine:
         trace_runs = [r for r, ctx in enumerate(ctxs) if ctx.sink is not None]
         alive = self.alive
         ended = self._maybe_done
+        vec_run = np.array(self._vec_run)
         k = 0
         while alive.any():
             # The scalar stepper checks its time limit before every
@@ -698,19 +786,17 @@ class BatchSimulationEngine:
                     ctxs[r].injector.advance(now)
             if now + 1e-12 >= next_due:
                 due = np.nonzero(alive & (now + 1e-12 >= self.next_tick))[0]
-                vec_due: list[int] = []
+                vec = vec_run[due]
+                vec_due = due[vec]
                 sg = False
-                for r in due:
-                    if self._vec_run[r]:
-                        vec_due.append(r)
-                        continue
+                for r in due[~vec]:
                     ctx = ctxs[r]
                     self._scatter(r)
                     ctx.runtime.on_time(now)
                     self._gather(r)
                     self.next_tick[r] = ctx.runtime._next_tick_s
                     sg = True
-                if vec_due:
+                if len(vec_due):
                     self._tick_lanes(vec_due, now)
                 if sg:
                     self._after_gather()
@@ -735,6 +821,10 @@ class BatchSimulationEngine:
                 ctx.injector.advance(self._times[self._end_tick[r]])
             if self._vec_run[r]:
                 self._sync_lane_controllers(r, ctx)
+                for l in self.run_lanes[r]:
+                    self.ctrls[l].attach_tick_source(
+                        partial(self._tick_log.entries, l)
+                    )
             if ctx.sink is not None:
                 ctx.sink.close()
                 closed.add(r)
@@ -783,19 +873,23 @@ class BatchSimulationEngine:
     # tick takes the clean path — interval ``dt = interval + (now -
     # next_tick)`` with no debt or jitter, one measurement, one tick.
 
-    def _tick_lanes(self, runs: list[int], now: float) -> None:
+    def _tick_lanes(self, runs: np.ndarray, now: float) -> None:
         """Fire the due controller ticks of ``runs`` on the lane arrays."""
-        lanes: list[int] = []
-        dts: list[float] = []
-        for r in runs:
-            interval = self._interval[r]
-            dt_r = interval + (now - self.next_tick[r])
-            for l in self.run_lanes[r]:
-                lanes.append(l)
-                dts.append(dt_r)
-            self.next_tick[r] = now + interval
-        idx = np.array(lanes)
-        dt = np.array(dts)
+        # Each run's interval spans from its last tick to ``now``; its
+        # lanes are one contiguous block, so the due lanes are a run of
+        # aranges (``pos0`` is where each run's lanes start in ``idx``).
+        interval = self._interval[runs]
+        dt_r = interval + (now - self.next_tick[runs])
+        self.next_tick[runs] = now + interval
+        if self._run_first is None:
+            idx, dt, pos0 = runs, dt_r, None
+        else:
+            counts = self._nlanes[runs]
+            pos0 = np.cumsum(counts) - counts
+            idx = np.repeat(self._run_first[runs] - pos0, counts) + np.arange(
+                pos0[-1] + counts[-1]
+            )
+            dt = np.repeat(dt_r, counts)
 
         # EventSet.read_reset: raw integer counter reads and deltas
         # against the mirrors (RAPL nJ deltas modulo the wrap range).
@@ -813,46 +907,29 @@ class BatchSimulationEngine:
         self._mt_d[idx] = raw_d
 
         # IntervalMeter.sample: deltas -> rates, in the scalar
-        # association order.
-        fl = d_f / dt
-        by = (d_c * float(CACHE_LINE_BYTES)) / dt
-        pk = (d_p * 1e-9) / dt
-        dr = (d_d * 1e-9) / dt
+        # association order, one row per lane.
+        rates = np.empty((len(idx), _RATES))
+        np.divide(d_f, dt, out=rates[:, 0])
+        np.divide(d_c * float(CACHE_LINE_BYTES), dt, out=rates[:, 1])
+        np.divide(d_p * 1e-9, dt, out=rates[:, 2])
+        np.divide(d_d * 1e-9, dt, out=rates[:, 3])
 
-        # Measurement noise consumes each run's shared generator in the
-        # scalar draw order — per socket: flops, bytes, pkg, dram —
-        # with the zero-value and zero-sigma draws skipped identically.
-        # ``standard_normal(k)`` consumes the bit stream exactly like
-        # ``k`` scalar draws, so each run's draws collapse to one call.
-        fll, byl = fl.tolist(), by.tolist()
-        pkl, drl = pk.tolist(), dr.tolist()
-        pos = 0
-        targets: list[tuple[list, int, float]] = []
-        for r in runs:
-            rng = self._rngs[r]
-            cn = self._counter_noise[r]
-            pn = self._power_noise[r]
-            del targets[:]
-            for _ in self.run_lanes[r]:
-                if cn > 0.0:
-                    if fll[pos] != 0.0:
-                        targets.append((fll, pos, cn))
-                    if byl[pos] != 0.0:
-                        targets.append((byl, pos, cn))
-                if pn > 0.0:
-                    if pkl[pos] != 0.0:
-                        targets.append((pkl, pos, pn))
-                    if drl[pos] != 0.0:
-                        targets.append((drl, pos, pn))
-                pos += 1
-            if targets:
-                draws = rng.standard_normal(len(targets)).tolist()
-                for (lst, i, sigma), z in zip(targets, draws):
-                    lst[i] = max(lst[i] * (1.0 + sigma * z), 0.0)
+        # Measurement noise: the scalar meter draws per socket for
+        # flops, bytes, pkg, dram — row-major order here — and skips a
+        # zero value or a zero sigma.  ``max(v * (1 + sigma*z), 0.0)``
+        # is exact IEEE arithmetic, so the vector form matches it.
         # ``dr`` exists only for noise-stream parity (no controller
-        # reads the DRAM rate), so only the other three rebuild.
-        fl, by = np.array(fll), np.array(byl)
-        pk = np.array(pkl)
+        # reads the DRAM rate).
+        sigma = self._sigma[idx]
+        draw = (sigma > 0.0) & (rates != 0.0)
+        per_lane = np.count_nonzero(draw, axis=1)
+        if per_lane.any():
+            need = per_lane if pos0 is None else np.add.reduceat(per_lane, pos0)
+            z = self._noise_draws(runs, need)
+            rates[draw] = np.maximum(
+                rates[draw] * (1.0 + sigma[draw] * z), 0.0
+            )
+        fl, by, pk = rates[:, 0], rates[:, 1], rates[:, 2]
 
         # Measurement.operational_intensity (inf on no memory traffic).
         oi = np.where(by <= 0.0, np.inf, fl / by)
@@ -884,6 +961,34 @@ class BatchSimulationEngine:
             self._refresh_uncore()
             self._t_cache = None
 
+    def _noise_draws(self, runs: np.ndarray, need: np.ndarray) -> np.ndarray:
+        """The next ``need[i]`` standard-normal draws of each of ``runs``.
+
+        Draws come from each run's prefetched block.  A run whose block
+        has fewer than ``need`` left moves the leftover to the front and
+        refills the rest with one ``standard_normal`` call on its own
+        generator.  ``standard_normal(k)`` consumes the bit stream like
+        ``k`` scalar draws, so a run's blocks, read in order, are exactly
+        the scalar meter's draw sequence; nothing else draws from a
+        vector run's generator during the batch.
+        """
+        cur, size = self._nz_cur, self._nz_len
+        c = cur[runs]
+        short = c + need > size[runs]
+        if short.any():
+            nz, off = self._nz, self._nz_off
+            for r in runs[short].tolist():
+                block = nz[off[r] : off[r] + size[r]]
+                used = cur[r]
+                block[: size[r] - used] = block[used:]
+                block[size[r] - used :] = self._rngs[r].standard_normal(used)
+                cur[r] = 0
+            c = cur[runs]
+        ends = np.cumsum(need)
+        pos = np.repeat(self._nz_off[runs] + c - (ends - need), need)
+        cur[runs] = c + need
+        return self._nz[pos + np.arange(ends[-1])]
+
     def _log_lane_ticks(
         self,
         now: float,
@@ -893,28 +998,21 @@ class BatchSimulationEngine:
         unc_act: np.ndarray,
         uncore: np.ndarray,
     ) -> None:
-        """Append each lane's :class:`TickLog`, as the scalar tick does.
+        """Log each lane's tick as columns, as the scalar tick's TickLog.
 
         ``cap_w`` reads the *latched* PL1 limit (pending writes from
         this very tick have not taken effect — same as the scalar
         ``ctx.cap.cap_w`` read at log time); ``uncore_hz`` reads
         ``uncore``: an acting form's post-action pin (the scalar MSR
         write is immediate), a log-only form's running uncore clock.
+        The controllers build their :class:`TickLog` lists from these
+        columns when read (see :meth:`Controller.ticks`).
         """
-        ctrls = self.ctrls
-        pl1 = self.pl1_w[idx].tolist()
-        uncore_hz = uncore[idx].tolist()
-        ch = changed.tolist()
-        ca = (
-            [LANE_ACTIONS[c] for c in cap_act.tolist()]
-            if cap_act is not None
-            else ["hold"] * len(idx)
+        if cap_act is None:
+            cap_act = np.full(len(idx), LANE_HOLD, dtype=np.int8)
+        self._tick_log.records.append(
+            (now, idx, self.pl1_w[idx], uncore[idx], changed, cap_act, unc_act)
         )
-        ua = [LANE_ACTIONS[c] for c in unc_act.tolist()]
-        for i, l in enumerate(idx.tolist()):
-            ctrls[l].ticks.append(
-                TickLog(now, pl1[i], uncore_hz[i], ch[i], ca[i], ua[i])
-            )
 
     def _sync_lane_controllers(self, r: int, ctx: RunContext) -> None:
         """Replay a finished vector run's actuations into its objects.
@@ -1034,23 +1132,32 @@ class BatchSimulationEngine:
                 self.ticks[self.run_lanes[r]] = _PARKED
         self._check_finish = bool((self.phase_done & self.unfinished).any())
 
+    def _tick_starts(self) -> np.ndarray:
+        """``_times`` as an array, grown in place as the clock advances."""
+        times, arr = self._times, self._times_arr
+        n, have = len(times), self._times_n
+        if have != n:
+            if n > len(arr):
+                self._times_arr = arr = np.resize(arr, 2 * n)
+            arr[have:n] = times[have:n]
+            self._times_n = n
+        return arr
+
     def _cross(self, crossed: np.ndarray) -> None:
         """Close ``crossed`` lanes' phase spans and load their next rows."""
-        dt, times = self.dt, self._times
         rows = self.row[crossed]
         names, spans = self._names, self.spans
-        ends = []
-        for l, row, k, rm, start in zip(
+        # ``times[k - 1]`` is the start of the lane's current tick.
+        ends = self._tick_starts()[self.ticks[crossed] - 1] + (
+            self.dt - self.rem[crossed]
+        )
+        for l, row, start, end in zip(
             crossed.tolist(),
             rows.tolist(),
-            self.ticks[crossed].tolist(),
-            self.rem[crossed].tolist(),
             self.phase_start[crossed].tolist(),
+            ends.tolist(),
         ):
-            # ``times[k - 1]`` is the start of the lane's current tick.
-            end = times[k - 1] + (dt - rm)
-            spans[l].append(PhaseSpan(name=names[row], start_s=start, end_s=end))
-            ends.append(end)
+            spans[l].append(PhaseSpan(names[row], start, end))
         self.phase_start[crossed] = ends
         self.frac[crossed] = 0.0
         if self._t_cache is not None:

@@ -19,7 +19,7 @@ case: the batch engine must reproduce it byte for byte.
 import math
 import pathlib
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -31,9 +31,11 @@ from repro.config import (
     ThermalConfig,
     yeti_socket_config,
 )
+from repro.core.base import TickLog
 from repro.core.registry import as_spec, policy_info, policy_names
 from repro.errors import SimulationError
 from repro.hardware.msr import MSR
+from repro.sim import batch as batch_module
 from repro.sim.batch import (
     BatchSimulationEngine,
     controller_lane_fallback_reason,
@@ -44,7 +46,9 @@ from repro.sim.export import run_summary, write_trace_jsonl
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import SimulatedMachine
 from repro.sim.run import build_engine
+from repro.workloads.application import Application
 from repro.workloads.catalog import build_application
+from repro.workloads.phase import phase_from_duration
 
 # The golden-scenario constants live with the regeneration script so
 # this suite, tests/test_golden_trace.py and the regenerator can never
@@ -505,3 +509,127 @@ def test_phase_time_memo_misses_when_the_need_set_grows(contexts):
         for policy in ("duf", "dufp")
     ]
     _assert_batch_matches_scalar(builders, contexts)
+
+
+# ------------------------------------------------------- measurement noise
+#
+# Lane-parallel ticks read each run's measurement noise from prefetched
+# blocks of its generator (docs/BATCHING.md, "Lane-parallel controller
+# ticks").  The draws per tick vary with the noise config and with
+# zero rates, which the scalar meter does not perturb, so blocks run
+# out at every offset of a tick.
+
+
+def _zero_rate_app(scale: float) -> Application:
+    """A compute phase with no memory traffic, a memory phase with no
+    FLOPs and a mixed phase: 2, 3 or 4 draws per socket and tick."""
+    compute = replace(
+        phase_from_duration("zr.compute", 0.9 * scale, oi=4000.0, fpc=4.0),
+        bytes=0.0,
+    )
+    stream = phase_from_duration("zr.stream", 0.7 * scale, oi=0.0, fpc=0.8)
+    mixed = phase_from_duration("zr.mixed", 0.5 * scale, oi=1.0, fpc=4.0)
+    assert stream.flops == 0.0
+    return Application.from_pattern(
+        "ZR", loop=[compute, stream, mixed], iterations=4
+    )
+
+
+def _noise_engine(policy, app, sockets, noise, seed, traced=False):
+    cfg = ControllerConfig(tolerated_slowdown=0.10)
+    application = (
+        _zero_rate_app(1.0) if app == "zero-rate" else build_application(app, scale=0.1)
+    )
+    return build_engine(
+        application,
+        as_spec(policy).build(cfg),
+        controller_cfg=cfg,
+        socket_count=sockets,
+        noise=noise,
+        seed=seed,
+        record_trace=traced,
+    )
+
+
+NOISE_CASES = [
+    ("dufp", "zero-rate", 2, NoiseConfig(), 31, True),
+    ("duf", "zero-rate", 1, NoiseConfig(), 32, False),
+    ("dufp", "zero-rate", 1, NoiseConfig(counter_noise=0.0), 33, False),
+    ("dufp", "MG", 1, NoiseConfig(counter_noise=0.0), 34, False),
+    ("duf", "CG", 1, NoiseConfig(power_noise=0.0), 35, False),
+    ("default", "LU", 2, NoiseConfig(power_noise=0.0), 36, False),
+    ("dufp", "FT", 1, NoiseConfig(counter_noise=0.0, power_noise=0.0), 37, False),
+]
+
+
+def test_noise_blocks_reproduce_the_scalar_draws(monkeypatch):
+    """Results and tick logs match where the draws per tick vary.
+
+    A spy on the block reader checks that some run's block ran out in
+    the middle of a tick, so the leftover draws had to carry over.
+    """
+    carried = []
+    draws = BatchSimulationEngine._noise_draws
+
+    def spy(self, runs, need):
+        left = self._nz_len[runs] - self._nz_cur[runs]
+        carried.append(bool(((need > left) & (left > 0)).any()))
+        return draws(self, runs, need)
+
+    monkeypatch.setattr(BatchSimulationEngine, "_noise_draws", spy)
+    scalar_engines = [_noise_engine(*c) for c in NOISE_CASES]
+    batch_engines = [_noise_engine(*c) for c in NOISE_CASES]
+    assert all(controller_lane_fallback_reason(e) is None for e in batch_engines)
+    scalars = [e.run() for e in scalar_engines]
+    batched = BatchSimulationEngine(batch_engines).run()
+    assert any(carried)
+    for se, be, scalar, batch in zip(
+        scalar_engines, batch_engines, scalars, batched
+    ):
+        assert_runs_equivalent(scalar, batch)
+        assert [c.ticks for c in be.controllers] == [
+            c.ticks for c in se.controllers
+        ]
+
+
+def test_lane_parallel_tick_logs_are_built_on_first_read(monkeypatch):
+    """A lane-parallel batch makes no TickLog until ``ticks`` is read.
+
+    Reading builds the scalar run's list from plain Python values, and
+    a second read returns the same list without building again.
+    """
+    built = []
+
+    class CountingTickLog(TickLog):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(batch_module, "TickLog", CountingTickLog)
+    cases = [
+        ("dufp", "CG", 2, NoiseConfig(), 41),
+        ("duf", "MG", 1, NoiseConfig(), 42),
+        ("default", "EP", 1, NoiseConfig(), 43),
+    ]
+    scalar_engines = [_noise_engine(*c) for c in cases]
+    batch_engines = [_noise_engine(*c) for c in cases]
+    for e in scalar_engines:
+        e.run()
+    run_batch(batch_engines)
+    assert built == []
+
+    total = 0
+    for se, be in zip(scalar_engines, batch_engines):
+        for cs, cb in zip(se.controllers, be.controllers):
+            ticks = cb.ticks
+            assert ticks, "the run ticked"
+            total += len(ticks)
+            assert len(built) == total
+            assert [astuple(t) for t in ticks] == [astuple(t) for t in cs.ticks]
+            for tb, ts in zip(ticks, cs.ticks):
+                assert [type(v) for v in astuple(tb)] == [
+                    type(v) for v in astuple(ts)
+                ]
+            again = cb.ticks
+            assert again is ticks and again == ticks
+            assert len(built) == total

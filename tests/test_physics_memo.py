@@ -44,7 +44,7 @@ from repro.hardware.perf import PhaseExecutionModel
 from repro.hardware.power import PackagePowerModel
 from repro.hardware.processor import PhaseWork, SimulatedProcessor
 from repro.hardware.rapl import RAPLPackage
-from repro.sim.batch import BatchSimulationEngine
+from repro.sim.batch import BatchSimulationEngine, noise_block_len
 from repro.sim.run import build_engine
 from repro.workloads.catalog import build_application
 
@@ -550,24 +550,32 @@ class TestBatchMemoryBounded:
     about half of the engine's peak memory while almost never hitting.
     """
 
-    @staticmethod
-    def memo_entries(scale: float) -> int:
+    @pytest.fixture(scope="class", params=[0.05, 0.2])
+    def batch(self, request) -> BatchSimulationEngine:
         cfg = ControllerConfig(tolerated_slowdown=0.10)
         engines = [
             build_engine(
-                build_application(app, scale=scale),
+                build_application(app, scale=request.param),
                 as_spec(policy).build(cfg),
                 controller_cfg=cfg,
+                socket_count=sockets,
                 noise=NoiseConfig(),
                 seed=7,
             )
-            for app in ("CG", "LAMMPS")
+            for app, sockets in (("CG", 1), ("LAMMPS", 2))
             for policy in ("duf", "dufp")
         ]
         batch = BatchSimulationEngine(engines)
         batch.run()
-        return sum(len(v) for v in vars(batch).values() if isinstance(v, dict))
+        return batch
 
-    @pytest.mark.parametrize("scale", [0.05, 0.2])
-    def test_dict_entries_do_not_grow_with_simulated_time(self, scale):
-        assert self.memo_entries(scale) <= 64
+    def test_dict_entries_do_not_grow_with_simulated_time(self, batch):
+        entries = sum(len(v) for v in vars(batch).values() if isinstance(v, dict))
+        assert entries <= 64
+
+    def test_noise_blocks_do_not_grow_with_simulated_time(self, batch):
+        """Prefetched noise is one fixed block per run, refilled in place."""
+        bound = sum(
+            noise_block_len(e.machine.socket_count) for e in batch.engines
+        )
+        assert 0 < batch._nz.size <= bound
