@@ -160,9 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help=(
-                "max grid cells per worker shard (default: auto, ~3 "
-                "shards per worker); smaller shards steal better, "
-                "larger ones batch better"
+                "max grid cells per worker shard (default: auto, one "
+                "shard per worker for --engine batch cells, ~3 per "
+                "worker for scalar, hetero and cluster cells); smaller "
+                "shards steal better, larger ones batch better"
             ),
         )
         if exp_id == "sweep":

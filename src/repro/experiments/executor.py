@@ -13,14 +13,15 @@ the classic in-process serial path) and consults an optional
 execute nothing at all.
 
 Multi-worker execution is **batch-sharded**: pending cells are
-bin-packed into per-worker shards by estimated simulated-tick count
-(:func:`plan_shards`), each shard runs its batch-engined cells as
-*one* vectorized lockstep batch inside its worker process, and shards
-dispatch dynamically — a worker that drains its shard steals the next
-queued one, so stragglers are absorbed by the ~3× over-decomposition
-instead of defining the critical path.  Completed shards write through
-to the cache immediately, so an interrupted multi-worker sweep keeps
-every finished cell.
+bin-packed into shards by estimated simulated-tick count
+(:func:`plan_shards`).  Batch-engined cells pack into one shard per
+worker, which runs them as *one* vectorized lockstep batch inside its
+worker process, so each worker pays a batch's fixed cost once.  Solo
+cells (scalar, hetero, cluster) over-decompose ~3 shards per worker
+and dispatch dynamically — a worker that drains its shard steals the
+next queued one, so stragglers do not define the critical path.
+Completed shards write through to the cache immediately, so an
+interrupted multi-worker sweep keeps every finished cell.
 
 Determinism: a spec fully determines its seeds (``noise.seed + 1009·r
 + base_seed``), and :func:`cell_seed` derives ``base_seed`` from the
@@ -74,19 +75,15 @@ __all__ = [
     "run_specs",
 ]
 
-#: Shards the planner cuts per worker.  Over-decomposition is what
-#: makes dynamic dispatch a work-stealing scheduler: a worker that
-#: finishes early steals queued shards, so one slow shard costs at
-#: most ~1/OVERSUBSCRIPTION of the ideal per-worker load, not the
-#: whole tail.  Larger values improve balance but shrink the lockstep
-#: batches each shard runs, and smaller ones widen those batches, whose
-#: memory grows with lanes × phases.  Measured on 2 vCPUs (ten
-#: alternating pairs of ``perf/run.py --workloads sharded_cache --reps 1``,
-#: seed 0, with lane-parallel tick logs kept as columns), 1 shard per
-#: worker instead of 3 cut ``wall_s`` from 5.84 s to 3.04 s but raised
-#: ``peak_rss_mb`` from 53.0 to 63.3 MB (+19 %, against the benchmark's
-#: 10 % memory bound; +58 % when each tick logged a ``TickLog`` object),
-#: so the value stays 3.
+#: Shards the planner cuts per worker for solo cells (scalar, hetero,
+#: cluster).  Over-decomposition is what makes dynamic dispatch a
+#: work-stealing scheduler: a worker that finishes early steals queued
+#: shards, so one slow shard costs at most ~1/OVERSUBSCRIPTION of the
+#: ideal per-worker load, not the whole tail.  A solo cell's cost has
+#: no per-shard term, so finer shards cost only dispatch.  Batch cells
+#: do not over-decompose: a lockstep batch pays a fixed cost per pass
+#: over its lanes, so each worker runs one wide batch (docs/EXECUTION.md,
+#: "Shard sizing").
 SHARD_OVERSUBSCRIPTION = 3
 
 #: Planner fallback when an application cannot be sized ahead of time
@@ -421,12 +418,14 @@ def plan_shards(
     """Partition ``specs`` into shards (lists of indices) for dispatch.
 
     Greedy LPT bin-packing on :func:`estimate_spec_ticks`: cells are
-    placed heaviest-first onto the currently-lightest shard, over a
-    target of ``workers × SHARD_OVERSUBSCRIPTION`` shards (never more
-    shards than cells).  ``shard_size`` caps the number of *cells* per
-    shard and raises the shard count when needed — smaller shards
-    steal better but batch less; see docs/EXECUTION.md for sizing
-    guidance.
+    placed heaviest-first onto the currently-lightest shard.
+    Batch-engined cells pack into ``workers`` shards, one lockstep
+    batch per worker; solo cells (scalar, hetero, cluster) pack apart
+    into ``workers × SHARD_OVERSUBSCRIPTION`` shards for work
+    stealing.  Neither group gets more shards than it has cells.
+    ``shard_size`` caps the number of *cells* per shard and raises
+    either group's shard count when needed — smaller shards steal
+    better but batch less; see docs/EXECUTION.md for sizing guidance.
 
     The plan is deterministic in the spec list, and — because cell
     seeds derive from cell identity — execution results are identical
@@ -434,34 +433,42 @@ def plan_shards(
     processes.  Shards come back heaviest-first, the dispatch order
     that minimises the tail.
     """
-    n = len(specs)
     if workers < 1:
         raise ExperimentError("need at least one worker")
     if shard_size is not None and shard_size < 1:
         raise ExperimentError("shard_size must be at least 1")
-    if n == 0:
-        return []
-    target = min(n, workers * SHARD_OVERSUBSCRIPTION)
-    if shard_size is not None:
-        target = max(target, -(-n // shard_size))
     est = [estimate_spec_ticks(s) for s in specs]
+    batch = [i for i, s in enumerate(specs) if s.engine == "batch"]
+    solo = [i for i, s in enumerate(specs) if s.engine != "batch"]
+    shards = _pack(batch, est, workers, shard_size) + _pack(
+        solo, est, workers * SHARD_OVERSUBSCRIPTION, shard_size
+    )
+    return [members for _, members in sorted(shards, key=lambda sh: -sh[0])]
+
+
+def _pack(
+    cells: list[int], est: list[float], target: int, shard_size: int | None
+) -> list[tuple[float, list[int]]]:
+    """Greedy LPT: ``cells`` heaviest-first onto the lightest of at most
+    ``target`` shards (more when ``shard_size`` needs them), as
+    ``(load, members)`` in shard order."""
+    if not cells:
+        return []
+    target = min(len(cells), target)
+    if shard_size is not None:
+        target = max(target, -(-len(cells) // shard_size))
     members: list[list[int]] = [[] for _ in range(target)]
     loads = [0.0] * target
     # (load, shard) heap; shards at the cell cap drop out permanently.
     heap = [(0.0, si) for si in range(target)]
     heapq.heapify(heap)
-    for i in sorted(range(n), key=lambda i: (-est[i], i)):
+    for i in sorted(cells, key=lambda i: (-est[i], i)):
         load, si = heapq.heappop(heap)
         members[si].append(i)
         loads[si] = load + est[i]
         if shard_size is None or len(members[si]) < shard_size:
             heapq.heappush(heap, (loads[si], si))
-    plan = [
-        sorted(members[si])
-        for si in sorted(range(target), key=lambda si: -loads[si])
-        if members[si]
-    ]
-    return plan
+    return [(loads[si], sorted(members[si])) for si in range(target) if members[si]]
 
 
 # -- in-process cell execution -----------------------------------------
@@ -681,7 +688,8 @@ def run_specs(
     worker, completed shards write through to ``cache`` immediately
     (an interrupted sweep keeps every finished shard), and idle
     workers steal queued shards.  ``shard_size`` caps cells per shard;
-    the default over-decomposes ~3 shards per worker.
+    by default batch-engined cells run as one shard per worker and
+    solo cells over-decompose ~3 shards per worker.
 
     ``cache`` may be a :class:`ResultCache` or a directory path; hits
     skip execution entirely and the summary says which cells came from

@@ -161,6 +161,16 @@ class _TickColumns:
         ]
 
 
+def _phase_spans(
+    names: list[str], ends: np.ndarray, first: int, stop: int
+) -> list[PhaseSpan]:
+    """The spans of rows ``first:stop``, each starting where the last ended."""
+    end = ends[first:stop].tolist()
+    return [
+        PhaseSpan(n, s, e) for n, s, e in zip(names[first:stop], [0.0, *end], end)
+    ]
+
+
 def batch_fallback_reason(engine: SimulationEngine) -> str | None:
     """Why ``engine`` cannot join a batch (``None`` when it can).
 
@@ -293,14 +303,29 @@ class BatchSimulationEngine:
         results = []
         for r, (e, ctx) in enumerate(zip(self.engines, ctxs)):
             lanes = self.run_lanes[r]
-            results.append(
-                e.collect(
-                    ctx,
-                    [float(self.finish[l]) for l in lanes],
-                    [self.spans[l] for l in lanes],
-                )
+            result = e.collect(
+                ctx,
+                [float(self.finish[l]) for l in lanes],
+                [[] for _ in lanes],
             )
+            for sock, l in zip(result.sockets, lanes):
+                sock.attach_phase_source(self._span_source(l))
+            results.append(result)
         return results
+
+    def _span_source(self, l: int) -> partial:
+        """Lane ``l``'s closed phase spans, built from the column on call.
+
+        The source holds the batch's name list and end-time column, not
+        the engine, so a result kept unread keeps no lane state alive.
+        """
+        return partial(
+            _phase_spans,
+            self._names,
+            self._span_end,
+            int(self._row_first[l]),
+            int(self.row[l]),
+        )
 
     # -- setup ----------------------------------------------------------------------
 
@@ -471,8 +496,11 @@ class BatchSimulationEngine:
         self._check_finish = bool(self.phase_done.any())
         self.frac = z()
         self.finish = np.full(L, np.nan)
-        self.phase_start = z()
-        self.spans: list[list[PhaseSpan]] = [[] for _ in range(L)]
+        # Phase spans as one column: a lane crosses its rows in order,
+        # so row ``k``'s span ends at ``_span_end[k]`` and starts where
+        # row ``k - 1``'s ended (at 0.0 on the lane's first row).
+        self._row_first = self.row.copy()
+        self._span_end = np.zeros(len(names), dtype=np.float64)
         # The current phase's constants, one row per quantity (the
         # ``cur_*`` names are views), and the matching phase tables: a
         # crossing gathers every quantity of its next row in one go.
@@ -1146,19 +1174,10 @@ class BatchSimulationEngine:
     def _cross(self, crossed: np.ndarray) -> None:
         """Close ``crossed`` lanes' phase spans and load their next rows."""
         rows = self.row[crossed]
-        names, spans = self._names, self.spans
         # ``times[k - 1]`` is the start of the lane's current tick.
-        ends = self._tick_starts()[self.ticks[crossed] - 1] + (
+        self._span_end[rows] = self._tick_starts()[self.ticks[crossed] - 1] + (
             self.dt - self.rem[crossed]
         )
-        for l, row, start, end in zip(
-            crossed.tolist(),
-            rows.tolist(),
-            self.phase_start[crossed].tolist(),
-            ends.tolist(),
-        ):
-            spans[l].append(PhaseSpan(names[row], start, end))
-        self.phase_start[crossed] = ends
         self.frac[crossed] = 0.0
         if self._t_cache is not None:
             self._t_cache[1][crossed] = False

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import SimulationError
 
@@ -52,6 +52,32 @@ class SocketResult:
     dram_energy_j: float
     trace: list[TraceSample] = field(default_factory=list)
     phases: list[PhaseSpan] = field(default_factory=list)
+
+    def attach_phase_source(self, source: Callable[[], list[PhaseSpan]]) -> None:
+        """Build ``phases`` from ``source()`` on first read.
+
+        The batch engine keeps a run's spans as columns and attaches a
+        source when the run ends, so sweep cells that never read their
+        spans never build a :class:`PhaseSpan`.
+        """
+        self.__dict__.pop("phases", None)
+        self._phase_source = source
+
+    def __getattr__(self, attr: str):
+        # Normal lookup failed: only the ``phases`` of a result with a
+        # phase source are missing, and they are built once, here.
+        source = self.__dict__.get("_phase_source")
+        if attr != "phases" or source is None:
+            raise AttributeError(attr)
+        del self._phase_source
+        self.phases = phases = source()
+        return phases
+
+    def __getstate__(self) -> dict:
+        # A pickle carries the plain list, keyed in field order, so a
+        # payload is the same bytes whether or not ``phases`` was read.
+        self.phases  # builds the list if a source is attached
+        return self.__dict__
 
     @property
     def avg_package_power_w(self) -> float:

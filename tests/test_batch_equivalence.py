@@ -18,6 +18,7 @@ case: the batch engine must reproduce it byte for byte.
 
 import math
 import pathlib
+import pickle
 import sys
 from dataclasses import astuple, replace
 
@@ -34,6 +35,7 @@ from repro.config import (
 from repro.core.base import TickLog
 from repro.core.registry import as_spec, policy_info, policy_names
 from repro.errors import SimulationError
+from repro.experiments.executor import RunSpec, execute_spec
 from repro.hardware.msr import MSR
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
@@ -45,6 +47,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.export import run_summary, write_trace_jsonl
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import SimulatedMachine
+from repro.sim.result import PhaseSpan
 from repro.sim.run import build_engine
 from repro.workloads.application import Application
 from repro.workloads.catalog import build_application
@@ -633,3 +636,106 @@ def test_lane_parallel_tick_logs_are_built_on_first_read(monkeypatch):
             again = cb.ticks
             assert again is ticks and again == ticks
             assert len(built) == total
+
+
+# ------------------------------------------------------ spans built on read
+#
+# The batch engine keeps phase spans as one end-time column and builds
+# a socket's ``PhaseSpan`` list only when ``phases`` is read
+# (docs/BATCHING.md, "Memory").
+
+
+def test_phase_spans_are_built_on_first_read(monkeypatch):
+    """A batch makes no PhaseSpan until ``phases`` is read.
+
+    Reading builds the scalar run's list, exactly (the same floats and
+    types), on one and two sockets, and a second read returns the same
+    list without building again.
+    """
+    cases = [
+        ("dufp", "CG", 2, NoiseConfig(), 51),
+        ("duf", "LU", 1, NoiseConfig(), 52),
+        ("default", "MG", 2, NoiseConfig(), 53),
+    ]
+    scalars = [_noise_engine(*c).run() for c in cases]
+    built = []
+    init = PhaseSpan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseSpan, "__init__", counting)
+    batched = run_batch([_noise_engine(*c) for c in cases])
+    assert built == []
+
+    total = 0
+    for scalar, batch in zip(scalars, batched):
+        assert len(batch.sockets) == len(scalar.sockets)
+        for sb, ss in zip(batch.sockets, scalar.sockets):
+            spans = sb.phases
+            assert spans, "the run crossed phases"
+            total += len(spans)
+            assert len(built) == total
+            assert [astuple(p) for p in spans] == [astuple(p) for p in ss.phases]
+            for pb in spans:
+                assert [type(v) for v in astuple(pb)] == [str, float, float]
+            assert sb.phases is spans
+            assert len(built) == total
+
+
+def _scalar_spans_at_time_limit(engine):
+    """Each socket's closed spans when the scalar stepper hits its limit."""
+    stepper = engine.stepper()
+    with pytest.raises(SimulationError, match="exceeded"):
+        while not stepper.done:
+            stepper.tick()
+    return [p.spans for p in stepper.progress]
+
+
+@pytest.mark.parametrize(
+    "app, limit_s, closed_any",
+    [
+        # Both sockets stop inside a phase, some phases in.
+        ([("CG", 0.05), ("LU", 0.05)], 0.6, True),
+        # The limit falls inside the first phase: no span closed.
+        ([("CG", 0.05)], 0.05, False),
+    ],
+    ids=["partial-2-socket", "empty"],
+)
+def test_spans_at_the_time_limit_match_scalar(app, limit_s, closed_any):
+    """A run stopped by ``max_sim_time_s`` keeps its closed spans only."""
+
+    def build():
+        return _clock_engine(app, engine_cfg=EngineConfig(max_sim_time_s=limit_s))
+
+    scalar = _scalar_spans_at_time_limit(build())
+    batch = BatchSimulationEngine([build()])
+    with pytest.raises(SimulationError, match="exceeded"):
+        batch.run()
+    spans = [batch._span_source(l)() for l in batch.run_lanes[0]]
+    assert [[astuple(p) for p in s] for s in spans] == [
+        [astuple(p) for p in s] for s in scalar
+    ]
+    whole = _clock_engine(app).run()
+    for s, sock in zip(spans, whole.sockets):
+        closed = [p for p in sock.phases if p.end_s < limit_s]
+        assert s == closed
+        assert len(s) < len(sock.phases)
+    assert all(bool(s) == closed_any for s in spans)
+
+
+def test_batch_cell_pickles_the_same_bytes_read_or_unread():
+    """A cached ``last_run`` payload does not depend on whether its
+    spans were read first, and equals the scalar cell's payload."""
+
+    def cell(engine):
+        return execute_spec(
+            RunSpec("LU", "dufp", runs=2, app_scale=0.05, socket_count=2, engine=engine)
+        )
+
+    unread = pickle.dumps(cell("batch"), protocol=pickle.HIGHEST_PROTOCOL)
+    read = cell("batch")
+    assert all(s.phases for s in read.last_run.sockets)
+    assert pickle.dumps(read, protocol=pickle.HIGHEST_PROTOCOL) == unread
+    assert pickle.dumps(cell("scalar"), protocol=pickle.HIGHEST_PROTOCOL) == unread

@@ -70,12 +70,36 @@ class TestShardPlanning:
         flat = sorted(i for shard in plan for i in shard)
         assert flat == list(range(len(specs)))
 
-    def test_over_decomposition(self):
-        # Ten cells on two workers: more shards than workers (steal
-        # slack), never more shards than cells.
+    def test_batch_cells_plan_one_shard_per_worker(self):
+        # One wide lockstep batch per worker, never more shards than
+        # cells.
         specs = batch_specs()
+        for workers in (2, 3, 4):
+            assert len(plan_shards(specs, workers=workers)) == workers
+        assert len(plan_shards(specs, workers=64)) == len(specs)
+
+    def test_solo_cells_still_over_decompose(self):
+        # Ten scalar cells on two workers: more shards than workers
+        # (steal slack), never more than OVERSUBSCRIPTION per worker.
+        specs, _ = sweep_specs(**GRID)
         plan = plan_shards(specs, workers=2)
         assert 2 < len(plan) <= min(len(specs), 2 * SHARD_OVERSUBSCRIPTION)
+
+    def test_mixed_plan_keeps_batch_and_solo_shards_apart(self):
+        scalar, _ = sweep_specs(**GRID)
+        specs = batch_specs() + scalar
+        plan = plan_shards(specs, workers=2)
+        kinds = [{specs[i].engine for i in shard} for shard in plan]
+        assert all(len(k) == 1 for k in kinds)
+        assert kinds.count({"batch"}) == 2
+        assert 2 < kinds.count({"scalar"}) <= 2 * SHARD_OVERSUBSCRIPTION
+
+    def test_shard_size_raises_the_shard_count(self):
+        specs = batch_specs()
+        assert len(plan_shards(specs, workers=2, shard_size=3)) == 4
+        assert len(plan_shards(specs, workers=2, shard_size=1)) == len(specs)
+        scalar, _ = sweep_specs(**GRID)
+        assert len(plan_shards(scalar, workers=2, shard_size=1)) == len(scalar)
 
     def test_shard_size_caps_cells_per_shard(self):
         specs = batch_specs()
