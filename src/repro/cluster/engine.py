@@ -101,6 +101,10 @@ class _NodeSink(TraceSink):
         """Forward the sample under its cluster-global socket id."""
         self._target.record(self._base + socket_id, sample)
 
+    def record_step(self, socket_id: int, *fields) -> None:
+        """Forward the step's fields under the cluster-global socket id."""
+        self._target.record_step(self._base + socket_id, *fields)
+
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Forward the fault event, shifting per-socket ids."""
         if socket_id >= 0:

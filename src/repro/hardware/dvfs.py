@@ -65,6 +65,11 @@ class PStateDriver:
     rapl_clamp_hz: float = 0.0
     _aperf_cycles: float = 0.0
     _mperf_cycles: float = 0.0
+    #: The last :meth:`effective_freq` result with the inputs it came
+    #: from: ``(governor, perf_ctl_ceiling_hz, rapl_clamp_hz, freq_hz)``.
+    _last_freq: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.config.validate()
@@ -92,9 +97,23 @@ class PStateDriver:
         return cfg.min_freq_hz + steps * cfg.step_hz
 
     def effective_freq(self) -> float:
-        """Resolve the current core frequency (Hz)."""
-        req = self.governor.requested_freq(self.config)
-        return self.snap(min(req, self.perf_ctl_ceiling_hz, self.rapl_clamp_hz))
+        """Resolve the current core frequency (Hz).
+
+        The last result is reused while the governor object is the same
+        one and both ceilings compare equal (float ``==``, so a NaN
+        never matches): a governor's request depends only on the core
+        config.  Inputs are read afresh on every call, so direct
+        attribute writes need no invalidation.
+        """
+        gov = self.governor
+        ctl = self.perf_ctl_ceiling_hz
+        clamp = self.rapl_clamp_hz
+        last = self._last_freq
+        if last is not None and last[0] is gov and last[1] == ctl and last[2] == clamp:
+            return last[3]
+        freq = self.snap(min(gov.requested_freq(self.config), ctl, clamp))
+        self._last_freq = (gov, ctl, clamp, freq)
+        return freq
 
     def set_rapl_clamp(self, freq_hz: float) -> None:
         """RAPL limiter entry point; clamped to the P-state range."""

@@ -124,6 +124,13 @@ class SimulatedProcessor:
     _last_state: ProcessorState | None = field(
         default=None, repr=False, compare=False
     )
+    #: The last step's operating point with the inputs it came from:
+    #: ``(work, core_hz, uncore_hz, rates, package, dram_w)``.  ``None``
+    #: until a step may keep one (never under C-states or a multi-die
+    #: uncore, whose step depends on more than these inputs).
+    _point: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.config.validate()
@@ -207,61 +214,22 @@ class SimulatedProcessor:
             core_hz = min(core_hz, dvfs.snap(thermal.freq_clamp_hz()))
         uncore_hz = uncore.frequency_hz
 
-        # 3. Execute the phase slice.
-        if work is not None and (work.flops > 0 or work.bytes > 0):
-            rates = self.perf.instantaneous(
-                work.flops,
-                work.bytes,
-                work.fpc,
-                core_hz,
-                uncore_hz,
-                work.latency_sensitivity,
-                work.uncore_sensitivity,
-            )
-            progress = rates.progress_rate * dt_s
+        # 3-4. The phase slice's rates and power: a function of the work
+        # and the two clocks alone, so an unchanged operating point is
+        # the last step's.
+        point = self._point
+        if (
+            point is not None
+            and point[0] is work
+            and point[1] == core_hz
+            and point[2] == uncore_hz
+        ):
+            rates, pkg, dram_w = point[3], point[4], point[5]
         else:
-            rates = _IDLE_RATES
-            progress = 0.0
-
-        # 3b. C-states (opt-in): idle residency cuts the core idle-power
-        # term and wakeup exit latencies shave the achieved rates.  Only
-        # in-phase idleness counts: a socket with no work spins at the
-        # barrier in C0 (the paper testbed's polling wait), so idle-free
-        # work stays bit-for-bit the legacy path.
-        core_idle_scale = 1.0
-        if self.cstates is not None and work is not None:
-            idleness = work.idleness
-            sensitivity = work.latency_sensitivity
-            cslice = self.cstates.resolve(idleness, sensitivity)
-            self.cstates.advance(dt_s, cslice)
-            core_idle_scale = cslice.idle_scale
-            if cslice.perf_scale < 1.0 and rates.progress_rate > 0.0:
-                rates = replace(
-                    rates,
-                    flops_rate=rates.flops_rate * cslice.perf_scale,
-                    bytes_rate=rates.bytes_rate * cslice.perf_scale,
-                    progress_rate=rates.progress_rate * cslice.perf_scale,
-                )
-                progress = rates.progress_rate * dt_s
-
-        # 4. Power, energy, counters.
-        pkg = self.power_model.package_power(
-            core_hz,
-            uncore_hz,
-            rates.core_activity,
-            rates.traffic_util,
-            core_boost=boost,
-            core_idle_scale=core_idle_scale,
-            uncore_dies=(
-                uncore.die_loads(rates.traffic_util) if multi_die else None
-            ),
-        )
-        dram_traffic = rates.bytes_rate
-        if work is not None and work.overfetch > 0.0:
-            sat_hz = self._sat_uncore_hz
-            if uncore_hz < sat_hz:
-                dram_traffic *= 1.0 + work.overfetch * (1.0 - uncore_hz / sat_hz)
-        dram_w = self.memory.dram_power(dram_traffic)
+            rates, pkg, dram_w = self._operating_point(
+                dt_s, work, boost, core_hz, uncore_hz
+            )
+        progress = 0.0 if rates is _IDLE_RATES else rates.progress_rate * dt_s
         self.rapl.step(dt_s, pkg.total_w, dram_w)
         if thermal is not None:
             thermal.step(dt_s, pkg.total_w)
@@ -283,6 +251,74 @@ class SimulatedProcessor:
         self._last_state = None
         return min(progress, 1.0)
 
+    def _operating_point(
+        self,
+        dt_s: float,
+        work: PhaseWork | None,
+        boost: float,
+        core_hz: float,
+        uncore_hz: float,
+    ) -> tuple[ExecutionRates, PowerBreakdown, float]:
+        """Resolve a step's ``(rates, package, dram_w)`` and keep the
+        record the next step and preview may reuse."""
+        # 3. Execute the phase slice.
+        if work is not None and (work.flops > 0 or work.bytes > 0):
+            rates = self.perf.instantaneous(
+                work.flops,
+                work.bytes,
+                work.fpc,
+                core_hz,
+                uncore_hz,
+                work.latency_sensitivity,
+                work.uncore_sensitivity,
+            )
+        else:
+            rates = _IDLE_RATES
+
+        # 3b. C-states (opt-in): idle residency cuts the core idle-power
+        # term and wakeup exit latencies shave the achieved rates.  Only
+        # in-phase idleness counts: a socket with no work spins at the
+        # barrier in C0 (the paper testbed's polling wait), so idle-free
+        # work stays bit-for-bit the legacy path.
+        core_idle_scale = 1.0
+        cstates = self.cstates
+        if cstates is not None and work is not None:
+            cslice = cstates.resolve(work.idleness, work.latency_sensitivity)
+            cstates.advance(dt_s, cslice)
+            core_idle_scale = cslice.idle_scale
+            if cslice.perf_scale < 1.0 and rates.progress_rate > 0.0:
+                rates = replace(
+                    rates,
+                    flops_rate=rates.flops_rate * cslice.perf_scale,
+                    bytes_rate=rates.bytes_rate * cslice.perf_scale,
+                    progress_rate=rates.progress_rate * cslice.perf_scale,
+                )
+
+        # 4. Power.
+        multi_die = self._multi_die
+        pkg = self.power_model.package_power(
+            core_hz,
+            uncore_hz,
+            rates.core_activity,
+            rates.traffic_util,
+            core_boost=boost,
+            core_idle_scale=core_idle_scale,
+            uncore_dies=(
+                self.uncore.die_loads(rates.traffic_util) if multi_die else None
+            ),
+        )
+        dram_traffic = rates.bytes_rate
+        if work is not None and work.overfetch > 0.0:
+            sat_hz = self._sat_uncore_hz
+            if uncore_hz < sat_hz:
+                dram_traffic *= 1.0 + work.overfetch * (1.0 - uncore_hz / sat_hz)
+        dram_w = self.memory.dram_power(dram_traffic)
+        # A zero clock is left out: ``==`` cannot tell its sign, which
+        # the idle package power carries.
+        if cstates is None and not multi_die and core_hz and uncore_hz:
+            self._point = (work, core_hz, uncore_hz, rates, pkg, dram_w)
+        return rates, pkg, dram_w
+
     def preview_progress_rate(self, work: PhaseWork) -> float:
         """Estimate the phase progress rate at the *current* clocks.
 
@@ -296,12 +332,21 @@ class SimulatedProcessor:
         core_hz = self.dvfs.effective_freq()
         if work.fpc >= self._avx_fpc:
             core_hz = min(core_hz, self._avx_hz)
+        uncore_hz = self.uncore.frequency_hz
+        point = self._point
+        if (
+            point is not None
+            and point[0] is work
+            and point[1] == core_hz
+            and point[2] == uncore_hz
+        ):
+            return point[3].progress_rate
         rates = self.perf.instantaneous(
             work.flops,
             work.bytes,
             work.fpc,
             core_hz,
-            self.uncore.frequency_hz,
+            uncore_hz,
             work.latency_sensitivity,
             work.uncore_sensitivity,
         )

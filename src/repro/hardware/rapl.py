@@ -177,6 +177,13 @@ class RAPLPackage:
     def effective_pl2_w(self) -> float:
         return self.pl2.limit_w
 
+    @property
+    def pending_pl1_w(self) -> float | None:
+        """The PL1 limit a staged write will latch, or ``None`` when no
+        write is waiting out its actuation delay."""
+        pending = self._pending
+        return pending[1].limit_w if pending is not None else None
+
     # -- firmware step -------------------------------------------------------------
 
     def allowed_power(self) -> float:

@@ -78,7 +78,7 @@ from ..workloads.phase import (
     UNCORE as _US,
 )
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
-from .result import PhaseSpan, RunResult, TraceSample
+from .result import PhaseSpan, RunResult
 
 __all__ = [
     "BatchSimulationEngine",
@@ -858,7 +858,7 @@ class BatchSimulationEngine:
                 closed.add(r)
 
     def _record(self, ctxs: list[RunContext], trace_runs: list[int]) -> None:
-        """Materialise this tick's trace samples for recording runs."""
+        """Hand this tick's trace fields to every recording run's sink."""
         times = self.proc_now.tolist()
         cores = self.st_core.tolist()
         uncores = self.st_uncore.tolist()
@@ -872,21 +872,19 @@ class BatchSimulationEngine:
         for r in trace_runs:
             if not alive[r]:
                 continue
-            record = ctxs[r].sink.record
+            record = ctxs[r].sink.record_step
             for s, l in enumerate(self.run_lanes[r]):
                 record(
                     s,
-                    TraceSample(
-                        time_s=times[l],
-                        core_freq_hz=cores[l],
-                        uncore_freq_hz=uncores[l],
-                        package_power_w=pkgs[l],
-                        dram_power_w=drams[l],
-                        cap_w=caps[l],
-                        flops_rate=flops[l],
-                        bytes_rate=bts[l],
-                        temperature_c=temps[l] if temps is not None else None,
-                    ),
+                    times[l],
+                    cores[l],
+                    uncores[l],
+                    pkgs[l],
+                    drams[l],
+                    caps[l],
+                    flops[l],
+                    bts[l],
+                    temps[l] if temps is not None else None,
                 )
 
     # -- lane-parallel controller ticks ------------------------------------------------

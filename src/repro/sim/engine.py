@@ -29,7 +29,7 @@ from ..workloads.application import Application
 from ..workloads.phase import Phase
 from .faults import FaultInjector, FaultPlan
 from .machine import SimulatedMachine
-from .result import PhaseSpan, RunResult, SocketResult, TraceSample
+from .result import PhaseSpan, RunResult, SocketResult
 from .trace import InMemoryTraceSink, TraceSink
 
 __all__ = ["SimulationEngine", "SimulationStepper", "RunContext"]
@@ -324,23 +324,22 @@ class SimulationStepper:
             if p.finish_time_s is None:
                 running = True
             if sink is not None:
-                # Straight from the step's record: no ProcessorState.
+                # Straight from the step's record: no ProcessorState, and
+                # no TraceSample unless the sink keeps one.
                 now_s, core_hz, uncore_hz, pkg, dram_w, rates, temp_c = (
                     proc.snapshot
                 )
-                sink.record(
+                sink.record_step(
                     sid,
-                    TraceSample(
-                        now_s,
-                        core_hz,
-                        uncore_hz,
-                        pkg.total_w,
-                        dram_w,
-                        proc.rapl.pl1.limit_w,
-                        rates.flops_rate,
-                        rates.bytes_rate,
-                        temp_c,
-                    ),
+                    now_s,
+                    core_hz,
+                    uncore_hz,
+                    pkg.total_w,
+                    dram_w,
+                    proc.rapl.pl1.limit_w,
+                    rates.flops_rate,
+                    rates.bytes_rate,
+                    temp_c,
                 )
         self.done = not running
         self.now += dt

@@ -62,7 +62,6 @@ from ..hardware.processor import SimulatedProcessor
 from ..workloads.application import Application
 from ..workloads.phase import NominalRates
 from .faults import FaultEvent, FaultInjector, FaultPlan
-from .result import TraceSample
 from .trace import TraceSink
 
 __all__ = ["HeteroResult", "HeteroEngine"]
@@ -414,33 +413,29 @@ class HeteroEngine:
                     # The step's own record, as the CPU engine traces it,
                     # stamped with the node clock and no temperature.
                     _, core_hz, uncore_hz, pkg, dram_w, rates, _ = cpu.snapshot
-                    sink.record(
+                    sink.record_step(
                         0,
-                        TraceSample(
-                            now,
-                            core_hz,
-                            uncore_hz,
-                            pkg.total_w,
-                            dram_w,
-                            allocs[0],
-                            rates.flops_rate,
-                            rates.bytes_rate,
-                        ),
+                        now,
+                        core_hz,
+                        uncore_hz,
+                        pkg.total_w,
+                        dram_w,
+                        allocs[0],
+                        rates.flops_rate,
+                        rates.bytes_rate,
                     )
                     for i, gpu in enumerate(gpus):
                         gs = gpu.state
-                        sink.record(
+                        sink.record_step(
                             1 + i,
-                            TraceSample(
-                                time_s=now,
-                                core_freq_hz=gs.freq_hz,
-                                uncore_freq_hz=0.0,
-                                package_power_w=gs.power_w,
-                                dram_power_w=0.0,
-                                cap_w=gpu.power_limit_w,
-                                flops_rate=gs.flops_rate,
-                                bytes_rate=link_bw if tasks[i].transferring else 0.0,
-                            ),
+                            now,
+                            gs.freq_hz,
+                            0.0,
+                            gs.power_w,
+                            0.0,
+                            gpu.power_limit_w,
+                            gs.flops_rate,
+                            link_bw if tasks[i].transferring else 0.0,
                         )
         finally:
             if sink is not None:

@@ -4,14 +4,17 @@ The engine used to append every :class:`~repro.sim.result.TraceSample`
 to an in-RAM list — fine for one run, ruinous for million-step sweep
 cells.  Recording is now an observer protocol: the engine pushes each
 sample into a :class:`TraceSink` and never owns the storage policy.
+Engines push a step's fields with :meth:`TraceSink.record_step`, which
+builds the :class:`~repro.sim.result.TraceSample` only for sinks that
+keep one.
 
 * :class:`InMemoryTraceSink` — today's behaviour, byte-for-byte: the
   full per-socket sample lists end up on ``SocketResult.trace``.
 * :class:`StreamingTraceSink` — writes JSONL or CSV rows as they are
-  produced; RAM stays O(1) regardless of run length, and the JSONL
-  content is byte-identical to serialising an in-memory trace of the
-  same run (one :class:`JsonlSampleEncoder` per stream, whose bytes
-  ``jsonl_sample_line`` defines, serves both).
+  produced (JSONL in chunks of lines); RAM stays O(1) regardless of
+  run length, and the JSONL content is byte-identical to serialising
+  an in-memory trace of the same run (one :class:`JsonlSampleEncoder`
+  per stream, whose bytes ``jsonl_sample_line`` defines, serves both).
 * :class:`RingBufferTraceSink` — keeps only the last ``capacity``
   samples per socket (bounded post-mortem window).
 * :class:`CompositeTraceSink` — fans each sample out to several sinks,
@@ -69,6 +72,8 @@ _SAMPLE_LINE = (
     '"bytes_rate":%r,"temperature_c":%s}\n'
 )
 _FLOAT = frozenset((float,))
+#: JSONL lines a streaming sink buffers before one write to its stream.
+_CHUNK_LINES = 256
 
 
 def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
@@ -165,8 +170,6 @@ class JsonlSampleEncoder:
 
     def line(self, socket_id: int, sample: TraceSample) -> str:
         """One JSONL record for ``sample``, as :func:`jsonl_sample_line`."""
-        if type(socket_id) is not int:
-            return jsonl_sample_line(socket_id, sample)
         tail = (
             sample.core_freq_hz,
             sample.uncore_freq_hz,
@@ -177,20 +180,38 @@ class JsonlSampleEncoder:
             sample.bytes_rate,
             sample.temperature_c,
         )
-        time_s = sample.time_s
-        last = self._tails.get(socket_id)
-        if (
-            last is not None
-            and last[0] == tail
-            and _TAIL_TYPES.issuperset(map(type, tail))
-            and type(time_s) is float
-            and math.isfinite(time_s)
-        ):
-            return _SAMPLE_HEAD % (socket_id, time_s) + last[1]
+        return self.step_line(socket_id, sample.time_s, tail, sample)
+
+    def step_line(
+        self,
+        socket_id: int,
+        time_s: float,
+        tail: tuple,
+        sample: TraceSample | None = None,
+    ) -> str:
+        """The line of ``TraceSample(time_s, *tail)``.
+
+        ``tail`` holds the eight fields after ``time_s``.  The sample is
+        built only for a line that does not reuse a tail, unless the
+        caller passes it as ``sample``.
+        """
+        if type(socket_id) is int:
+            last = self._tails.get(socket_id)
+            if (
+                last is not None
+                and last[0] == tail
+                and _TAIL_TYPES.issuperset(map(type, tail))
+                and type(time_s) is float
+                and math.isfinite(time_s)
+            ):
+                return _SAMPLE_HEAD % (socket_id, time_s) + last[1]
+        if sample is None:
+            sample = TraceSample(time_s, *tail)
         line = jsonl_sample_line(socket_id, sample)
         values = tail if tail[-1] is not None else tail[:-1]
         if (
-            _FLOAT.issuperset(map(type, values))
+            type(socket_id) is int
+            and _FLOAT.issuperset(map(type, values))
             and 0.0 not in values
             and math.isfinite(sum(values))
         ):
@@ -231,13 +252,26 @@ def csv_sample_row(socket_id: int, sample: TraceSample) -> list[str]:
     ]
 
 
+def _no_socket(socket_id: int, socket_count: int) -> SimulationError:
+    """The error a retaining sink raises for a socket id it has no list for."""
+    if not socket_count:
+        return SimulationError(
+            f"trace sink used before open() (socket id {socket_id!r})"
+        )
+    return SimulationError(
+        f"trace sink has no socket id {socket_id!r} "
+        f"(opened for {socket_count} sockets)"
+    )
+
+
 class TraceSink:
     """Observer of engine trace samples; default hooks are no-ops.
 
     Lifecycle: the engine calls :meth:`open` once before the first
-    sample, :meth:`record` for every (socket, sample) in simulation
-    order, and :meth:`close` exactly once — in a ``finally``, so sinks
-    holding file handles are released even when a run raises.
+    sample, :meth:`record_step` (which defaults to :meth:`record` of
+    the sample) for every (socket, sample) in simulation order, and
+    :meth:`close` exactly once — in a ``finally``, so sinks holding
+    file handles are released even when a run raises.
     """
 
     def open(self, socket_count: int) -> None:
@@ -245,6 +279,41 @@ class TraceSink:
 
     def record(self, socket_id: int, sample: TraceSample) -> None:
         """One engine-step sample of one socket."""
+
+    def record_step(
+        self,
+        socket_id: int,
+        time_s: float,
+        core_freq_hz: float,
+        uncore_freq_hz: float,
+        package_power_w: float,
+        dram_power_w: float,
+        cap_w: float,
+        flops_rate: float,
+        bytes_rate: float,
+        temperature_c: float | None = None,
+    ) -> None:
+        """One engine-step sample given as its fields, in
+        :class:`TraceSample` order: exactly ``record(socket_id,
+        TraceSample(time_s, ...))``, which is what this default does.
+
+        The engines call this; a sink that needs no sample object (the
+        JSONL stream) overrides it and builds none.
+        """
+        self.record(
+            socket_id,
+            TraceSample(
+                time_s,
+                core_freq_hz,
+                uncore_freq_hz,
+                package_power_w,
+                dram_power_w,
+                cap_w,
+                flops_rate,
+                bytes_rate,
+                temperature_c,
+            ),
+        )
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """One injected fault event (``socket_id`` is ``-1`` for
@@ -281,7 +350,12 @@ class InMemoryTraceSink(TraceSink):
 
     def record(self, socket_id: int, sample: TraceSample) -> None:
         """Append the sample to its socket's list."""
-        self._traces[socket_id].append(sample)
+        if socket_id < 0:
+            raise _no_socket(socket_id, len(self._traces))
+        try:
+            self._traces[socket_id].append(sample)
+        except IndexError:
+            raise _no_socket(socket_id, len(self._traces)) from None
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Retain the fault event (events are sparse; one flat list)."""
@@ -318,7 +392,12 @@ class RingBufferTraceSink(TraceSink):
 
     def record(self, socket_id: int, sample: TraceSample) -> None:
         """Append, evicting the oldest sample once at capacity."""
-        self._buffers[socket_id].append(sample)
+        if socket_id < 0:
+            raise _no_socket(socket_id, len(self._buffers))
+        try:
+            self._buffers[socket_id].append(sample)
+        except IndexError:
+            raise _no_socket(socket_id, len(self._buffers)) from None
         self.seen[socket_id] += 1
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
@@ -340,6 +419,11 @@ class StreamingTraceSink(TraceSink):
     ``target`` is a path (opened on :meth:`open`, closed on
     :meth:`close`) or an already-open text stream (left open).  RAM use
     is constant in run length; ``rows`` counts what was written.
+
+    JSONL lines are buffered and reach the stream in chunks of
+    :data:`_CHUNK_LINES`; :meth:`close` writes what is left before the
+    event block, also after a run that raised.  CSV rows go straight
+    to the writer.
     """
 
     FORMATS = ("jsonl", "csv")
@@ -357,6 +441,8 @@ class StreamingTraceSink(TraceSink):
         self._csv_writer = None
         self._events: "list[FaultEvent]" = []
         self._encoder = JsonlSampleEncoder()
+        #: JSONL lines not yet written to the stream.
+        self._lines: list[str] = []
 
     def open(self, socket_count: int) -> None:
         """Open the target (if a path) and emit the CSV header."""
@@ -375,10 +461,70 @@ class StreamingTraceSink(TraceSink):
         if self._stream is None:
             raise SimulationError("streaming sink used before open()")
         if self.fmt == "jsonl":
-            self._stream.write(self._encoder.line(socket_id, sample))
+            lines = self._lines
+            lines.append(self._encoder.line(socket_id, sample))
+            if len(lines) >= _CHUNK_LINES:
+                self._write_lines()
         else:
             self._csv_writer.writerow(csv_sample_row(socket_id, sample))
         self.rows += 1
+
+    def record_step(
+        self,
+        socket_id: int,
+        time_s: float,
+        core_freq_hz: float,
+        uncore_freq_hz: float,
+        package_power_w: float,
+        dram_power_w: float,
+        cap_w: float,
+        flops_rate: float,
+        bytes_rate: float,
+        temperature_c: float | None = None,
+    ) -> None:
+        """Write one row from the step's fields; a JSONL line whose tail
+        the encoder reuses builds no :class:`TraceSample`."""
+        if self.fmt != "jsonl":
+            super().record_step(
+                socket_id,
+                time_s,
+                core_freq_hz,
+                uncore_freq_hz,
+                package_power_w,
+                dram_power_w,
+                cap_w,
+                flops_rate,
+                bytes_rate,
+                temperature_c,
+            )
+            return
+        if self._stream is None:
+            raise SimulationError("streaming sink used before open()")
+        lines = self._lines
+        lines.append(
+            self._encoder.step_line(
+                socket_id,
+                time_s,
+                (
+                    core_freq_hz,
+                    uncore_freq_hz,
+                    package_power_w,
+                    dram_power_w,
+                    cap_w,
+                    flops_rate,
+                    bytes_rate,
+                    temperature_c,
+                ),
+            )
+        )
+        if len(lines) >= _CHUNK_LINES:
+            self._write_lines()
+        self.rows += 1
+
+    def _write_lines(self) -> None:
+        """Write the buffered JSONL lines to the stream in one call."""
+        self._stream.write("".join(self._lines))
+        self._lines.clear()
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Buffer the event; the block is written on :meth:`close`.
@@ -396,6 +542,7 @@ class StreamingTraceSink(TraceSink):
         if self._stream is None:
             return
         if self.fmt == "jsonl":
+            self._write_lines()
             for event in self._events:
                 self._stream.write(jsonl_event_line(event))
                 self.rows += 1
@@ -430,6 +577,11 @@ class CompositeTraceSink(TraceSink):
         """Record into every child."""
         for sink in self.sinks:
             sink.record(socket_id, sample)
+
+    def record_step(self, socket_id: int, *fields) -> None:
+        """Record the step's fields into every child."""
+        for sink in self.sinks:
+            sink.record_step(socket_id, *fields)
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Record the fault event into every child."""

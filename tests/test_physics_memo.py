@@ -15,6 +15,9 @@ snapshot on read.  These properties pin what makes that safe:
 * no two processors, and no two GPUs, share a memo;
 * reading ``.state`` after every step or only now and then changes
   nothing, and a stepper's cached ``done`` always matches its sockets;
+* a processor reusing its last operating point, and a driver its last
+  clock, step exactly like a reference that looks both up every time,
+  and neither is kept under C-states or on a multi-die uncore;
 * the batch engine's memos are bounded by its lanes, not by how long
   the batch simulates.
 """
@@ -23,23 +26,27 @@ import math
 from dataclasses import astuple, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import (
     ControllerConfig,
     CoreConfig,
+    CStateConfig,
     MemoryConfig,
     NoiseConfig,
     PowerModelConfig,
     RAPLConfig,
+    SocketConfig,
     ThermalConfig,
     UncoreConfig,
     yeti_socket_config,
 )
 from repro.core.registry import as_spec
 from repro.errors import SimulationError
+from repro.hardware.dvfs import PerformanceGovernor, PowersaveGovernor
 from repro.hardware.gpu import GPUKernel, SimulatedGPU
 from repro.hardware.memory import MemorySystem
+from repro.hardware.msr import MSR
 from repro.hardware.perf import PhaseExecutionModel
 from repro.hardware.power import PackagePowerModel
 from repro.hardware.processor import PhaseWork, SimulatedProcessor
@@ -438,6 +445,60 @@ def processor_counters(proc):
     )
 
 
+#: ``LEAN_WORK`` plus an equal-valued but distinct copy of its first
+#: phase, and two phases that compare equal yet retire ``0.0`` and
+#: ``-0.0`` FLOPs: only identity tells them apart.
+POINT_WORK = LEAN_WORK + [
+    replace(LEAN_WORK[1]),
+    PhaseWork(flops=0.0, bytes=1e11, fpc=2.0),
+    PhaseWork(flops=-0.0, bytes=1e11, fpc=2.0),
+]
+# PERF_CTL ratios (100 MHz units) below, inside and above the P-states.
+point_ctl = st.tuples(st.just("perf_ctl"), st.sampled_from([5, 12, 20, 25, 40]))
+point_governor = st.tuples(
+    st.just("governor"), st.sampled_from([PerformanceGovernor, PowersaveGovernor])
+)
+# Rounds on one phase: a step, one control write (or none), then 1-3
+# more steps, so every write lands between steps that could reuse.
+point_dt = pick([0.01, 0.0037], 1e-4, 0.02)
+point_round = st.tuples(
+    st.integers(0, len(POINT_WORK) - 1),
+    st.one_of(st.none(), lean_cap, lean_pin, point_ctl, point_governor),
+    st.lists(point_dt, min_size=2, max_size=4),
+)
+point_actions = st.lists(point_round, min_size=1, max_size=20).map(
+    lambda rounds: [
+        action
+        for w, control, dts in rounds
+        for action in [("step", dts[0], w)]
+        + ([control] if control else [])
+        + [("step", dt, w) for dt in dts[1:]]
+    ]
+)
+
+
+def forget_points(proc):
+    """Drop the processor's and the driver's one-entry records, so the
+    next read looks everything up afresh."""
+    proc._point = None
+    proc.dvfs._last_freq = None
+
+
+def act(proc, action):
+    kind = action[0]
+    if kind == "cap":
+        proc.rapl.set_limits(action[1], action[1], pl1_window_s=action[2])
+    elif kind == "pin":
+        if action[1] is None:
+            proc.uncore.release()
+        else:
+            proc.uncore.pin(action[1])
+    elif kind == "perf_ctl":
+        proc.msrs.write(MSR.IA32_PERF_CTL, action[1] << 8)
+    elif kind == "governor":
+        proc.dvfs.governor = action[1]()
+
+
 class TestLeanStep:
     """Snapshots built on read equal the ones an every-tick reader sees."""
 
@@ -447,13 +508,7 @@ class TestLeanStep:
         eager, sparse = SimulatedProcessor(LEAN_CFG), SimulatedProcessor(LEAN_CFG)
         for action in actions:
             for proc in (eager, sparse):
-                if action[0] == "cap":
-                    proc.rapl.set_limits(action[1], action[1], pl1_window_s=action[2])
-                elif action[0] == "pin":
-                    if action[1] is None:
-                        proc.uncore.release()
-                    else:
-                        proc.uncore.pin(action[1])
+                act(proc, action)
             if action[0] != "step":
                 continue
             _, dt, w, read = action
@@ -467,6 +522,76 @@ class TestLeanStep:
         assert processor_counters(eager) == processor_counters(sparse)
         if eager._snap is not None:
             assert bits(astuple(sparse.state)) == bits(astuple(eager.state))
+
+    @MEMO
+    @given(actions=point_actions)
+    @example(
+        # PROCHOT under the AVX license, a cap that latches, then equal
+        # but distinct phases at unchanged clocks and a governor swap.
+        actions=[("step", 0.01, 3)] * 30
+        + [("cap", 65.0, None)]
+        + [("step", 0.01, 1), ("step", 0.01, 4)] * 4
+        + [("step", 0.01, 5), ("step", 0.01, 6), ("step", 0.01, 5)]
+        + [("governor", PowersaveGovernor), ("step", 0.01, 1)]
+        + [("governor", PerformanceGovernor), ("step", 0.01, 1)]
+    )
+    @example(
+        # A pin and a PERF_CTL write between steps of one memory-bound phase.
+        actions=[("step", 0.01, 2)] * 3
+        + [("pin", 1.2e9), ("step", 0.01, 2), ("perf_ctl", 12), ("step", 0.01, 2)]
+    )
+    def test_reused_points_match_fresh_lookups(self, actions):
+        kept, fresh = SimulatedProcessor(LEAN_CFG), SimulatedProcessor(LEAN_CFG)
+        for action in actions:
+            for proc in (kept, fresh):
+                act(proc, action)
+            if action[0] != "step":
+                continue
+            _, dt, w = action
+            work = POINT_WORK[w]
+            if work is not None:
+                forget_points(fresh)
+                assert bits(kept.preview_progress_rate(work)) == bits(
+                    fresh.preview_progress_rate(work)
+                )
+            forget_points(fresh)
+            assert bits(kept.step(dt, work)) == bits(fresh.step(dt, work))
+            assert bits(kept.snapshot) == bits(fresh.snapshot)
+            assert processor_counters(kept) == processor_counters(fresh)
+            assert bits(kept.dvfs.effective_freq()) == bits(
+                fresh.dvfs.effective_freq()
+            )
+
+    def test_an_unchanged_point_is_reused(self):
+        proc = SimulatedProcessor(yeti_socket_config())
+        work = LEAN_WORK[1]
+        for _ in range(30):  # until the uncore governor settles
+            proc.step(0.01, work)
+        lookups = []
+        proc.perf.instantaneous = lambda *a: lookups.append(a)
+        proc.dvfs.governor.requested_freq = lambda cfg: lookups.append(cfg)
+        before = proc.snapshot
+        proc.preview_progress_rate(work)
+        proc.step(0.01, work)
+        assert lookups == []
+        assert proc.snapshot[3:6] == before[3:6]
+        assert proc.snapshot[3] is before[3] and proc.snapshot[5] is before[5]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            replace(SocketConfig(), cstates=CStateConfig()),
+            replace(SocketConfig(), uncore=replace(SocketConfig().uncore, die_count=2)),
+        ],
+        ids=["cstates", "multi-die"],
+    )
+    def test_cstate_and_multi_die_sockets_never_reuse(self, cfg):
+        proc = SimulatedProcessor(cfg)
+        work = replace(LEAN_WORK[1], idleness=0.3)
+        for _ in range(5):
+            proc.preview_progress_rate(work)
+            proc.step(0.01, work)
+            assert proc._point is None
 
     def test_scenario_reaches_prochot_and_the_avx_license(self):
         proc = SimulatedProcessor(LEAN_CFG)

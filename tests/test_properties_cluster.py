@@ -9,7 +9,10 @@ preserve:
 * band respect: every node allocation stays inside
   ``[floor, ceiling]``;
 * determinism: the same seed replays a cluster run to identical
-  allocations, makespans, energies and fault draws.
+  allocations, makespans, energies and fault draws;
+* budgets bind: after every fleet round the PL1 limits the sockets run
+  at or will latch (a staged write counts at its new limit) sum to at
+  most the budget.  DUFP node controllers break this (ROADMAP item 1).
 
 The engine sweeps simulate short full runs and keep few examples; a
 deterministic smoke case keeps tier-1 coverage of every property.  The
@@ -26,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import ClusterEngine, ClusterSpec
 from repro.config import ControllerConfig, NoiseConfig
 from repro.core.registry import make_spec, split_policy
+from repro.sim.engine import SimulationStepper
 from repro.sim.faults import FaultPlan
 from repro.workloads.catalog import build_application
 
@@ -143,3 +147,81 @@ def test_smoke_properties_deterministic():
         result = _build(*m).run()
         check_invariants(m, result)
         assert _signature(result) == _signature(_build(*m).run())
+
+
+#: ROADMAP item 1's fleet: four mixed nodes under one 360 W budget.
+BIND_APPS = ("WEB", "BATCH", "CG", "EP")
+BIND_BUDGET_W = 360.0
+
+
+class _RoundWatch(ClusterEngine):
+    """Keeps the steppers the fleet loop hands ``_apply`` (every run
+    applies its initial allocation before the first round)."""
+
+    def _apply(self, steppers, *args):
+        super()._apply(steppers, *args)
+        self.steppers = steppers
+
+
+def staged_pl1_sums(policy, node_controller, monkeypatch):
+    """Summed staged-or-latched PL1 after every fleet round of the item-1
+    fleet: read before each round's first tick, and after the last."""
+    cluster = ClusterSpec(
+        node_count=4, node_apps=BIND_APPS, node_controller=node_controller
+    )
+    engine = _RoundWatch(
+        applications=[
+            build_application(cluster.app_for(i, "EP"), scale=0.3)
+            for i in range(4)
+        ],
+        cluster=cluster,
+        policy=_fleet(policy, BIND_BUDGET_W),
+        controller_cfg=CFG,
+        noise=NoiseConfig(),
+        seed=0,
+        record_trace=False,
+    )
+    sums = []
+
+    def applied():
+        total = 0.0
+        for stepper in engine.steppers:
+            for proc in stepper.engine.machine.processors:
+                staged = proc.rapl.pending_pl1_w
+                total += proc.rapl.pl1.limit_w if staged is None else staged
+        return total
+
+    tick = SimulationStepper.tick
+
+    def watched_tick(stepper):
+        if stepper is next(s for s in engine.steppers if not s.done):
+            sums.append(applied())
+        tick(stepper)
+
+    monkeypatch.setattr(SimulationStepper, "tick", watched_tick)
+    engine.run()
+    sums.append(applied())
+    return sums[1:]  # the first read precedes round one
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "node_controller",
+    [
+        "duf",
+        "default",
+        pytest.param(
+            "dufp",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: DUFP resets and raises write the "
+                "125 W hardware default over the node's grant",
+            ),
+        ),
+    ],
+)
+def test_applied_caps_stay_within_the_budget(policy, node_controller, monkeypatch):
+    sums = staged_pl1_sums(policy, node_controller, monkeypatch)
+    assert len(sums) > 100
+    over = [s for s in sums if s > BIND_BUDGET_W + 1e-9]
+    assert not over, f"{len(over)}/{len(sums)} rounds over budget, max {max(over)} W"

@@ -1,4 +1,5 @@
-"""Trace sinks: in-memory equivalence, streaming byte-identity, bounds."""
+"""Trace sinks: in-memory equivalence, streaming byte-identity, bounds,
+and ``record_step`` equal to recording the sample it describes."""
 
 import io
 import json
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.engine import _NodeSink
 from repro.config import (
     ControllerConfig,
+    EngineConfig,
     MachineConfig,
     NoiseConfig,
     ThermalConfig,
@@ -18,7 +21,7 @@ from repro.config import (
 from repro.core.registry import controller_factory
 from repro.errors import SimulationError
 from repro.sim.export import trace_to_jsonl
-from repro.sim.faults import FaultEvent
+from repro.sim.faults import FaultEvent, FaultPlan
 from repro.sim.machine import SimulatedMachine
 from repro.sim.result import SocketResult, TraceSample
 from repro.sim.run import run_application
@@ -28,6 +31,7 @@ from repro.sim.trace import (
     InMemoryTraceSink,
     RingBufferTraceSink,
     StreamingTraceSink,
+    _CHUNK_LINES,
     jsonl_event_line,
     jsonl_sample_line,
 )
@@ -407,3 +411,196 @@ class TestJsonlEncoder:
             + jsonl_sample_line(1, sample)
             + jsonl_sample_line(socket_id, odd)
         )
+
+
+#: A sample's fields in ``record_step`` order.
+FIELDS = tuple(TraceSample.__dataclass_fields__)
+FAULTS = FaultPlan(msr_read_fail_rate=0.02, cap_latch_fail_rate=0.1)
+
+
+def _exact(samples):
+    """Samples as their fields' types and reprs: ``-0.0`` is not ``0.0``,
+    ``True`` is not ``1.0``."""
+    return [
+        tuple((type(getattr(s, f)), repr(getattr(s, f))) for f in FIELDS)
+        for s in samples
+    ]
+
+
+def _retained(sink):
+    return lambda: (
+        _exact(sink.collected(0)),
+        _exact(sink.collected(1)),
+        sink.events(),
+    )
+
+
+def _memory_sink():
+    sink = InMemoryTraceSink()
+    return sink, _retained(sink)
+
+
+def _ring_sink():
+    sink = RingBufferTraceSink(capacity=3)
+    return sink, lambda: (_retained(sink)(), sink.seen)
+
+
+def _stream_sink(fmt):
+    def make():
+        stream = io.StringIO()
+        sink = StreamingTraceSink(stream, fmt=fmt)
+        return sink, lambda: (stream.getvalue(), sink.rows)
+
+    return make
+
+
+def _composite_sink():
+    stream = io.StringIO()
+    memory = InMemoryTraceSink()
+    sink = CompositeTraceSink(StreamingTraceSink(stream), memory)
+    return sink, lambda: (stream.getvalue(), _retained(sink)())
+
+
+def _node_sink():
+    # Node 1 of a 2-socket-per-node cluster: ids shift by 2.
+    target = InMemoryTraceSink()
+    target.open(4)
+    sink = _NodeSink(target, 2)
+    return sink, lambda: (_retained(sink)(), _exact(target.collected(0)))
+
+
+SINKS = {
+    "memory": _memory_sink,
+    "ring": _ring_sink,
+    "jsonl": _stream_sink("jsonl"),
+    "csv": _stream_sink("csv"),
+    "composite": _composite_sink,
+    "node": _node_sink,
+}
+
+
+def _split(text):
+    """A streamed JSONL file's sample lines by socket id, and its event
+    lines (which must all come after the samples)."""
+    by_socket, events = {}, []
+    for line in text.splitlines(keepends=True):
+        record = json.loads(line)
+        if "event" in record:
+            events.append(line)
+        else:
+            assert not events, "a sample line after the event block"
+            by_socket.setdefault(record["socket_id"], []).append(line)
+    return by_socket, events
+
+
+class TestRecordStep:
+    """``record_step(id, *fields)`` is ``record(id, TraceSample(*fields))``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=_sample_run(), kind=st.sampled_from(sorted(SINKS)))
+    def test_equals_recording_the_sample(self, records, kind):
+        (by_sample, seen_by_sample), (by_step, seen_by_step) = (
+            SINKS[kind](),
+            SINKS[kind](),
+        )
+        for sink in (by_sample, by_step):
+            sink.open(2)
+        for record in records:
+            if record[0] == "event":
+                by_sample.record_event(record[1].socket_id, record[1])
+                by_step.record_event(record[1].socket_id, record[1])
+                continue
+            _, socket_id, sample = record
+            by_sample.record(socket_id, sample)
+            by_step.record_step(socket_id, *(getattr(sample, f) for f in FIELDS))
+        for sink in (by_sample, by_step):
+            sink.close()
+        assert seen_by_step() == seen_by_sample()
+
+    def test_temperature_defaults_to_none(self):
+        stream = io.StringIO()
+        sink = StreamingTraceSink(stream)
+        sink.open(1)
+        sink.record_step(0, *(getattr(PLAIN_SAMPLE, f) for f in FIELDS[:-1]))
+        sink.close()
+        assert stream.getvalue() == jsonl_sample_line(0, PLAIN_SAMPLE)
+
+    def test_step_before_open_rejected(self):
+        for fmt in StreamingTraceSink.FORMATS:
+            sink = StreamingTraceSink(io.StringIO(), fmt=fmt)
+            with pytest.raises(SimulationError):
+                sink.record_step(0, *(getattr(PLAIN_SAMPLE, f) for f in FIELDS))
+
+    @pytest.mark.parametrize("sockets", [1, 2])
+    def test_streamed_run_equals_its_export(self, tmp_path, sockets):
+        classic = _run(record_trace=True, socket_count=sockets, faults=FAULTS)
+        assert classic.fault_events
+        path = tmp_path / "s.jsonl"
+        sink = StreamingTraceSink(path)
+        _run(
+            record_trace=False,
+            socket_count=sockets,
+            faults=FAULTS,
+            trace_sink=sink,
+        )
+        events = classic.fault_events
+        if sockets == 1:
+            expected = io.StringIO()
+            trace_to_jsonl(classic.socket(0), expected, events=events)
+            assert path.read_text() == expected.getvalue()
+        by_socket, event_lines = _split(path.read_text())
+        assert sorted(by_socket) == list(range(sockets))
+        for sid in range(sockets):
+            expected = io.StringIO()
+            trace_to_jsonl(classic.socket(sid), expected)
+            assert "".join(by_socket[sid]) == expected.getvalue()
+        assert event_lines == [jsonl_event_line(e) for e in events]
+        assert sink.rows == sum(map(len, by_socket.values())) + len(events)
+
+    def test_a_run_that_raises_keeps_every_line(self, tmp_path):
+        # 3 s of a 5 s run, then the raise.
+        path = tmp_path / "s.jsonl"
+        memory = InMemoryTraceSink()
+        with pytest.raises(SimulationError, match="exceeded"):
+            _run(
+                record_trace=False,
+                faults=replace(FAULTS, msr_read_fail_rate=0.3),
+                engine_cfg=EngineConfig(max_sim_time_s=3.0),
+                trace_sink=CompositeTraceSink(StreamingTraceSink(path), memory),
+            )
+        samples, events = memory.collected(0), memory.events()
+        # Whole chunks went out during the run and a remainder at close.
+        assert len(samples) > _CHUNK_LINES and len(samples) % _CHUNK_LINES
+        assert events
+        socket = SocketResult(
+            socket_id=0,
+            finish_time_s=3.0,
+            package_energy_j=0.0,
+            dram_energy_j=0.0,
+            trace=samples,
+        )
+        expected = io.StringIO()
+        trace_to_jsonl(socket, expected, events=events)
+        assert path.read_text() == expected.getvalue()
+
+
+class TestRetainingSinkIds:
+    """A socket id a retaining sink has no list for is a typed error."""
+
+    @pytest.mark.parametrize(
+        "make", [InMemoryTraceSink, lambda: RingBufferTraceSink(capacity=4)]
+    )
+    @pytest.mark.parametrize(
+        "opened, socket_id", [(False, 0), (True, 2), (True, 7), (True, -1)]
+    )
+    def test_bad_socket_id(self, make, opened, socket_id):
+        sink = make()
+        if opened:
+            sink.open(2)
+        with pytest.raises(SimulationError, match=f"socket id {socket_id}\\b"):
+            sink.record(socket_id, PLAIN_SAMPLE)
+        with pytest.raises(SimulationError, match=f"socket id {socket_id}\\b"):
+            sink.record_step(socket_id, *(getattr(PLAIN_SAMPLE, f) for f in FIELDS))
+        if opened:
+            assert sink.collected(0) == sink.collected(1) == []
+            assert getattr(sink, "seen", [0, 0]) == [0, 0]
