@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help=(
                 "max grid cells per worker shard (default: auto, one "
-                "shard per worker for --engine batch cells, ~3 per "
-                "worker for scalar, hetero and cluster cells); smaller "
+                "shard per worker for --engine batch and cluster cells, "
+                "~3 per worker for scalar and hetero cells); smaller "
                 "shards steal better, larger ones batch better"
             ),
         )

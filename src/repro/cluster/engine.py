@@ -20,13 +20,19 @@ in ``tests/test_cluster_equivalence.py`` enforces it).
 Determinism mirrors the scalar engine's contract: same seed, same
 spec, same policy → bit-identical traces, allocations and metrics, at
 any node count.
+
+The re-partition itself is a :class:`~repro.cluster.fleet.FleetRound`,
+which :func:`run_pooled` drives too: there every node of every pooled
+cluster is a lane of one :class:`~repro.sim.batch.
+BatchSimulationEngine`, with the same results (docs/CLUSTER.md,
+"Pooled execution").
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..config import (
     ControllerConfig,
@@ -38,13 +44,14 @@ from ..config import (
 )
 from ..core.registry import controller_factory
 from ..errors import SimulationError
-from ..sim.engine import SimulationStepper
+from ..sim.engine import SimulationEngine, SimulationStepper
 from ..sim.faults import FaultPlan
 from ..sim.machine import SimulatedMachine
 from ..sim.result import RunResult, TraceSample
 from ..sim.run import build_engine
 from ..sim.trace import TraceSink
 from ..workloads.application import Application
+from .fleet import FLEET_HEADROOM_W, FleetRound
 from .metrics import jain_index, percentile, slowdown_ratios
 from .spec import ClusterSpec
 
@@ -57,6 +64,7 @@ __all__ = [
     "ClusterResult",
     "NODE_SEED_STRIDE",
     "FLEET_HEADROOM_W",
+    "run_pooled",
 ]
 
 #: Seed offset between consecutive nodes (a prime far above the
@@ -64,16 +72,6 @@ __all__ = [
 #: across the runs of one cell).  Node 0 keeps the run seed — part of
 #: the 1-node bit-identity contract.
 NODE_SEED_STRIDE = 100003
-
-#: Watts of headroom a running node bids above its measured draw,
-#: mirroring :class:`~repro.core.budget.NodeBudgetCoordinator`'s
-#: within-node demand signal.
-FLEET_HEADROOM_W = 5.0
-
-#: Slack under the ceiling below which an allocation counts as "at the
-#: ceiling" and needs no RAPL write (while the node is still uncapped).
-_CEILING_EPS = 1e-9
-
 
 class _NodeSink(TraceSink):
     """Per-node adapter onto one shared cluster-level trace sink.
@@ -285,66 +283,55 @@ class ClusterEngine:
         n = self.cluster.node_count
         return [floor] * n, [ceiling] * n
 
+    def fleet_round(self) -> FleetRound:
+        """A fresh fleet round over this cluster's nodes and policy."""
+        floors, ceilings = self._bounds()
+        return FleetRound(
+            self.policy,
+            floors,
+            ceilings,
+            sockets_per_node=self.cluster.sockets_per_node,
+            period_s=self.cluster.period_s,
+            dt_s=self.engine_cfg.dt_s,
+        )
+
+    def pool_fallback_reason(
+        self, engines: list[SimulationEngine]
+    ) -> str | None:
+        """Why this cluster's node ``engines`` cannot run as batch lanes.
+
+        ``None`` when they can.  An active fault plan keeps the scalar
+        path: a fleet write goes through ``RAPLPackage.set_limits``,
+        which draws the cap-latch fault channel.  Otherwise a node
+        falls back for any reason a plain run would
+        (:func:`~repro.sim.batch.batch_fallback_reason`).
+        """
+        from ..sim.batch import batch_fallback_reason
+
+        if self.faults is not None and self.faults.active:
+            return "active fault plan: fleet writes draw the cap-latch faults"
+        for engine in engines:
+            reason = batch_fallback_reason(engine)
+            if reason is not None:
+                return reason
+        return None
+
     # -- the fleet loop ----------------------------------------------------
 
     def _apply(
-        self,
-        steppers: list[SimulationStepper],
-        allocs: list[float],
-        ceilings: list[float],
-        capped: list[bool],
+        self, steppers: list[SimulationStepper], writes: list[float | None]
     ) -> None:
-        """Write each node's allocation to its sockets' RAPL limits.
-
-        The bit-identity rule: an allocation at the ceiling on a node
-        that was never capped needs no write — the hardware default
-        already *is* that limit, and skipping keeps the node's
-        operation stream identical to a plain uncoordinated run.  Once
-        a node has been capped, allocations are always written so a
-        later return to the ceiling actually lifts the cap.
-        """
-        spn = self.cluster.sockets_per_node
-        for i, (stepper, alloc, hi) in enumerate(
-            zip(steppers, allocs, ceilings)
-        ):
-            if not capped[i] and alloc >= hi - _CEILING_EPS:
+        """Stage each node's fleet write on its sockets' RAPL limits."""
+        for stepper, per_socket_w in zip(steppers, writes):
+            if per_socket_w is None:
                 continue
-            capped[i] = True
-            per_socket_w = min(alloc, hi) / spn
             for proc in stepper.engine.machine.processors:
                 proc.rapl.set_limits(per_socket_w, per_socket_w)
-
-    def _demands(
-        self,
-        steppers: list[SimulationStepper],
-        floors: list[float],
-        ceilings: list[float],
-    ) -> list[float]:
-        """Per-node bids: measured package power + headroom, clamped.
-
-        Ground truth (``proc.state``), not the controllers' noisy PAPI
-        view — the fleet coordinator models an out-of-band telemetry
-        path (BMC/RAPL energy counters).  Finished nodes bid their
-        floor, releasing watts to the rest of the fleet.
-        """
-        bids = []
-        for stepper, lo, hi in zip(steppers, floors, ceilings):
-            if stepper.done:
-                bids.append(lo)
-                continue
-            drawn = sum(
-                proc.state.package.total_w
-                for proc in stepper.engine.machine.processors
-            )
-            bids.append(min(max(drawn + FLEET_HEADROOM_W, lo), hi))
-        return bids
 
     def run(self) -> ClusterResult:
         """Execute every node to completion under the fleet policy."""
         engines = self._node_engines()
-        floors, ceilings = self._bounds()
-        dt = self.engine_cfg.dt_s
-        ticks_per_period = max(1, round(self.cluster.period_s / dt))
+        fleet = self.fleet_round()
         steppers: list[SimulationStepper] = []
         if self.trace_sink is not None:
             self.trace_sink.open(
@@ -352,33 +339,89 @@ class ClusterEngine:
             )
         try:
             steppers = [engine.stepper() for engine in engines]
-            allocs = self.policy.initial(floors, ceilings)
-            capped = [False] * self.cluster.node_count
-            allocations = [(0.0, tuple(allocs))]
-            self._apply(steppers, allocs, ceilings, capped)
+            self._apply(steppers, fleet.start())
             tick = 0
             while not all(s.done for s in steppers):
                 for stepper in steppers:
                     if not stepper.done:
                         stepper.tick()
                 tick += 1
-                if self.policy.is_static or tick % ticks_per_period:
-                    continue
-                bids = self._demands(steppers, floors, ceilings)
-                allocs = self.policy.allocate(bids, floors, ceilings)
-                allocations.append((tick * dt, tuple(allocs)))
-                self._apply(steppers, allocs, ceilings, capped)
+                if fleet.due(tick):
+                    power = [
+                        None
+                        if s.done
+                        else [
+                            proc.state.package.total_w
+                            for proc in s.engine.machine.processors
+                        ]
+                        for s in steppers
+                    ]
+                    self._apply(steppers, fleet.round(tick, power))
         finally:
             for stepper in steppers:
                 stepper.close()
             if self.trace_sink is not None:
                 self.trace_sink.close()
-        nodes = [stepper.result() for stepper in steppers]
+        return self.result([stepper.result() for stepper in steppers], fleet)
+
+    def result(self, nodes: list[RunResult], fleet: FleetRound) -> ClusterResult:
+        """The cluster result over finished ``nodes`` and their fleet."""
         return ClusterResult(
             budget_w=self.policy.budget_w,
             nodes=nodes,
-            allocations=allocations,
+            allocations=fleet.allocations,
             nominal_durations_s=[
                 app.nominal_duration(self.socket) for app in self.applications
             ],
         )
+
+
+def run_pooled(
+    engines: "Sequence[SimulationEngine | ClusterEngine]",
+) -> "list[RunResult | ClusterResult]":
+    """Run plain and cluster engines, every node as a batch lane.
+
+    Plain engines go to :func:`~repro.sim.batch.run_batch` as they
+    would alone.  Each cluster whose nodes can run as lanes
+    (:meth:`ClusterEngine.pool_fallback_reason`) adds its node engines
+    and its :class:`FleetRound` to the same batches, where the fleet's
+    rounds run at their period's ticks; any other cluster runs its
+    scalar loop.  Results come back in input order and are identical
+    to running each engine alone.
+    """
+    from ..sim.batch import run_batch
+
+    results: list = [None] * len(engines)
+    flat: list[SimulationEngine] = []
+    fleets: list[tuple[FleetRound, range]] = []
+    pooled: list[tuple[int, ClusterEngine | None, int, FleetRound | None]] = []
+    for i, engine in enumerate(engines):
+        if not isinstance(engine, ClusterEngine):
+            pooled.append((i, None, len(flat), None))
+            flat.append(engine)
+            continue
+        nodes = engine._node_engines()
+        if engine.pool_fallback_reason(nodes) is not None:
+            results[i] = engine.run()
+            continue
+        fleet = engine.fleet_round()
+        fleets.append((fleet, range(len(flat), len(flat) + len(nodes))))
+        pooled.append((i, engine, len(flat), fleet))
+        flat.extend(nodes)
+    sinks = [
+        e for _, e, _, _ in pooled if e is not None and e.trace_sink is not None
+    ]
+    for e in sinks:
+        e.trace_sink.open(e.cluster.node_count * e.cluster.sockets_per_node)
+    try:
+        out = run_batch(flat, fleets=fleets) if flat else []
+    finally:
+        for e in sinks:
+            e.trace_sink.close()
+    for i, engine, lo, fleet in pooled:
+        if engine is None:
+            results[i] = out[lo]
+        else:
+            nodes = out[lo : lo + engine.cluster.node_count]
+            results[i] = engine.result(nodes, fleet)
+    return results

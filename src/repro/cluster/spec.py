@@ -13,6 +13,7 @@ often the fleet coordinator re-partitions the global budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ExperimentError
@@ -57,10 +58,12 @@ class ClusterSpec:
             raise ExperimentError("cluster needs at least one node")
         if self.sockets_per_node < 1:
             raise ExperimentError("nodes need at least one socket")
-        if self.period_s <= 0:
-            raise ExperimentError("fleet period must be positive")
-        if self.node_floor_w is not None and self.node_floor_w <= 0:
-            raise ExperimentError("node floor must be positive")
+        # ``not x > 0`` also refuses NaN; the period sets the round
+        # cadence in ticks and the floor bounds every bid.
+        if not 0 < self.period_s < math.inf:
+            raise ExperimentError("fleet period must be positive and finite")
+        if self.node_floor_w is not None and not 0 < self.node_floor_w < math.inf:
+            raise ExperimentError("node floor must be positive and finite")
         if not isinstance(self.node_apps, tuple):
             raise ExperimentError("node_apps must be a tuple of names")
         spec = as_spec(self.node_controller)

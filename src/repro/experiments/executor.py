@@ -14,10 +14,11 @@ execute nothing at all.
 
 Multi-worker execution is **batch-sharded**: pending cells are
 bin-packed into shards by estimated simulated-tick count
-(:func:`plan_shards`).  Batch-engined cells pack into one shard per
-worker, which runs them as *one* vectorized lockstep batch inside its
-worker process, so each worker pays a batch's fixed cost once.  Solo
-cells (scalar, hetero, cluster) over-decompose ~3 shards per worker
+(:func:`plan_shards`).  Poolable cells (batch-engined CPU cells and
+fault-free cluster cells) pack into one shard per worker, which runs
+them as *one* vectorized lockstep batch inside its worker process, so
+each worker pays a batch's fixed cost once.  Solo cells (scalar,
+hetero, faulted cluster) over-decompose ~3 shards per worker
 and dispatch dynamically — a worker that drains its shard steals the
 next queued one, so stragglers do not define the critical path.
 Completed shards write through to the cache immediately, so an
@@ -37,7 +38,6 @@ import heapq
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 #: Shards the planner cuts per worker for solo cells (scalar, hetero,
-#: cluster).  Over-decomposition is what makes dynamic dispatch a
+#: faulted cluster).  Over-decomposition is what makes dynamic dispatch a
 #: work-stealing scheduler: a worker that finishes early steals queued
 #: shards, so one slow shard costs at most ~1/OVERSUBSCRIPTION of the
 #: ideal per-worker load, not the whole tail.  A solo cell's cost has
@@ -85,6 +85,13 @@ __all__ = [
 #: over its lanes, so each worker runs one wide batch (docs/EXECUTION.md,
 #: "Shard sizing").
 SHARD_OVERSUBSCRIPTION = 3
+
+#: Node lanes (runs × nodes × sockets per node) from which pending
+#: cluster cells pool into one batch instead of running their scalar
+#: fleet loops.  A narrower batch loses to the scalar loop: its fixed
+#: cost per pass is paid by too few lanes (measured table in
+#: docs/BATCHING.md, "Cluster cells").
+CLUSTER_POOL_LANES = 24
 
 #: Planner fallback when an application cannot be sized ahead of time
 #: (the estimate only steers bin-packing; results never depend on it).
@@ -182,13 +189,10 @@ class RunSpec:
         # normalise here so the two also share one digest.
         if self.faults is not None and not self.faults.active:
             object.__setattr__(self, "faults", None)
-        # Hetero and cluster cells always run the scalar co-simulation
-        # loop; the engine field is display/strategy only (never in the
-        # digest), so normalising keeps mixed --engine batch sweeps
-        # working.
-        if (self.gpu is not None or self.cluster is not None) and (
-            self.engine == "batch"
-        ):
+        # Hetero cells always run the scalar co-simulation loop; the
+        # engine field is display/strategy only (never in the digest),
+        # so normalising keeps mixed --engine batch sweeps working.
+        if self.gpu is not None and self.engine == "batch":
             object.__setattr__(self, "engine", "scalar")
 
     def validate(self) -> None:
@@ -262,24 +266,51 @@ def spec_key(spec: RunSpec) -> str:
 
 
 def execute_spec(spec: RunSpec) -> ProtocolResult:
-    """Run one spec to completion (in whichever process this is)."""
+    """Run one spec to completion (in whichever process this is).
+
+    A CPU-only cell runs its repetitions through the engine it names.
+    A fault-free cluster cell pools its nodes as batch lanes when they
+    reach :data:`CLUSTER_POOL_LANES`, and runs its scalar fleet loops
+    otherwise, whatever its ``engine``: both give the same result.
+    """
     spec.validate()
     result, engines = build_spec_protocol(spec)
-    if spec.engine == "batch":
-        from ..sim.batch import run_batch
+    if _poolable(spec) and (
+        spec.cluster is None or _pool_lanes(spec) >= CLUSTER_POOL_LANES
+    ):
+        from ..cluster.engine import run_pooled
 
-        runs = run_batch(engines)
+        runs = run_pooled(engines)
     else:
         runs = [engine.run() for engine in engines]
     return fold_protocol(result, runs)
+
+
+def _pool_lanes(spec: RunSpec) -> int:
+    """Batch lanes a cluster cell's nodes fill: runs × nodes × sockets."""
+    return spec.runs * _devices_per_tick(spec)
+
+
+def _poolable(spec: RunSpec) -> bool:
+    """Whether ``spec`` may join a pooled lockstep batch.
+
+    Batch-engined CPU-only cells, and cluster cells without a fault
+    plan, whose fleet writes need the scalar RAPL path.  Nodes that
+    fail batch eligibility for another reason are found when the pool
+    is built (:func:`~repro.cluster.engine.run_pooled`) and run their
+    scalar loop there.
+    """
+    if spec.cluster is not None:
+        return spec.faults is None
+    return spec.engine == "batch"
 
 
 def build_spec_protocol(spec: RunSpec):
     """One spec's result shell and unrun repetition engines.
 
     :func:`execute_spec` runs them; the pooled batch path of
-    :func:`run_specs` pools the engines of *many* batch-engined specs
-    into one lockstep batch.  A cluster cell builds one application per
+    :func:`run_specs` pools the engines of *many* poolable specs into
+    one lockstep batch.  A cluster cell builds one application per
     node (:meth:`~repro.cluster.spec.ClusterSpec.app_for`).
     """
     from ..workloads.catalog import build_application
@@ -419,8 +450,9 @@ def plan_shards(
 
     Greedy LPT bin-packing on :func:`estimate_spec_ticks`: cells are
     placed heaviest-first onto the currently-lightest shard.
-    Batch-engined cells pack into ``workers`` shards, one lockstep
-    batch per worker; solo cells (scalar, hetero, cluster) pack apart
+    Poolable cells — batch-engined CPU cells and fault-free cluster
+    cells — pack into ``workers`` shards, one lockstep batch per
+    worker; solo cells (scalar, hetero, faulted cluster) pack apart
     into ``workers × SHARD_OVERSUBSCRIPTION`` shards for work
     stealing.  Neither group gets more shards than it has cells.
     ``shard_size`` caps the number of *cells* per shard and raises
@@ -438,8 +470,8 @@ def plan_shards(
     if shard_size is not None and shard_size < 1:
         raise ExperimentError("shard_size must be at least 1")
     est = [estimate_spec_ticks(s) for s in specs]
-    batch = [i for i, s in enumerate(specs) if s.engine == "batch"]
-    solo = [i for i, s in enumerate(specs) if s.engine != "batch"]
+    batch = [i for i, s in enumerate(specs) if _poolable(s)]
+    solo = [i for i, s in enumerate(specs) if not _poolable(s)]
     shards = _pack(batch, est, workers, shard_size) + _pack(
         solo, est, workers * SHARD_OVERSUBSCRIPTION, shard_size
     )
@@ -493,52 +525,61 @@ def _iter_cells(
 ) -> Iterator[tuple[int, ProtocolResult, float, float]]:
     """Execute cells in-process, yielding ``(pos, result, s, ticks)``.
 
-    The batch-engined subset (when it has two or more cells) pools its
-    repetition engines into **one** lockstep ``run_batch``; the
-    remaining cells — scalar-engined, or a lone batch cell whose runs
-    still batch internally — execute solo, lazily, so a caller that
-    writes through to a cache persists each cell before the next one
-    starts.  Pooled cells' seconds apportion the batch wall clock by
-    each cell's *simulated tick count* (engine-independent, from the
-    run results), so ``CellReport.seconds`` stays meaningful for shard
-    bin-packing and summaries.
+    The poolable subset (:func:`_poolable`) runs as **one** lockstep
+    pool (:func:`~repro.cluster.engine.run_pooled`): the repetition
+    engines of batch-engined CPU cells, and every node of the cluster
+    cells once those fill :data:`CLUSTER_POOL_LANES` lanes (below that
+    they run their scalar fleet loops).  A lone batch cell with no
+    cluster cells beside it runs solo.  The remaining cells execute
+    solo, lazily, so a caller that writes through to a cache persists
+    each cell before the next one starts.  Pooled cells' seconds
+    apportion the pool's wall clock by each cell's *simulated tick
+    count* (engine-independent, from the run results, and for cluster
+    cells what the scalar path reports), so ``CellReport.seconds``
+    stays meaningful for shard bin-packing and summaries.
     """
-    batch_pos = [j for j, s in enumerate(specs) if s.engine == "batch"]
-    solo_pos = [j for j, s in enumerate(specs) if s.engine != "batch"]
-    if len(batch_pos) < 2:
-        solo_pos = sorted(solo_pos + batch_pos)
-        batch_pos = []
-    if batch_pos:
-        from ..sim.batch import run_batch
+    pool_pos = [j for j, s in enumerate(specs) if _poolable(s)]
+    fleet_lanes = sum(
+        _pool_lanes(specs[j]) for j in pool_pos if specs[j].cluster is not None
+    )
+    if fleet_lanes < CLUSTER_POOL_LANES:
+        pool_pos = [j for j in pool_pos if specs[j].cluster is None]
+        if len(pool_pos) < 2:
+            pool_pos = []
+    pooled = set(pool_pos)
+    solo_pos = [j for j in range(len(specs)) if j not in pooled]
+    if pool_pos:
+        from ..cluster.engine import run_pooled
 
         shells = []
         spans = []
         engines = []
-        for j in batch_pos:
+        for j in pool_pos:
             shell, cell_engines = build_spec_protocol(specs[j])
             shells.append(shell)
             spans.append((len(engines), len(engines) + len(cell_engines)))
             engines.extend(cell_engines)
         t0 = time.perf_counter()
-        run_results = run_batch(engines)
+        run_results = run_pooled(engines)
         batch_wall = time.perf_counter() - t0
+        folded = [
+            fold_protocol(shell, run_results[lo:hi])
+            for shell, (lo, hi) in zip(shells, spans)
+        ]
         ticks = [
-            sum(
+            _solo_ticks(specs[j], result)
+            if specs[j].cluster is not None
+            else sum(
                 s.finish_time_s
                 for r in run_results[lo:hi]
                 for s in r.sockets
             )
             / specs[j].engine_cfg.dt_s
-            for j, (lo, hi) in zip(batch_pos, spans)
+            for j, result, (lo, hi) in zip(pool_pos, folded, spans)
         ]
         total_ticks = sum(ticks) or 1.0
-        for j, shell, (lo, hi), t in zip(batch_pos, shells, spans, ticks):
-            yield (
-                j,
-                fold_protocol(shell, run_results[lo:hi]),
-                batch_wall * t / total_ticks,
-                t,
-            )
+        for j, result, t in zip(pool_pos, folded, ticks):
+            yield j, result, batch_wall * t / total_ticks, t
     for j in solo_pos:
         result, seconds = _execute_timed(specs[j])
         yield j, result, seconds, _solo_ticks(specs[j], result)
@@ -739,6 +780,10 @@ def run_specs(
     else:
         pend_specs = [specs[i] for i in pending]
         shards = plan_shards(pend_specs, workers=workers, shard_size=shard_size)
+        # Imported here: the pool machinery (multiprocessing, logging,
+        # sockets) costs memory and start-up that serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         failure: BaseException | None = None
         pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)))
         try:

@@ -129,9 +129,9 @@ def build_protocol(
 
     Splitting construction from execution lets callers choose *how* the
     repetitions run: sequentially (:func:`run_protocol` with the scalar
-    engine), or — CPU-only cells — in lockstep through
-    :func:`repro.sim.batch.run_batch`, possibly batched together with
-    the engines of *other* protocol cells.  Seeds, machines and trace
+    engine), or — CPU-only and cluster cells — in lockstep through
+    :func:`repro.cluster.engine.run_pooled`, possibly batched together
+    with the engines of *other* protocol cells.  Seeds, machines and trace
     wiring are identical either way, so the folded result does not
     depend on the execution strategy.
 
@@ -284,15 +284,16 @@ def run_protocol(
 
     ``engine`` selects the execution strategy: ``"scalar"`` runs each
     repetition through its engine's own loop, ``"batch"`` advances all
-    repetitions of a CPU-only cell in lockstep through the vectorized
-    engine (:mod:`repro.sim.batch`).  Results are numerically identical
-    either way (see ``docs/BATCHING.md``); batch is simply faster.
+    repetitions of a CPU-only cell — or every node of every repetition
+    of a cluster cell, under its fleet rounds — in lockstep through the
+    vectorized engine (:mod:`repro.sim.batch`).  Results are
+    numerically identical either way (see ``docs/BATCHING.md``).
     """
     if engine not in ("scalar", "batch"):
         raise ExperimentError(f"unknown engine {engine!r}")
-    if engine == "batch" and (gpu is not None or cluster is not None):
+    if engine == "batch" and gpu is not None:
         raise ExperimentError(
-            "the batch engine runs CPU-only cells; hetero and cluster "
+            "the batch engine runs CPU-only and cluster cells; hetero "
             "cells run with engine='scalar'"
         )
     result, engines = build_protocol(
@@ -312,9 +313,9 @@ def run_protocol(
         cluster=cluster,
     )
     if engine == "batch":
-        from ..sim.batch import run_batch
+        from ..cluster.engine import run_pooled
 
-        run_results = run_batch(engines)
+        run_results = run_pooled(engines)
     else:
         run_results = [e.run() for e in engines]
     return fold_protocol(result, run_results)

@@ -136,11 +136,7 @@ class RAPLPackage:
         A window of ``None`` (or ``0``) keeps that constraint's current
         window; any other window must be positive and finite.
         """
-        for w in (pl1_w, pl2_w):
-            if not self.cfg.min_limit_w <= w <= 10 * self.cfg.pl2_default_w:
-                raise RAPLError(f"power limit {w!r} W outside accepted range")
-        if pl1_w > pl2_w:
-            raise RAPLError(f"PL1 ({pl1_w} W) must not exceed PL2 ({pl2_w} W)")
+        self.check_limits(pl1_w, pl2_w)
         for window in (pl1_window_s, pl2_window_s):
             # NaN, ±inf and negatives would poison the running averages.
             if window and not 0.0 < window < math.inf:
@@ -159,6 +155,14 @@ class RAPLPackage:
             new_pl1,
             new_pl2,
         )
+
+    def check_limits(self, pl1_w: float, pl2_w: float) -> None:
+        """Raise :class:`RAPLError` on limits :meth:`set_limits` refuses."""
+        for w in (pl1_w, pl2_w):
+            if not self.cfg.min_limit_w <= w <= 10 * self.cfg.pl2_default_w:
+                raise RAPLError(f"power limit {w!r} W outside accepted range")
+        if pl1_w > pl2_w:
+            raise RAPLError(f"PL1 ({pl1_w} W) must not exceed PL2 ({pl2_w} W)")
 
     def reset_limits(self) -> None:
         """Restore both constraints to their architecture defaults."""

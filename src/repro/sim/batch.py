@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -79,6 +79,9 @@ from ..workloads.phase import (
 )
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
 from .result import PhaseSpan, RunResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.fleet import FleetRound
 
 __all__ = [
     "BatchSimulationEngine",
@@ -256,7 +259,11 @@ class BatchSimulationEngine:
     per-run socket counts, trace sinks — may differ per run.
     """
 
-    def __init__(self, engines: Sequence[SimulationEngine]):
+    def __init__(
+        self,
+        engines: Sequence[SimulationEngine],
+        fleets: Sequence[tuple["FleetRound", Sequence[int]]] = (),
+    ):
         if not engines:
             raise SimulationError("batch needs at least one engine")
         if len({id(e.machine) for e in engines}) != len(engines):
@@ -275,6 +282,14 @@ class BatchSimulationEngine:
             if e.engine_cfg.dt_s != self.dt:
                 raise SimulationError("batched engines must share one dt_s")
         self.engines = list(engines)
+        members = [r for _, runs in fleets for r in runs]
+        if len(set(members)) != len(members) or not all(
+            0 <= r < len(engines) for r in members
+        ):
+            raise SimulationError(
+                "fleet nodes must be distinct runs of this batch"
+            )
+        self._fleets = [(fleet, list(runs)) for fleet, runs in fleets]
 
     # -- run -----------------------------------------------------------------------
 
@@ -283,6 +298,12 @@ class BatchSimulationEngine:
         ctxs = [e.prepare() for e in self.engines]
         for ctx in ctxs:
             ctx.runtime.start()
+        # The t = 0 partition stages on the objects, as the scalar
+        # cluster loop does once its nodes started; the lanes mirror it.
+        for fleet, runs in self._fleets:
+            for r, per_socket_w in zip(runs, fleet.start()):
+                if per_socket_w is not None:
+                    self._write_objects(r, per_socket_w)
         self._build_lanes(ctxs)
 
         closed: set[int] = set()
@@ -527,6 +548,9 @@ class BatchSimulationEngine:
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
         self._eff: np.ndarray | None = None
         self._tracing = True
+        # Fleet rounds bid the last step's package power: ``_loop``
+        # keeps ``st_pkg`` while a fleet can still round.
+        self._keep_pkg = False
         self._refresh_uncore()
         # EMA factors for the common ``dt_l == dt`` slice; lanes with a
         # partial slice are patched per-element (see ``_ema_alphas``).
@@ -770,6 +794,11 @@ class BatchSimulationEngine:
         alive = self.alive
         ended = self._maybe_done
         vec_run = np.array(self._vec_run)
+        rounding = [
+            (fleet, runs)
+            for fleet, runs in self._fleets
+            if fleet.ticks_per_period is not None
+        ]
         k = 0
         while alive.any():
             # The scalar stepper checks its time limit before every
@@ -788,20 +817,51 @@ class BatchSimulationEngine:
                         )
             # The next sync: a due controller tick (the mirror of
             # ControllerRuntime.on_time's due check; finished runs park
-            # their next_tick at +inf), the time limit, or — while a
-            # recording run lives — the next trace sample.
+            # their next_tick at +inf), the time limit, a live fleet's
+            # next round, or — while a recording run lives — the next
+            # trace sample.
             traced = any(alive[r] for r in trace_runs)
             next_due = float(self.next_tick.min())
+            rounding = [
+                (fleet, runs)
+                for fleet, runs in rounding
+                if any(alive[r] for r in runs)
+            ]
+            self._keep_pkg = bool(rounding)
+            next_round = min(
+                (
+                    (k // fleet.ticks_per_period + 1) * fleet.ticks_per_period
+                    for fleet, _ in rounding
+                ),
+                default=_PARKED,
+            )
             sync = k + 1
             while True:
                 if sync == len(times):
                     times.append(times[-1] + dt)
                 t = times[sync]
-                if traced or t + 1e-12 >= next_due or t >= limit:
+                if (
+                    traced
+                    or t + 1e-12 >= next_due
+                    or t >= limit
+                    or sync == next_round
+                ):
                     break
                 sync += 1
             self._tick(sync)
             now = times[sync]
+            # A fleet rounds after this tick when one of its nodes ran
+            # it: the scalar cluster loop stops once every node is done.
+            rounds = [
+                (fleet, runs)
+                for fleet, runs in rounding
+                if fleet.due(sync)
+                and any(
+                    alive[r]
+                    and (self._lanes_left[r] > 0 or self._end_tick[r] >= sync)
+                    for r in runs
+                )
+            ]
             if traced:
                 self._record(ctxs, trace_runs)
             # Retire finished runs where the scalar loop would: a run that
@@ -830,7 +890,49 @@ class BatchSimulationEngine:
                     self._after_gather()
             self._retire(ctxs, closed, [r for r in ended if alive[r]])
             ended.clear()
+            # Fleet rounds come last, as in the scalar cluster loop:
+            # after the tick's controller ticks and retirements.
+            for fleet, runs in rounds:
+                self._fleet_round(fleet, runs, sync)
             k = sync
+
+    def _fleet_round(self, fleet: "FleetRound", runs: list[int], tick: int) -> None:
+        """Run ``fleet``'s round after ``tick`` and stage its writes.
+
+        A live node bids its lanes' last-step package power, and its
+        write stages on the lane pending arrays exactly as
+        ``RAPLPackage.set_limits`` stages it: PL1 = PL2 at the latched
+        windows, due after the actuation delay, replacing any pending
+        write.  A finished node's write stages on its objects, where,
+        as in the scalar loop, it never latches.
+        """
+        alive = self.alive
+        pkg = self.st_pkg.tolist()
+        power = [
+            [pkg[l] for l in self.run_lanes[r]] if alive[r] else None
+            for r in runs
+        ]
+        delay = self.socket_cfg.rapl.actuation_delay_s
+        for r, per_socket_w in zip(runs, fleet.round(tick, power)):
+            if per_socket_w is None:
+                continue
+            if not alive[r]:
+                self._write_objects(r, per_socket_w)
+                continue
+            lanes = self.run_lanes[r]
+            for l in lanes:
+                self.procs[l].rapl.check_limits(per_socket_w, per_socket_w)
+            self.pend_due[lanes] = self.rapl_now[lanes] + delay
+            self.pend1_w[lanes] = per_socket_w
+            self.pend1_win[lanes] = self.pl1_win[lanes]
+            self.pend2_w[lanes] = per_socket_w
+            self.pend2_win[lanes] = self.pl2_win[lanes]
+            self._any_pending = True
+
+    def _write_objects(self, r: int, per_socket_w: float) -> None:
+        """Stage a fleet write on run ``r``'s RAPL objects."""
+        for proc in self.engines[r].machine.processors:
+            proc.rapl.set_limits(per_socket_w, per_socket_w)
 
     def _retire(
         self, ctxs: list[RunContext], closed: set[int], runs: list[int]
@@ -963,7 +1065,9 @@ class BatchSimulationEngine:
         # Dispatch per controller kind (runs usually share one form).
         st = self._lane_state
         kinds = self.ctrl_kind[idx]
-        for code in np.unique(kinds):
+        # ``bincount`` keeps ``numpy.ma`` unimported (``np.unique``
+        # loads it); the codes come out in the same ascending order.
+        for code in np.flatnonzero(np.bincount(kinds)):
             pos_k = (kinds == code).nonzero()[0]
             sub = idx[pos_k]
             form = self._tick_forms[code]
@@ -1614,7 +1718,8 @@ class BatchSimulationEngine:
             np.copyto(self.prev_act, activity, where=active)
             np.copyto(self.prev_traf, traffic, where=active)
 
-        # 9. Trace snapshot (skipped when no run records a trace).
+        # 9. Trace snapshot (skipped when no run records a trace); a
+        # live fleet needs only the package power.
         if self._tracing:
             np.copyto(self.st_core, core_hz, where=active)
             np.copyto(self.st_uncore, self.ufreq, where=active)
@@ -1622,6 +1727,8 @@ class BatchSimulationEngine:
             np.copyto(self.st_dram, dram_w, where=active)
             np.copyto(self.st_flops, flops_rate, where=active)
             np.copyto(self.st_bytes, bytes_rate, where=active)
+        elif self._keep_pkg:
+            np.copyto(self.st_pkg, total, where=active)
         return progress_rate
 
     # -- object <-> array sync --------------------------------------------------------
@@ -1718,7 +1825,10 @@ def _chunks(items: list[int], size: int) -> list[list[int]]:
 
 
 def run_batch(
-    engines: Sequence[SimulationEngine], *, max_batch: int | None = None
+    engines: Sequence[SimulationEngine],
+    *,
+    max_batch: int | None = None,
+    fleets: Sequence[tuple["FleetRound", Sequence[int]]] = (),
 ) -> list[RunResult]:
     """Run many engines, batching the compatible ones.
 
@@ -1728,20 +1838,43 @@ def run_batch(
     batched (see :func:`batch_fallback_reason`) run through the scalar
     engine — results are identical either way, so callers never need
     to care which path executed.  Results come back in input order.
+
+    ``fleets`` pairs each fleet round with the indices of its node
+    engines (see :func:`repro.cluster.engine.run_pooled`); a fleet's
+    nodes must be batchable and share one group, and never split
+    across chunks, so ``max_batch`` refuses them.
     """
     if max_batch is not None and max_batch < 1:
         raise SimulationError("max_batch must be at least 1")
+    if fleets and max_batch is not None:
+        raise SimulationError("max_batch would split fleets across batches")
+    nodes = {i for _, members in fleets for i in members}
     results: list[RunResult | None] = [None] * len(engines)
     groups: dict[tuple, list[int]] = {}
     for i, e in enumerate(engines):
-        if batch_fallback_reason(e) is not None:
-            results[i] = e.run()
-        else:
+        reason = batch_fallback_reason(e)
+        if reason is None:
             key = (e.machine.config.socket, e.engine_cfg.dt_s)
             groups.setdefault(key, []).append(i)
+        elif i in nodes:
+            raise SimulationError(f"fleet node is not batchable: {reason}")
+        else:
+            results[i] = e.run()
     for idxs in groups.values():
+        pos = {i: p for p, i in enumerate(idxs)}
+        local = []
+        for fleet, members in fleets:
+            inside = [pos[i] for i in members if i in pos]
+            if len(inside) not in (0, len(members)):
+                raise SimulationError(
+                    "fleet nodes must share one SocketConfig and dt_s"
+                )
+            if inside:
+                local.append((fleet, inside))
         for chunk in _chunks(idxs, max_batch or len(idxs)):
-            out = BatchSimulationEngine([engines[i] for i in chunk]).run()
+            out = BatchSimulationEngine(
+                [engines[i] for i in chunk], local
+            ).run()
             for i, res in zip(chunk, out):
                 results[i] = res
     return [r for r in results if r is not None]

@@ -17,8 +17,10 @@ case: the batch engine must reproduce it byte for byte.
 """
 
 import math
+import os
 import pathlib
 import pickle
+import subprocess
 import sys
 from dataclasses import astuple, replace
 
@@ -32,10 +34,20 @@ from repro.config import (
     ThermalConfig,
     yeti_socket_config,
 )
+from repro.cluster import engine as cluster_engine_module
+from repro.cluster.engine import ClusterEngine, ClusterResult, run_pooled
+from repro.cluster.spec import ClusterSpec
 from repro.core.base import TickLog
-from repro.core.registry import as_spec, policy_info, policy_names
+from repro.core.registry import as_spec, policy_info, policy_names, split_policy
 from repro.errors import SimulationError
-from repro.experiments.executor import RunSpec, execute_spec
+from repro.experiments.executor import (
+    CLUSTER_POOL_LANES,
+    RunSpec,
+    execute_spec,
+    plan_shards,
+    run_specs,
+)
+from repro.experiments.sweep import sweep_specs
 from repro.hardware.msr import MSR
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
@@ -739,3 +751,290 @@ def test_batch_cell_pickles_the_same_bytes_read_or_unread():
     assert all(s.phases for s in read.last_run.sockets)
     assert pickle.dumps(read, protocol=pickle.HIGHEST_PROTOCOL) == unread
     assert pickle.dumps(cell("scalar"), protocol=pickle.HIGHEST_PROTOCOL) == unread
+
+
+# ---------------------------------------------------------- cluster cells
+#
+# A cluster's nodes run as batch lanes under the same fleet round the
+# scalar ClusterEngine runs (repro.cluster.fleet.FleetRound).  The scalar
+# engine is the oracle: every node's run, the allocation history, the
+# fleet metrics and each node's final RAPL state (latched limits and the
+# staged write a finished node never latches) must match it.
+
+FLEET_APPS = ("WEB", "BATCH", "CG", "EP")
+FLEET_METRICS = (
+    "makespan_s",
+    "execution_time_s",
+    "package_energy_j",
+    "dram_energy_j",
+    "total_energy_j",
+    "avg_package_power_w",
+    "avg_dram_power_w",
+    "fairness_index",
+    "p99_slowdown",
+)
+
+
+def _cluster(
+    policy,
+    node_controller="dufp",
+    *,
+    seed=0,
+    period_s=1.0,
+    sockets=1,
+    apps=FLEET_APPS,
+    scale=0.2,
+    socket=None,
+    faults=None,
+    record_trace=False,
+):
+    """A fleet under a budget tight enough that every policy caps."""
+    cfg = ControllerConfig(tolerated_slowdown=0.10)
+    cluster = ClusterSpec(
+        node_count=len(apps),
+        node_apps=apps,
+        node_controller=node_controller,
+        sockets_per_node=sockets,
+        period_s=period_s,
+    )
+    budget = 90.0 * len(apps) * sockets
+    return ClusterEngine(
+        applications=[
+            build_application(a, scale=scale, socket=socket) for a in apps
+        ],
+        cluster=cluster,
+        policy=split_policy(as_spec(f"{policy}:budget_w={budget}"), cfg, scope="node"),
+        controller_cfg=cfg,
+        noise=NoiseConfig(),
+        socket=socket,
+        seed=seed,
+        record_trace=record_trace,
+        faults=faults,
+    )
+
+
+@pytest.fixture
+def node_rapl(monkeypatch):
+    """Each cluster's node RAPL state once run: ``state(cluster_engine)``."""
+    built = {}
+    node_engines = ClusterEngine._node_engines
+
+    def keep(self):
+        built[id(self)] = engines = node_engines(self)
+        return engines
+
+    monkeypatch.setattr(ClusterEngine, "_node_engines", keep)
+
+    def state(engine):
+        return [
+            (p.rapl.pl1.limit_w, p.rapl.pl2.limit_w, p.rapl.pending_pl1_w)
+            for e in built[id(engine)]
+            for p in e.machine.processors
+        ]
+
+    return state
+
+
+def assert_clusters_equivalent(scalar, pooled):
+    """Nodes, allocation history and fleet metrics, as the contract."""
+    _assert_summary(scalar.allocations, pooled.allocations, "allocations")
+    assert len(pooled.nodes) == len(scalar.nodes)
+    for s, p in zip(scalar.nodes, pooled.nodes):
+        assert_runs_equivalent(s, p)
+    for metric in FLEET_METRICS:
+        _assert_float(getattr(pooled, metric), getattr(scalar, metric), metric)
+    _assert_summary(scalar.slowdowns, pooled.slowdowns, "slowdowns")
+
+
+def _assert_pooled_matches_scalar(builders, node_rapl):
+    """Run each builder's engine scalar, then fresh copies in one pool."""
+    scalars = [build() for build in builders]
+    pooled = [build() for build in builders]
+    expected = [e.run() for e in scalars]
+    got = run_pooled(pooled)
+    for s, p, es, ep in zip(expected, got, scalars, pooled):
+        if isinstance(s, ClusterResult):
+            assert_clusters_equivalent(s, p)
+            assert node_rapl(ep) == node_rapl(es)
+        else:
+            assert_runs_equivalent(s, p)
+    return expected
+
+
+@pytest.mark.parametrize("node_controller", ["dufp", "duf", "default"])
+@pytest.mark.parametrize("policy", ["fleet-static", "fleet-demand", "fleet-fair"])
+def test_pooled_cluster_matches_scalar(policy, node_controller, node_rapl):
+    (result,) = _assert_pooled_matches_scalar(
+        [lambda: _cluster(policy, node_controller)], node_rapl
+    )
+    # The fleet capped nodes, and some finished while others ran.
+    ceiling = yeti_socket_config().rapl.pl1_default_w
+    assert min(a for _, allocs in result.allocations for a in allocs) < ceiling
+    assert len(set(result.node_makespans_s)) == len(FLEET_APPS)
+
+
+def test_pooled_cluster_node_finishing_early_keeps_its_staged_write(node_rapl):
+    """Rounds after a node finished still write it (its floor grant); the
+    write stays staged on its objects and never latches."""
+    (result,) = _assert_pooled_matches_scalar(
+        [lambda: _cluster("fleet-demand", "duf", seed=3)], node_rapl
+    )
+    first_done = min(result.node_makespans_s)
+    assert any(t > first_done for t, _ in result.allocations)
+
+
+def test_pooled_two_socket_nodes_match_scalar(node_rapl):
+    _assert_pooled_matches_scalar(
+        [
+            lambda: _cluster(
+                "fleet-demand",
+                "dufp",
+                sockets=2,
+                apps=("CG", "EP"),
+                scale=0.15,
+                record_trace=True,
+            )
+        ],
+        node_rapl,
+    )
+
+
+def test_pooled_fleet_rounds_between_controller_ticks(node_rapl):
+    """period_s=0.3 puts most rounds on ticks no controller ticks at."""
+    (result,) = _assert_pooled_matches_scalar(
+        [lambda: _cluster("fleet-demand", "dufp", period_s=0.3, seed=5)],
+        node_rapl,
+    )
+    off_grid = [t for t, _ in result.allocations[1:] if round(t / 0.2, 6) % 1]
+    assert off_grid
+
+
+def test_pool_of_two_periods_and_cpu_cells_matches_scalar(node_rapl):
+    """Fleets with different periods and plain runs share one pool."""
+
+    def plain(policy, app, faults, seed):
+        return lambda: _engine_pair(policy, app, faults=faults, seed=seed)[0]
+
+    _assert_pooled_matches_scalar(
+        [
+            lambda: _cluster("fleet-demand", "dufp", period_s=1.0, seed=1),
+            plain("dufp", "CG", None, 9),
+            lambda: _cluster("fleet-fair", "duf", period_s=0.5, seed=2),
+            plain("duf", "EP", PLAN, 4),
+        ],
+        node_rapl,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (
+            lambda: _cluster("fleet-demand", "duf", faults=PLAN),
+            "active fault plan",
+        ),
+        (
+            lambda: _cluster(
+                "fleet-demand",
+                "duf",
+                socket=replace(
+                    yeti_socket_config(),
+                    uncore=replace(yeti_socket_config().uncore, die_count=2),
+                ),
+            ),
+            "multi-die uncore",
+        ),
+    ],
+)
+def test_ineligible_clusters_fall_back_to_scalar(build, reason, monkeypatch):
+    engine = build()
+    assert reason in engine.pool_fallback_reason(engine._node_engines())
+    expected = build().run()
+    ran = []
+    monkeypatch.setattr(
+        batch_module.BatchSimulationEngine,
+        "run",
+        lambda self: ran.append(self) or [],
+    )
+    (got,) = run_pooled([build()])
+    assert not ran
+    assert_clusters_equivalent(expected, got)
+
+
+def _fleet_cells(n, *, runs=3, faults=None):
+    """``n`` four-node cluster cells (``runs × 4`` lanes each)."""
+    specs, _ = sweep_specs(
+        apps=("CG",),
+        tolerances_pct=(0.0, 10.0),
+        runs=runs,
+        controllers=("fleet-demand:budget_w=360", "fleet-fair:budget_w=360"),
+        app_scale=0.15,
+        faults=faults,
+        cluster=ClusterSpec(node_count=4, node_apps=FLEET_APPS),
+    )
+    return specs[:n]
+
+
+def test_executor_pools_cluster_cells_from_the_crossover(monkeypatch):
+    """Cells pool once their lanes reach CLUSTER_POOL_LANES, below it they
+    run their scalar fleet loops; results and CellReport.ticks match."""
+    pools = []
+    real = cluster_engine_module.run_pooled
+
+    def counting(engines):
+        pools.append(len(engines))
+        return real(engines)
+
+    monkeypatch.setattr(cluster_engine_module, "run_pooled", counting)
+    cells = _fleet_cells(3)
+    lanes = [s.runs * s.cluster.node_count for s in cells]
+    assert lanes[0] < CLUSTER_POOL_LANES <= sum(lanes)
+    solo = [run_specs([s]) for s in cells]
+    assert pools == []
+    results, summary = run_specs(cells)
+    assert pools == [sum(s.runs for s in cells)]
+    for (one, one_summary), got, report in zip(solo, results, summary.cells):
+        for column in ("times_s", "package_power_w", "dram_power_w", "total_energy_j"):
+            assert getattr(got, column) == getattr(one[0], column)
+        assert report.ticks == one_summary.cells[0].ticks
+
+
+def test_executor_keeps_faulted_cluster_cells_scalar(monkeypatch):
+    pools = []
+    monkeypatch.setattr(
+        cluster_engine_module,
+        "run_pooled",
+        lambda engines: pools.append(engines) or [],
+    )
+    cells = _fleet_cells(2, runs=-(-CLUSTER_POOL_LANES // 8), faults=PLAN)
+    assert sum(s.runs * s.cluster.node_count for s in cells) >= CLUSTER_POOL_LANES
+    run_specs(cells)
+    assert pools == []
+
+
+def test_plan_shards_packs_poolable_cluster_cells_like_batch_cells():
+    cells = _fleet_cells(5)
+    faulted = _fleet_cells(2, faults=PLAN)
+    shards = plan_shards(cells + faulted, workers=2)
+    pooled = [sh for sh in shards if set(sh) <= set(range(5))]
+    assert sorted(i for sh in pooled for i in sh) == list(range(5))
+    assert len(pooled) == 2
+    assert len(shards) == 4  # each faulted cell runs in its own shard
+
+
+def test_lane_parallel_batches_never_import_numpy_ma():
+    """Dispatching the due lanes by controller kind must not load
+    ``numpy.ma`` (``np.unique`` does), which costs over 1 MB of heap."""
+    code = (
+        "import sys\n"
+        "from repro.experiments.executor import RunSpec, run_specs\n"
+        "specs = [RunSpec(a, c, runs=2, app_scale=0.05, engine='batch')\n"
+        "         for a in ('EP', 'CG') for c in ('duf', 'dufp')]\n"
+        "run_specs(specs)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )

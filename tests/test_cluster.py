@@ -83,6 +83,11 @@ class TestClusterSpec:
             dict(node_controller="no-such-policy"),
             dict(node_controller="hetero-coord"),
             dict(node_controller="fleet-demand"),
+            dict(period_s=math.nan),
+            dict(period_s=math.inf),
+            dict(period_s=-math.inf),
+            dict(node_floor_w=math.nan),
+            dict(node_floor_w=math.inf),
         ],
     )
     def test_rejects_bad_topologies(self, kw):
@@ -320,15 +325,26 @@ class TestClusterProtocolAndSpec:
         assert math.isfinite(proto.mean_time_s)
         assert proto.last_run is None
 
-    def test_batch_engine_rejects_cluster_cells(self):
-        with pytest.raises(ExperimentError, match="CPU-only"):
-            run_protocol(
-                [build_application("EP", scale=0.2)] * 2,
-                make_spec("fleet-static", budget_w=250.0),
-                cluster=ClusterSpec(node_count=2),
-                runs=1,
-                engine="batch",
+    def test_batch_engine_pools_cluster_cells(self):
+        def proto(engine):
+            return run_protocol(
+                [build_application(a, scale=0.2) for a in ("WEB", "EP")],
+                make_spec("fleet-demand", budget_w=170.0),
+                cluster=ClusterSpec(node_count=2, node_apps=("WEB", "EP")),
+                controller_cfg=CFG,
+                runs=2,
+                noise=QUIET,
+                engine=engine,
             )
+
+        scalar, pooled = proto("scalar"), proto("batch")
+        for column in (
+            "times_s",
+            "package_power_w",
+            "dram_power_w",
+            "total_energy_j",
+        ):
+            assert getattr(pooled, column) == getattr(scalar, column)
 
     def test_cluster_spec_key_is_stable_and_distinct(self):
         plain = RunSpec(app_name="CG", controller="dufp", runs=2)
@@ -358,14 +374,15 @@ class TestClusterProtocolAndSpec:
         assert len(proto.times_s) == 2
         assert proto.controller_name == "fleet-static-250W"
 
-    def test_batch_engine_normalises_for_cluster_cells(self):
+    def test_cluster_cells_keep_their_engine_and_one_cache_key(self):
         spec = RunSpec(
             app_name="EP",
             controller="fleet-static",
             engine="batch",
             cluster=ClusterSpec(node_count=2),
         )
-        assert spec.engine == "scalar"
+        assert spec.engine == "batch"
+        assert spec_key(spec) == spec_key(replace(spec, engine="scalar"))
 
 
 class TestClusterCLI:

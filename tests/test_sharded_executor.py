@@ -10,8 +10,11 @@ the pool drains, and the compressed log-structured cache round-trips
 with transparent legacy reads.
 """
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -532,3 +535,21 @@ class TestCacheV2:
         assert a.get("b" * 64) == "from-b"  # sees b's append via refresh
         assert b.get("a" * 64) == "from-a"
         assert len(ResultCache(tmp_path)) == 2
+
+
+def test_serial_runs_never_import_the_process_pool():
+    """``workers=1`` leaves the pool machinery (multiprocessing,
+    ``concurrent.futures.process``) unimported: it costs memory and
+    start-up that a serial run never uses."""
+    code = (
+        "import sys\n"
+        "import repro.experiments\n"
+        "from repro.experiments.executor import RunSpec, run_specs\n"
+        "run_specs([RunSpec('EP', 'dufp', runs=1, app_scale=0.05)], workers=1)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
