@@ -44,6 +44,7 @@ from ..config import (
 )
 from ..core.registry import controller_factory
 from ..errors import SimulationError
+from ..sim.eligibility import batch_fallback_reason, fallback_reason
 from ..sim.engine import SimulationEngine, SimulationStepper
 from ..sim.faults import FaultPlan
 from ..sim.machine import SimulatedMachine
@@ -300,21 +301,12 @@ class ClusterEngine:
     ) -> str | None:
         """Why this cluster's node ``engines`` cannot run as batch lanes.
 
-        ``None`` when they can.  An active fault plan keeps the scalar
-        path: a fleet write goes through ``RAPLPackage.set_limits``,
-        which draws the cap-latch fault channel.  Otherwise a node
-        falls back for any reason a plain run would
-        (:func:`~repro.sim.batch.batch_fallback_reason`).
+        ``None`` when they can: the cluster passes the fleet rows of
+        :mod:`repro.sim.eligibility` and each node its scalar rows.
         """
-        from ..sim.batch import batch_fallback_reason
-
-        if self.faults is not None and self.faults.active:
-            return "active fault plan: fleet writes draw the cap-latch faults"
-        for engine in engines:
-            reason = batch_fallback_reason(engine)
-            if reason is not None:
-                return reason
-        return None
+        return fallback_reason(self, fleet=True) or next(
+            filter(None, map(batch_fallback_reason, engines)), None
+        )
 
     # -- the fleet loop ----------------------------------------------------
 

@@ -2,29 +2,31 @@
 
 The paper's DUFP is one point in a family of per-socket power/uncore
 policies (uncore-only, cap-only, static, combined, budget-shared).
-This module makes that family *data*: every controller is registered
-under a short id together with a frozen parameter dataclass, display
-metadata and a builder, so sweeps, the result cache, the CLI and the
+This module makes that family *data*: every controller is one
+registry row — a short id, its scope, display metadata, a frozen
+parameter dataclass, a builder and an optional lane-parallel tick
+form — so sweeps, the result cache, the CLI, the batch engine and the
 docs all discover policies from one place.
 
-Adding a new policy is one dataclass plus one decorator::
+Adding a new policy is one :func:`register_policy` call (plus a frozen
+dataclass when it takes parameters)::
 
-    @register_policy(
+    @dataclass(frozen=True)
+    class FastCapParams:
+        watts: float = 100.0
+
+    register_policy(
         "fastcap",
         display_name="FastCap-style fair capper",
         paper_section="VI (related work)",
         summary="Cap both sockets fairly from a shared budget.",
+        params=FastCapParams,
+        build=lambda p, cfg: partial(MyFastCap, cfg, p.watts),
     )
-    @dataclass(frozen=True)
-    class FastCapPolicy:
-        watts: float = 100.0
 
-        def build(self, cfg: ControllerConfig) -> Callable[[], Controller]:
-            return lambda: MyFastCap(cfg, self.watts)
-
-``build`` is invoked once per protocol *run* and returns the per-socket
-controller factory, so policies that share state across sockets (the
-budget coordinator) get a fresh coordinator every run.
+``build(params, cfg)`` is invoked once per protocol *run* and returns
+the per-socket controller factory, so policies that share state across
+sockets (the budget coordinator) get a fresh coordinator every run.
 
 A :class:`PolicySpec` is the serialisable selection of one policy —
 ``name`` plus an instance of its parameter dataclass.  Specs are
@@ -41,7 +43,8 @@ registry (enforced by ``scripts/lint_policy_imports.py``).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from functools import partial
 from typing import Callable, ClassVar
 
 from ..config import ControllerConfig
@@ -94,37 +97,10 @@ ControllerFactory = Callable[[], Controller]
 #: :class:`~repro.core.split.SplitPolicy` over those entries.
 SCOPES = ("socket", "device", "node")
 
-#: Controllers with a registered lane-parallel tick form, keyed by
-#: *exact* type: subclasses (DUFPF, the adaptive-interval variant)
-#: override scalar hooks the vector kernels do not model, so they must
-#: not inherit a parent's vector form.  The value wraps the
-#: ``tick_lanes`` staticmethod the batch engine dispatches to; the
-#: baselines that act only at attach share one log-only form.
-_VECTOR_TICKS: dict[type, LaneTickForm] = {
-    DUF: LaneTickForm(DUF.tick_lanes),
-    DUFP: LaneTickForm(DUFP.tick_lanes),
-    DefaultController: LOG_ONLY_FORM,
-    StaticPowerCap: LOG_ONLY_FORM,
-    StaticUncore: LOG_ONLY_FORM,
-}
-
-
-def vector_tick_form(controller: Controller) -> LaneTickForm | None:
-    """The lane-parallel tick form of ``controller``, or ``None``.
-
-    This is the batch engine's only controller-type probe: a non-None
-    return means ``type(controller)`` registered a ``tick_lanes`` form
-    whose masked vector decisions are bit-identical to the scalar
-    ``tick`` (the differential-equivalence suite enforces it).  Like
-    everything else reaching concrete controller classes, the mapping
-    lives here so ``repro.sim`` never imports them directly.
-    """
-    return _VECTOR_TICKS.get(type(controller))
-
 
 @dataclass(frozen=True)
 class PolicyInfo:
-    """Registry metadata for one policy."""
+    """One registry row: a policy's metadata, parameters and builder."""
 
     #: Short registry id (the CLI / sweep / cache-key name).
     name: str
@@ -135,14 +111,20 @@ class PolicyInfo:
     #: One-line description for ``repro policies``.
     summary: str
     #: Frozen dataclass type carrying the policy's parameters; its
-    #: field defaults are the policy's default parameters and its
-    #: ``build(cfg)`` method produces the per-socket factory.
+    #: field defaults are the policy's default parameters.
     param_cls: type
+    #: ``build(params, cfg)``: one run's per-socket controller factory,
+    #: or a fresh split strategy at the budget-split scopes.
+    build: Callable
     #: One of :data:`SCOPES`.  Budget-split scopes (``"device"``,
     #: ``"node"``) build a :class:`~repro.core.split.SplitPolicy`
     #: instead of a per-socket controller factory, and their run spec
     #: must carry a GPU node config or a cluster spec respectively.
     scope: str = "socket"
+    #: ``(controller type, form)`` when the *exact* controller type
+    #: this policy builds has a lane-parallel tick form (see
+    #: :func:`vector_tick_form`); ``None`` otherwise.
+    lanes: tuple[type, LaneTickForm] | None = None
 
     @property
     def defaults(self):
@@ -157,42 +139,74 @@ class PolicyInfo:
 _REGISTRY: dict[str, PolicyInfo] = {}
 
 
+def _params_type(type_name: str, fields=(), bases=(), **namespace) -> type:
+    """A generated frozen parameter dataclass, bound here as ``type_name``.
+
+    ``canonical_value`` hashes the type *name* into every cache address.
+    Pickle finds a class by module and qualified name, which
+    ``make_dataclass`` cannot set before Python 3.12: the namespace does.
+    """
+    if type_name in globals():
+        raise PolicyError(f"parameter type name {type_name!r} is taken")
+    cls = make_dataclass(
+        type_name,
+        fields,
+        bases=bases,
+        frozen=True,
+        namespace={"__module__": __name__, "__qualname__": type_name, **namespace},
+    )
+    globals()[type_name] = cls
+    return cls
+
+
 def register_policy(
     name: str,
     *,
     display_name: str,
+    summary: str,
+    params: type | str,
+    build: Callable,
     paper_section: str = "",
-    summary: str = "",
     scope: str = "socket",
-):
-    """Class decorator registering a parameter dataclass as a policy.
+    lanes: tuple[type, LaneTickForm] | None = None,
+) -> None:
+    """Register one policy row (see :class:`PolicyInfo`).
 
-    The decorated class must be a frozen dataclass exposing
-    ``build(cfg: ControllerConfig) -> Callable[[], Controller]`` — or,
-    for the budget-split scopes ``"device"`` and ``"node"``,
-    ``build(cfg) -> SplitPolicy``.
+    ``params`` is the policy's frozen parameter dataclass or, for a
+    policy without parameters, the name of the empty one to generate
+    (the name is part of every cache address).
     """
+    if scope not in SCOPES:
+        raise PolicyError(f"policy {name!r} scope must be one of {SCOPES}")
+    if name in _REGISTRY:
+        raise PolicyError(f"policy {name!r} registered twice")
+    if not callable(build):
+        raise PolicyError(f"policy {name!r} needs a build(params, cfg)")
+    if isinstance(params, str):
+        params = _params_type(params)
+    if not dataclasses.is_dataclass(params):
+        raise PolicyError(f"policy {name!r} params must be a dataclass")
+    _REGISTRY[name] = PolicyInfo(
+        name, display_name, paper_section, summary, params, build, scope, lanes
+    )
 
-    def decorate(param_cls: type) -> type:
-        if scope not in SCOPES:
-            raise PolicyError(f"policy {name!r} scope must be one of {SCOPES}")
-        if not dataclasses.is_dataclass(param_cls):
-            raise PolicyError(f"policy {name!r} params must be a dataclass")
-        if not callable(getattr(param_cls, "build", None)):
-            raise PolicyError(f"policy {name!r} params must define build(cfg)")
-        if name in _REGISTRY:
-            raise PolicyError(f"policy {name!r} registered twice")
-        _REGISTRY[name] = PolicyInfo(
-            name=name,
-            display_name=display_name,
-            paper_section=paper_section,
-            summary=summary or (param_cls.__doc__ or "").strip().splitlines()[0],
-            param_cls=param_cls,
-            scope=scope,
-        )
-        return param_cls
 
-    return decorate
+def vector_tick_form(controller: Controller) -> LaneTickForm | None:
+    """The lane-parallel tick form of ``controller``, or ``None``.
+
+    The batch engine's only controller-type probe: the form of the row
+    whose ``lanes`` names ``type(controller)`` *exactly* — subclasses
+    (DUFPF, the adaptive-interval variant) override scalar hooks the
+    vector kernels do not model.  The differential-equivalence suite
+    enforces that the form's decisions equal the scalar ``tick``.  Like
+    everything else reaching concrete controller classes, the rows live
+    here so ``repro.sim`` never imports them directly.
+    """
+    kind = type(controller)
+    for info in _REGISTRY.values():
+        if info.lanes is not None and info.lanes[0] is kind:
+            return info.lanes[1]
+    return None
 
 
 def policy_names() -> tuple[str, ...]:
@@ -248,7 +262,7 @@ class PolicySpec:
 
     def build(self, cfg: ControllerConfig) -> ControllerFactory:
         """The per-socket controller factory for one protocol run."""
-        return self.params.build(cfg)
+        return self.info.build(self.params, cfg)
 
 
 def make_spec(name: str, **params) -> PolicySpec:
@@ -390,78 +404,6 @@ def describe_policies() -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Registrations: every controller in the repo, including the baselines
-# that were previously unreachable from the sweep path.
-# ---------------------------------------------------------------------------
-
-
-@register_policy(
-    "default",
-    display_name="Default configuration",
-    paper_section="V (baseline)",
-    summary="Untouched machine: stock uncore governor, default RAPL limits.",
-)
-@dataclass(frozen=True)
-class DefaultPolicy:
-    """Parameters of the default (no-op) policy: none."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket factory for the no-op controller."""
-        return DefaultController
-
-
-@register_policy(
-    "duf",
-    display_name="DUF dynamic uncore scaling",
-    paper_section="II-C",
-    summary="Uncore-only dynamic frequency scaling (André et al.).",
-)
-@dataclass(frozen=True)
-class DUFPolicy:
-    """Parameters of DUF: none beyond the shared controller config."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket DUF factory over the shared controller config."""
-        return lambda: DUF(cfg)
-
-
-@register_policy(
-    "dufp",
-    display_name="DUFP uncore scaling + dynamic capping",
-    paper_section="IV",
-    summary="The paper's contribution: DUF plus dynamic RAPL capping.",
-)
-@dataclass(frozen=True)
-class DUFPPolicy:
-    """Parameters of DUFP: none beyond the shared controller config."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket DUFP factory over the shared controller config."""
-        return lambda: DUFP(cfg)
-
-
-@register_policy(
-    "dufpf",
-    display_name="DUFP + explicit core-frequency ceiling",
-    paper_section="VII (future work)",
-    summary="DUFP driving IA32_PERF_CTL instead of capping for feedback.",
-)
-@dataclass(frozen=True)
-class DUFPFPolicy:
-    """Parameters of DUFPF: none beyond the shared controller config."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket DUFPF factory over the shared controller config."""
-        return lambda: DUFPF(cfg)
-
-
-@register_policy(
-    "dufp-adaptive",
-    display_name="DUFP with transiently finer interval",
-    paper_section="V-A (remedy)",
-    summary="DUFP judging strictly for a few ticks after phase changes.",
-)
 @dataclass(frozen=True)
 class AdaptiveDUFPPolicy:
     """Parameters of the adaptive-interval DUFP variant."""
@@ -469,17 +411,7 @@ class AdaptiveDUFPPolicy:
     #: Ticks judged with the sharpened error band after a phase change.
     fine_ticks: int = 3
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket adaptive-DUFP factory."""
-        return lambda: AdaptiveIntervalDUFP(cfg, fine_ticks=self.fine_ticks)
 
-
-@register_policy(
-    "static",
-    display_name="Static power cap",
-    paper_section="II-A (Fig. 1a)",
-    summary="One fixed package cap for the whole run, stock uncore scaling.",
-)
 @dataclass(frozen=True)
 class StaticCapPolicy:
     """Parameters of the whole-run static power cap."""
@@ -491,17 +423,7 @@ class StaticCapPolicy:
         """Parameter-specialised display label."""
         return f"static-{self.cap_w:.0f}W"
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket static-cap factory."""
-        return lambda: StaticPowerCap(self.cap_w)
 
-
-@register_policy(
-    "uncore",
-    display_name="Static uncore frequency",
-    paper_section="II-B",
-    summary="The uncore pinned to one frequency for the whole run.",
-)
 @dataclass(frozen=True)
 class StaticUncorePolicy:
     """Parameters of the pinned-uncore baseline."""
@@ -513,17 +435,7 @@ class StaticUncorePolicy:
         """Parameter-specialised display label."""
         return f"uncore-{self.freq_ghz:.1f}GHz"
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket pinned-uncore factory."""
-        return lambda: StaticUncore(ghz(self.freq_ghz))
 
-
-@register_policy(
-    "window",
-    display_name="Time-windowed power cap",
-    paper_section="II-A (Fig. 1b/1c)",
-    summary="A cap active only inside [start_s, end_s), then reset.",
-)
 @dataclass(frozen=True)
 class TimeWindowCapPolicy:
     """Parameters of the phase-local (time-windowed) cap."""
@@ -539,41 +451,10 @@ class TimeWindowCapPolicy:
         """Parameter-specialised display label."""
         return f"window-{self.cap_w:.0f}W"
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket windowed-cap factory."""
-        return lambda: TimeWindowCap(self.cap_w, self.start_s, self.end_s)
 
-
-@register_policy(
-    "dnpc",
-    display_name="DNPC-style frequency-model capper",
-    paper_section="VI (related work)",
-    summary="Dynamic capping assuming performance scales with core frequency.",
-)
-@dataclass(frozen=True)
-class DNPCPolicy:
-    """Parameters of the DNPC-like baseline: none."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket DNPC-like factory."""
-        return lambda: DNPCLike(cfg)
-
-
-@register_policy(
-    "budget",
-    display_name="Node budget sharing (GEOPM-style)",
-    paper_section="VI / VII (complementary)",
-    summary="DUF uncore scaling under a coordinator-split node power budget.",
-)
 @dataclass(frozen=True)
 class BudgetPolicy:
-    """Parameters of the budget-shared policy.
-
-    ``build`` allocates a fresh :class:`NodeBudgetCoordinator` per run;
-    the returned factory registers one member controller per socket, so
-    the budget genuinely spans the run's sockets and never leaks
-    between runs.
-    """
+    """Parameters of the budget-shared policy."""
 
     #: Node-wide power budget shared by every socket of the run, watts
     #: (a 1-socket run owns the full budget).
@@ -583,46 +464,7 @@ class BudgetPolicy:
     #: Extra headroom granted above measured demand, watts.
     headroom_w: float = 5.0
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Fresh coordinator per run; factory registers member sockets."""
-        coordinator = NodeBudgetCoordinator(
-            total_budget_w=self.watts,
-            cfg=cfg,
-            period_ticks=self.period_ticks,
-            headroom_w=self.headroom_w,
-        )
-        return coordinator.socket_controller
 
-
-# ---------------------------------------------------------------------------
-# Frequency-governor baselines: the four classic Linux cpufreq policies
-# as controllers, so DUFP sweeps against what a sysadmin gets with one
-# command (PAPERS.md: "How to Increase Energy Efficiency with a Single
-# Linux Command").
-# ---------------------------------------------------------------------------
-
-
-@register_policy(
-    "governor-performance",
-    display_name="cpufreq performance governor",
-    paper_section="V (testbed default)",
-    summary="Core-frequency ceiling pinned to the maximum P-state.",
-)
-@dataclass(frozen=True)
-class GovernorPerformancePolicy:
-    """Parameters of the performance-governor baseline: none."""
-
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket performance-governor factory."""
-        return lambda: PerformanceFreqGovernor(cfg)
-
-
-@register_policy(
-    "governor-powersave",
-    display_name="cpufreq powersave governor (HWP/EPP biased)",
-    paper_section="VI (related work)",
-    summary="EPP-biased fixed operating point below the maximum P-state.",
-)
 @dataclass(frozen=True)
 class GovernorPowersavePolicy:
     """Parameters of the powersave-governor baseline."""
@@ -631,19 +473,7 @@ class GovernorPowersavePolicy:
     #: full-performance EPP hint.
     range_fraction: float = 0.5
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket powersave-governor factory."""
-        return lambda: PowersaveFreqGovernor(
-            cfg, range_fraction=self.range_fraction
-        )
 
-
-@register_policy(
-    "governor-ondemand",
-    display_name="cpufreq ondemand governor",
-    paper_section="VI (related work)",
-    summary="Maximum P-state above up_threshold utilisation, scaled below.",
-)
 @dataclass(frozen=True)
 class GovernorOndemandPolicy:
     """Parameters of the ondemand-governor baseline."""
@@ -653,21 +483,7 @@ class GovernorOndemandPolicy:
     #: Platform peak compute for the utilisation estimate, GFLOPS.
     peak_gflops: float = 180.0
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket ondemand-governor factory."""
-        return lambda: OndemandFreqGovernor(
-            cfg,
-            peak_gflops=self.peak_gflops,
-            up_threshold=self.up_threshold,
-        )
 
-
-@register_policy(
-    "governor-schedutil",
-    display_name="cpufreq schedutil governor",
-    paper_section="VI (related work)",
-    summary="The kernel's margin*f_max*util rule, clamped to the P-states.",
-)
 @dataclass(frozen=True)
 class GovernorSchedutilPolicy:
     """Parameters of the schedutil-governor baseline."""
@@ -677,14 +493,176 @@ class GovernorSchedutilPolicy:
     #: Platform peak compute for the utilisation estimate, GFLOPS.
     peak_gflops: float = 180.0
 
-    def build(self, cfg: ControllerConfig) -> ControllerFactory:
-        """Per-socket schedutil-governor factory."""
-        return lambda: SchedutilFreqGovernor(
-            cfg,
-            peak_gflops=self.peak_gflops,
-            margin=self.margin,
-        )
 
+@dataclass(frozen=True)
+class _SplitParams:
+    """Shared field and label of the budget-split parameter types."""
+
+    #: Registry id, the prefix of the display label.
+    name: ClassVar[str]
+    #: The shared budget, watts: a hetero node's, split across all its
+    #: devices, or a cluster's, partitioned across all its nodes.
+    budget_w: float
+
+    def label(self) -> str:
+        """Parameter-specialised display label."""
+        return f"{self.name}-{self.budget_w:.0f}W"
+
+
+def _split_params(type_name: str, name: str, budget_w: float, *fields) -> type:
+    """A split policy's parameter type: ``budget_w`` (this default), ``fields``."""
+    return _params_type(
+        type_name, [("budget_w", float, budget_w), *fields], (_SplitParams,), name=name
+    )
+
+
+# ---------------------------------------------------------------------------
+# Registrations: every controller in the repo, including the baselines
+# that were previously unreachable from the sweep path.
+# ---------------------------------------------------------------------------
+
+register_policy(
+    "default",
+    display_name="Default configuration",
+    paper_section="V (baseline)",
+    summary="Untouched machine: stock uncore governor, default RAPL limits.",
+    params="DefaultPolicy",
+    build=lambda p, cfg: DefaultController,
+    lanes=(DefaultController, LOG_ONLY_FORM),
+)
+register_policy(
+    "duf",
+    display_name="DUF dynamic uncore scaling",
+    paper_section="II-C",
+    summary="Uncore-only dynamic frequency scaling (André et al.).",
+    params="DUFPolicy",
+    build=lambda p, cfg: partial(DUF, cfg),
+    lanes=(DUF, LaneTickForm(DUF.tick_lanes)),
+)
+register_policy(
+    "dufp",
+    display_name="DUFP uncore scaling + dynamic capping",
+    paper_section="IV",
+    summary="The paper's contribution: DUF plus dynamic RAPL capping.",
+    params="DUFPPolicy",
+    build=lambda p, cfg: partial(DUFP, cfg),
+    lanes=(DUFP, LaneTickForm(DUFP.tick_lanes)),
+)
+register_policy(
+    "dufpf",
+    display_name="DUFP + explicit core-frequency ceiling",
+    paper_section="VII (future work)",
+    summary="DUFP driving IA32_PERF_CTL instead of capping for feedback.",
+    params="DUFPFPolicy",
+    build=lambda p, cfg: partial(DUFPF, cfg),
+)
+register_policy(
+    "dufp-adaptive",
+    display_name="DUFP with transiently finer interval",
+    paper_section="V-A (remedy)",
+    summary="DUFP judging strictly for a few ticks after phase changes.",
+    params=AdaptiveDUFPPolicy,
+    build=lambda p, cfg: partial(AdaptiveIntervalDUFP, cfg, fine_ticks=p.fine_ticks),
+)
+register_policy(
+    "static",
+    display_name="Static power cap",
+    paper_section="II-A (Fig. 1a)",
+    summary="One fixed package cap for the whole run, stock uncore scaling.",
+    params=StaticCapPolicy,
+    build=lambda p, cfg: partial(StaticPowerCap, p.cap_w),
+    lanes=(StaticPowerCap, LOG_ONLY_FORM),
+)
+register_policy(
+    "uncore",
+    display_name="Static uncore frequency",
+    paper_section="II-B",
+    summary="The uncore pinned to one frequency for the whole run.",
+    params=StaticUncorePolicy,
+    build=lambda p, cfg: partial(StaticUncore, ghz(p.freq_ghz)),
+    lanes=(StaticUncore, LOG_ONLY_FORM),
+)
+register_policy(
+    "window",
+    display_name="Time-windowed power cap",
+    paper_section="II-A (Fig. 1b/1c)",
+    summary="A cap active only inside [start_s, end_s), then reset.",
+    params=TimeWindowCapPolicy,
+    build=lambda p, cfg: partial(TimeWindowCap, p.cap_w, p.start_s, p.end_s),
+)
+register_policy(
+    "dnpc",
+    display_name="DNPC-style frequency-model capper",
+    paper_section="VI (related work)",
+    summary="Dynamic capping assuming performance scales with core frequency.",
+    params="DNPCPolicy",
+    build=lambda p, cfg: partial(DNPCLike, cfg),
+)
+# A fresh coordinator per run; its factory registers one member
+# controller per socket, so the budget genuinely spans the run's
+# sockets and never leaks between runs.
+register_policy(
+    "budget",
+    display_name="Node budget sharing (GEOPM-style)",
+    paper_section="VI / VII (complementary)",
+    summary="DUF uncore scaling under a coordinator-split node power budget.",
+    params=BudgetPolicy,
+    build=lambda p, cfg: NodeBudgetCoordinator(
+        total_budget_w=p.watts,
+        cfg=cfg,
+        period_ticks=p.period_ticks,
+        headroom_w=p.headroom_w,
+    ).socket_controller,
+)
+
+# ---------------------------------------------------------------------------
+# Frequency-governor baselines: the four classic Linux cpufreq policies
+# as controllers, so DUFP sweeps against what a sysadmin gets with one
+# command (PAPERS.md: "How to Increase Energy Efficiency with a Single
+# Linux Command").
+# ---------------------------------------------------------------------------
+
+register_policy(
+    "governor-performance",
+    display_name="cpufreq performance governor",
+    paper_section="V (testbed default)",
+    summary="Core-frequency ceiling pinned to the maximum P-state.",
+    params="GovernorPerformancePolicy",
+    build=lambda p, cfg: partial(PerformanceFreqGovernor, cfg),
+)
+register_policy(
+    "governor-powersave",
+    display_name="cpufreq powersave governor (HWP/EPP biased)",
+    paper_section="VI (related work)",
+    summary="EPP-biased fixed operating point below the maximum P-state.",
+    params=GovernorPowersavePolicy,
+    build=lambda p, cfg: partial(
+        PowersaveFreqGovernor, cfg, range_fraction=p.range_fraction
+    ),
+)
+register_policy(
+    "governor-ondemand",
+    display_name="cpufreq ondemand governor",
+    paper_section="VI (related work)",
+    summary="Maximum P-state above up_threshold utilisation, scaled below.",
+    params=GovernorOndemandPolicy,
+    build=lambda p, cfg: partial(
+        OndemandFreqGovernor,
+        cfg,
+        peak_gflops=p.peak_gflops,
+        up_threshold=p.up_threshold,
+    ),
+)
+register_policy(
+    "governor-schedutil",
+    display_name="cpufreq schedutil governor",
+    paper_section="VI (related work)",
+    summary="The kernel's margin*f_max*util rule, clamped to the P-states.",
+    params=GovernorSchedutilPolicy,
+    build=lambda p, cfg: partial(
+        SchedutilFreqGovernor, cfg, peak_gflops=p.peak_gflops, margin=p.margin
+    ),
+)
 
 # ---------------------------------------------------------------------------
 # Budget-split policies: how one shared budget divides across a hetero
@@ -692,132 +670,66 @@ class GovernorSchedutilPolicy:
 # the GPUs) or a cluster's nodes (paper §VI).  Their ``build`` returns a
 # SplitPolicy for the hetero or cluster engine, not a per-socket
 # controller factory — consumed through split_policy(), never directly.
-# Each scope names the same three strategies.  The parameter classes
-# keep their names, fields and defaults: all three are part of every
-# such cell's cache address.
+# Each scope names the same three strategies.  The parameter types keep
+# their names, fields and defaults: all three are part of every such
+# cell's cache address.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _SplitParams:
-    """Shared label and build of the budget-split parameter classes."""
-
-    #: Registry id, the prefix of the display label.
-    name: ClassVar[str]
-    #: The strategy the parameters build.
-    strategy: ClassVar[type[SplitPolicy]]
-
-    def label(self) -> str:
-        """Parameter-specialised display label."""
-        return f"{self.name}-{self.budget_w:.0f}W"
-
-    def build(self, cfg: ControllerConfig) -> SplitPolicy:
-        """A fresh strategy over the shared budget."""
-        return self.strategy(self.budget_w)
-
-
-@register_policy(
+register_policy(
     "hetero-static",
     display_name="Static CPU/GPU budget split",
     paper_section="VII (baseline)",
     summary="Fixed CPU fraction, remainder split evenly over the GPUs.",
     scope="device",
+    # cpu_fraction: the share of the budget statically assigned to the
+    # CPU socket, which leads the frozen t=0 split.
+    params=_split_params(
+        "HeteroStaticPolicy", "hetero-static", 300.0, ("cpu_fraction", float, 0.5)
+    ),
+    build=lambda p, cfg: StaticSplit(p.budget_w, lead_fraction=p.cpu_fraction),
 )
-@dataclass(frozen=True)
-class HeteroStaticPolicy(_SplitParams):
-    """Parameters of the fixed fractional CPU/GPU split."""
-
-    name: ClassVar[str] = "hetero-static"
-    #: Shared node power budget split across all devices, watts.
-    budget_w: float = 300.0
-    #: Fraction of the budget statically assigned to the CPU socket.
-    cpu_fraction: float = 0.5
-
-    def build(self, cfg: ControllerConfig) -> SplitPolicy:
-        """The frozen t=0 split, the CPU socket leading."""
-        return StaticSplit(self.budget_w, lead_fraction=self.cpu_fraction)
-
-
-@register_policy(
+register_policy(
     "hetero-coord",
     display_name="Coordinated demand/offer CPU/GPU split",
     paper_section="VII (contribution)",
     summary="Tolerance-aware water-filling re-split every period.",
     scope="device",
+    params=_split_params("HeteroCoordPolicy", "hetero-coord", 300.0),
+    build=lambda p, cfg: DemandSplit(p.budget_w),
 )
-@dataclass(frozen=True)
-class HeteroCoordPolicy(_SplitParams):
-    """Parameters of the coordinated demand/offer split."""
-
-    name: ClassVar[str] = "hetero-coord"
-    strategy: ClassVar[type[SplitPolicy]] = DemandSplit
-    #: Shared node power budget split across all devices, watts.
-    budget_w: float = 300.0
-
-
-@register_policy(
+register_policy(
     "hetero-fair",
     display_name="FastCap-style fair CPU/GPU split",
     paper_section="VI (related work)",
     summary="Equal fraction of each device's floor-to-ceiling range.",
     scope="device",
+    params=_split_params("HeteroFairPolicy", "hetero-fair", 300.0),
+    build=lambda p, cfg: FairShareSplit(p.budget_w),
 )
-@dataclass(frozen=True)
-class HeteroFairPolicy(_SplitParams):
-    """Parameters of the FastCap-style fair split."""
-
-    name: ClassVar[str] = "hetero-fair"
-    strategy: ClassVar[type[SplitPolicy]] = FairShareSplit
-    #: Shared node power budget split across all devices, watts.
-    budget_w: float = 300.0
-
-
-@register_policy(
+register_policy(
     "fleet-static",
     display_name="Static equal-share fleet partition",
     paper_section="VI (baseline)",
     summary="Equal node shares decided once at t=0, never revisited.",
     scope="node",
+    params=_split_params("FleetStaticPolicy", "fleet-static", 250.0),
+    build=lambda p, cfg: StaticSplit(p.budget_w),
 )
-@dataclass(frozen=True)
-class FleetStaticPolicy(_SplitParams):
-    """Parameters of the equal static fleet partition."""
-
-    name: ClassVar[str] = "fleet-static"
-    strategy: ClassVar[type[SplitPolicy]] = StaticSplit
-    #: Global power budget partitioned across all nodes, watts.
-    budget_w: float = 250.0
-
-
-@register_policy(
+register_policy(
     "fleet-demand",
     display_name="Demand/offer water-filling fleet partition",
     paper_section="VI (contribution)",
     summary="Nodes bid measured power; watts re-partition every period.",
     scope="node",
+    params=_split_params("FleetDemandPolicy", "fleet-demand", 250.0),
+    build=lambda p, cfg: DemandSplit(p.budget_w),
 )
-@dataclass(frozen=True)
-class FleetDemandPolicy(_SplitParams):
-    """Parameters of the demand/offer fleet partition."""
-
-    name: ClassVar[str] = "fleet-demand"
-    strategy: ClassVar[type[SplitPolicy]] = DemandSplit
-    #: Global power budget partitioned across all nodes, watts.
-    budget_w: float = 250.0
-
-
-@register_policy(
+register_policy(
     "fleet-fair",
     display_name="FastCap-style fair fleet partition",
     paper_section="VI (related work)",
     summary="Equal fraction of each node's floor-to-ceiling range.",
     scope="node",
+    params=_split_params("FleetFairPolicy", "fleet-fair", 250.0),
+    build=lambda p, cfg: FairShareSplit(p.budget_w),
 )
-@dataclass(frozen=True)
-class FleetFairPolicy(_SplitParams):
-    """Parameters of the FastCap-style fair fleet partition."""
-
-    name: ClassVar[str] = "fleet-fair"
-    strategy: ClassVar[type[SplitPolicy]] = FairShareSplit
-    #: Global power budget partitioned across all nodes, watts.
-    budget_w: float = 250.0

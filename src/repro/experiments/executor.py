@@ -54,6 +54,7 @@ from ..cluster.spec import ClusterSpec
 from ..core.registry import PolicySpec, as_spec, policy_info, policy_names
 from ..errors import ExperimentError
 from ..hardware.gpu import GPUNodeConfig
+from ..sim.eligibility import fallback_reason
 from ..sim.faults import FaultPlan
 from ..units import smooth_max
 from .cache import DIGEST_SCHEMA, ResultCache
@@ -294,14 +295,14 @@ def _pool_lanes(spec: RunSpec) -> int:
 def _poolable(spec: RunSpec) -> bool:
     """Whether ``spec`` may join a pooled lockstep batch.
 
-    Batch-engined CPU-only cells, and cluster cells without a fault
-    plan, whose fleet writes need the scalar RAPL path.  Nodes that
-    fail batch eligibility for another reason are found when the pool
-    is built (:func:`~repro.cluster.engine.run_pooled`) and run their
-    scalar loop there.
+    Batch-engined CPU-only cells, and cluster cells that pass the
+    fleet rows of :mod:`repro.sim.eligibility` (no fault plan).  Nodes
+    that fail a scalar row are found when the pool is built
+    (:func:`~repro.cluster.engine.run_pooled`) and run their scalar
+    loop there.
     """
     if spec.cluster is not None:
-        return spec.faults is None
+        return fallback_reason(spec, fleet=True) is None
     return spec.engine == "batch"
 
 

@@ -29,9 +29,9 @@ The design is a synced facade, not a reimplementation of the stack:
   form (:func:`repro.core.registry.vector_tick_form`) skip the
   per-tick scatter/gather entirely: measurement, decision and
   actuation execute as masked vector ops directly on the lane arrays
-  (see :func:`controller_lane_fallback_reason` for the eligibility
-  rules).  The scalar object graph of such a run is synced once, when
-  the run finishes, and stays the differential-equivalence oracle.
+  (:mod:`repro.sim.eligibility` holds the eligibility table).  The
+  scalar object graph of such a run is synced once, when the run
+  finishes, and stays the differential-equivalence oracle.
 
 The contract — enforced by ``tests/test_batch_equivalence.py`` — is
 numerical identity with the scalar engine: exact for every integer and
@@ -43,8 +43,9 @@ and the roofline p-norm through :func:`repro.units.smooth_max` —
 The equivalence tests assert ≤1e-9 relative error to leave headroom
 for platform libm differences.
 
-Runs whose hardware carries a non-default governor type fall back to
-the scalar engine in :func:`run_batch` (see ``docs/BATCHING.md``).
+Runs that fail a ``"scalar"`` row of that table (a non-default
+governor type, an opt-in platform model) fall back to the scalar
+engine in :func:`run_batch` (see ``docs/BATCHING.md``).
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ from ..core.registry import vector_tick_form
 from ..core.tolerance import SlowdownLanes
 from ..core.uncore_actuator import UncoreLanes
 from ..errors import SimulationError
-from ..hardware.dvfs import PerformanceGovernor, PowersaveGovernor
-from ..hardware.uncore import DefaultUncoreGovernor, TpmiUncore
 from ..papi.events import CACHE_LINE_BYTES
 from ..units import smooth_max
 from ..workloads.phase import (
@@ -77,6 +76,7 @@ from ..workloads.phase import (
     TABLE_ROWS,
     UNCORE as _US,
 )
+from .eligibility import batch_fallback_reason, controller_lane_fallback_reason
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
 from .result import PhaseSpan, RunResult
 
@@ -172,82 +172,6 @@ def _phase_spans(
     return [
         PhaseSpan(n, s, e) for n, s, e in zip(names[first:stop], [0.0, *end], end)
     ]
-
-
-def batch_fallback_reason(engine: SimulationEngine) -> str | None:
-    """Why ``engine`` cannot join a batch (``None`` when it can).
-
-    The batch kernels hard-code the stock governor behaviours and the
-    legacy single-domain platform models; any custom governor object
-    could carry state or policy the arrays do not model, and the
-    opt-in platform models (multi-die uncore, C-states, EPB/EPP) only
-    exist in the scalar object graph, so such runs take the scalar
-    path.
-    """
-    for proc in engine.machine.processors:
-        if type(proc.dvfs.governor) not in (
-            PerformanceGovernor,
-            PowersaveGovernor,
-        ):
-            return (
-                f"non-default cpufreq governor {type(proc.dvfs.governor).__name__}"
-            )
-        if type(proc.uncore.governor) is not DefaultUncoreGovernor:
-            return (
-                f"non-default uncore governor {type(proc.uncore.governor).__name__}"
-            )
-        if isinstance(proc.uncore, TpmiUncore):
-            return (
-                f"multi-die uncore ({proc.config.uncore.die_count} dies) "
-                "models per-die clocks the lockstep arrays do not"
-            )
-        if proc.cstates is not None:
-            return "C-state residency model needs the scalar power path"
-        if proc.epb_model is not None:
-            return "EPB/EPP hint model needs the scalar operating-point path"
-    return None
-
-
-def controller_lane_fallback_reason(engine: SimulationEngine) -> str | None:
-    """Why ``engine``'s ticks cannot run lane-parallel (``None``: they can).
-
-    A run stays inside the batch either way; this only decides whether
-    its controller ticks execute as masked vector ops or through the
-    per-run scatter/gather sync.  The vector path requires:
-
-    * no active fault plan — injected meter/tick/latch faults flow
-      through the scalar runtime's degraded-telemetry machinery, which
-      only the real object graph implements;
-    * a single-domain uncore — the vector actuator models one uncore
-      clock per lane, so per-die (TPMI) sockets get their own pinned
-      reason rather than falling through to a generic one;
-    * every controller registered a lane-parallel tick form (exact
-      type match: subclasses carry extra state the vector forms do not
-      model and fall back automatically);
-    * ``cap_floor_w`` at or above the RAPL minimum limit — a lower
-      floor makes the scalar actuator raise ``RAPLError`` through the
-      powercap zone, a behaviour the vector path must not paper over.
-    """
-    if engine.faults is not None and engine.faults.active:
-        return "active fault plan needs the scalar telemetry stack"
-    for proc in engine.machine.processors:
-        if isinstance(proc.uncore, TpmiUncore):
-            return (
-                f"multi-die uncore ({proc.config.uncore.die_count} dies): "
-                "lane kernels model one uncore clock per lane"
-            )
-    for ctrl in engine.controllers:
-        if vector_tick_form(ctrl) is None:
-            return (
-                f"controller {type(ctrl).__name__} has no vector tick form"
-            )
-    min_limit = min(p.rapl.cfg.min_limit_w for p in engine.machine.processors)
-    if engine.controller_cfg.cap_floor_w < min_limit:
-        return (
-            f"cap_floor_w {engine.controller_cfg.cap_floor_w} W below the "
-            f"RAPL minimum limit {min_limit} W (scalar path raises)"
-        )
-    return None
 
 
 class BatchSimulationEngine:
@@ -641,18 +565,13 @@ class BatchSimulationEngine:
         # Per-lane controllers and their vector tick forms, dispatched
         # by a small integer code so one due set groups by form.
         self.ctrls = [c for e in engines for c in e.controllers]
-        self._tick_forms: list = []
         codes: dict = {}
         self.ctrl_kind = np.zeros(L, dtype=np.int8)
         for l, ctrl in enumerate(self.ctrls):
             form = vector_tick_form(ctrl)
-            if form is None:
-                continue
-            code = codes.get(form)
-            if code is None:
-                code = codes[form] = len(self._tick_forms)
-                self._tick_forms.append(form)
-            self.ctrl_kind[l] = code
+            if form is not None:
+                self.ctrl_kind[l] = codes.setdefault(form, len(codes))
+        self._tick_forms = list(codes)
 
         def cfg_arr(name: str) -> np.ndarray:
             return np.array(

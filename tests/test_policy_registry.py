@@ -56,8 +56,12 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(PolicyError):
-            register_policy("dufp", display_name="again")(
-                policy_info("dufp").param_cls
+            register_policy(
+                "dufp",
+                display_name="again",
+                summary="A second row under a taken id.",
+                params=policy_info("dufp").param_cls,
+                build=policy_info("dufp").build,
             )
 
     def test_describe_lists_every_policy(self):

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import ControllerConfig, NoiseConfig, SocketConfig
-from repro.core.registry import as_spec
+from repro.core.registry import as_spec, policy_info, policy_names
 from repro.sim.batch import controller_lane_fallback_reason, run_batch
 from repro.sim.faults import FaultPlan
 from repro.sim.run import build_engine
@@ -256,13 +256,20 @@ def test_lane_fallback_reasons():
     assert reason is not None and "RAPL minimum" in reason
 
 
-def test_multi_die_lane_fallback_reason_is_pinned():
-    """Multi-die uncore configs report their own named lane reason.
+def test_vector_policies_are_the_rows_with_lane_forms():
+    """A new lane form cannot land without this suite sampling it."""
+    with_lanes = {n for n in policy_names() if policy_info(n).lanes is not None}
+    assert with_lanes == set(VECTOR_POLICIES)
 
-    The lane kernels model exactly one uncore clock per lane, so a
-    ``die_count > 1`` socket must take the scatter/gather path — and
-    say so distinctly (not hide behind the generic "no vector tick
-    form" or fault-plan reasons).
+
+def test_multi_die_lane_fallback_reason_is_pinned():
+    """Multi-die uncore configs report their own named reason.
+
+    The lockstep arrays model exactly one uncore clock per lane, so a
+    ``die_count > 1`` socket must leave the batch — and say so
+    distinctly (not hide behind the generic "no vector tick form" or
+    fault-plan reasons).  The lane check returns the table's one
+    ``"scalar"``-level TPMI row.
     """
     from dataclasses import replace
 
@@ -283,8 +290,8 @@ def test_multi_die_lane_fallback_reason_is_pinned():
         )
         reason = controller_lane_fallback_reason(engine)
         assert reason == (
-            f"multi-die uncore ({dies} dies): "
-            "lane kernels model one uncore clock per lane"
+            f"multi-die uncore ({dies} dies) "
+            "models per-die clocks the lockstep arrays do not"
         )
 
 
