@@ -1,5 +1,10 @@
-"""Generate the full-protocol results used by EXPERIMENTS.md."""
+"""Generate the full-protocol results used by EXPERIMENTS.md.
+
+Writes ``full_results.json`` beside this script.
+"""
 import json, time
+from pathlib import Path
+
 from repro.experiments.sweep import run_sweep
 from repro.experiments.fig1 import fig1a, fig1b, fig1c
 from repro.experiments.fig5 import fig5
@@ -24,5 +29,6 @@ for name, fn in (("fig1a", fig1a), ("fig1b", fig1b), ("fig1c", fig1c)):
 f5 = fig5()
 out["fig5"] = {"duf_ghz": round(f5.duf_avg_ghz, 2), "dufp_ghz": round(f5.dufp_avg_ghz, 2)}
 out["wall_s"] = round(time.time() - t0, 1)
-json.dump(out, open("/root/repo/scripts/full_results.json", "w"), indent=1)
+with open(Path(__file__).with_name("full_results.json"), "w") as fh:
+    json.dump(out, fh, indent=1)
 print("done", out["wall_s"], "s; respected:", out["respected"])

@@ -19,9 +19,11 @@ Calibration anchors (paper, Section IV/V):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
@@ -47,6 +49,32 @@ __all__ = [
     "config_digest",
     "validate_bounded_fields",
 ]
+
+
+#: Frozen config objects whose ``validate`` passed, by ``id`` (see
+#: :func:`validated_once`).
+_VALIDATED: "weakref.WeakValueDictionary[int, object]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def validated_once(validate):
+    """Run a frozen config's ``validate`` once per object.
+
+    A frozen object cannot change, so its success holds for its
+    lifetime, and the sockets of a machine validate the same config
+    objects many times.  The entry leaves with the object, so a later
+    object reusing its ``id`` is checked afresh; a failure is never
+    kept, so an invalid config raises every time.
+    """
+
+    @functools.wraps(validate)
+    def once(self) -> None:
+        if _VALIDATED.get(id(self)) is not self:
+            validate(self)
+            _VALIDATED[id(self)] = self
+
+    return once
 
 
 def validate_bounded_fields(obj) -> None:
@@ -108,6 +136,7 @@ class CoreConfig:
     #: All-core turbo while an AVX license is active, Hz.
     avx_max_freq_hz: float = ghz(2.4)
 
+    @validated_once
     def validate(self) -> None:
         if self.count <= 0:
             raise ConfigurationError("CoreConfig.count must be positive")
@@ -159,6 +188,7 @@ class UncoreConfig:
         metadata={"range": (0.0, 1.0), "digest_omit_default": True},
     )
 
+    @validated_once
     def validate(self) -> None:
         if not (0 < self.min_freq_hz <= self.max_freq_hz):
             raise ConfigurationError("UncoreConfig frequencies must satisfy 0 < min <= max")
@@ -201,6 +231,7 @@ class RAPLConfig:
     #: Hard lower bound accepted by the hardware for either limit, watts.
     min_limit_w: float = 40.0
 
+    @validated_once
     def validate(self) -> None:
         if not (0 < self.pl1_default_w <= self.pl2_default_w):
             raise ConfigurationError("RAPLConfig requires 0 < PL1 <= PL2")
@@ -241,6 +272,7 @@ class PowerModelConfig:
     #: most from uncore scaling.
     uncore_idle_fraction: float = 0.75
 
+    @validated_once
     def validate(self) -> None:
         if self.static_w < 0 or self.k_core <= 0 or self.k_uncore <= 0:
             raise ConfigurationError("PowerModelConfig coefficients out of range")
@@ -270,6 +302,7 @@ class MemoryConfig:
     #: DRAM energy per byte transferred, joules/byte (~0.15 W per GB/s).
     dram_energy_per_byte: float = 0.15e-9
 
+    @validated_once
     def validate(self) -> None:
         if self.peak_bw_bytes <= 0 or self.bw_per_uncore_hz <= 0:
             raise ConfigurationError("MemoryConfig bandwidth parameters must be positive")
@@ -301,6 +334,7 @@ class ThermalConfig:
     #: Hysteresis: PROCHOT deasserts this many °C below the trip.
     hysteresis_c: float = 3.0
 
+    @validated_once
     def validate(self) -> None:
         if self.r_thermal_c_per_w <= 0 or self.tau_s <= 0:
             raise ConfigurationError("thermal resistance and tau must be positive")
@@ -365,6 +399,7 @@ class CStateConfig:
         default=250.0, metadata={"range": (0.0, 1e6)}
     )
 
+    @validated_once
     def validate(self) -> None:
         validate_bounded_fields(self)
         if self.c1_exit_latency_s > self.c6_exit_latency_s:
@@ -404,6 +439,7 @@ class EPBConfig:
         default=1.0, metadata={"range": (0.0, 1.0)}
     )
 
+    @validated_once
     def validate(self) -> None:
         validate_bounded_fields(self)
         if not isinstance(self.epb, int) or not isinstance(self.epp, int):
@@ -431,6 +467,7 @@ class SocketConfig:
         default=None, metadata={"digest_omit_default": True}
     )
 
+    @validated_once
     def validate(self) -> None:
         self.core.validate()
         self.uncore.validate()
@@ -453,6 +490,7 @@ class MachineConfig:
     socket_count: int = 4
     name: str = "yeti-2"
 
+    @validated_once
     def validate(self) -> None:
         if self.socket_count <= 0:
             raise ConfigurationError("MachineConfig.socket_count must be positive")
@@ -492,6 +530,7 @@ class ControllerConfig:
     #: change (paper: FLOPS/s double).
     phase_flops_jump: float = 2.0
 
+    @validated_once
     def validate(self) -> None:
         if not 0.0 <= self.tolerated_slowdown < 1.0:
             raise ConfigurationError("tolerated_slowdown must be in [0, 1)")
@@ -530,6 +569,7 @@ class NoiseConfig:
     #: Master seed; each run derives a child seed from it.
     seed: int = 20220509
 
+    @validated_once
     def validate(self) -> None:
         validate_bounded_fields(self)
 
@@ -543,6 +583,7 @@ class EngineConfig:
     #: Safety limit on simulated time per run, seconds.
     max_sim_time_s: float = 3600.0
 
+    @validated_once
     def validate(self) -> None:
         # ``not x > 0`` rejects NaN too: a NaN time limit would disable
         # the stuck-run check, and a NaN step never reaches the next

@@ -113,9 +113,6 @@ class UncoreLanes:
     here is the vector equivalent of the MSR 0x620 write plus the
     driver's window snap, which — for ratio-grid frequencies between
     the socket's min and max — lands on the identical float.
-
-    ``any_moved`` flags that some lane's pin actually changed value, so
-    the batch engine knows to refresh its uncore-derived caches.
     """
 
     __slots__ = (
@@ -126,7 +123,6 @@ class UncoreLanes:
         "_min_hz",
         "_max_hz",
         "_step_hz",
-        "any_moved",
     )
 
     def __init__(
@@ -147,13 +143,10 @@ class UncoreLanes:
         self._min_hz = min_hz
         self._max_hz = max_hz
         self._step_hz = np.asarray(step_hz, dtype=float)
-        self.any_moved = False
 
     def _pin_to(self, idx: np.ndarray, freq_hz: np.ndarray) -> None:
         clamped = np.minimum(np.maximum(freq_hz, self._min_hz), self._max_hz)
         new_pin = np.rint(clamped / RATIO_HZ) * RATIO_HZ
-        if not np.array_equal(new_pin, self.pin[idx]):
-            self.any_moved = True
         self.pin[idx] = new_pin
         self._win_lo[idx] = new_pin
         self._win_hi[idx] = new_pin

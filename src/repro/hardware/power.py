@@ -22,6 +22,7 @@ power factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..config import CoreConfig, PowerModelConfig, UncoreConfig
 from ..units import nan_free, zero_signs
@@ -64,10 +65,7 @@ class PackagePowerModel:
         self.core_cfg.validate()
         self.uncore_cfg.validate()
         self.cfg.validate()
-        cfg = self.core_cfg
-        n_steps = int(round((cfg.max_freq_hz - cfg.min_freq_hz) / cfg.step_hz))
-        grid = [cfg.min_freq_hz + i * cfg.step_hz for i in range(n_steps, -1, -1)]
-        self._pstates = tuple((f, self._core_factor(f)) for f in grid)
+        self._pstates = _pstate_table(self.core_cfg, self.cfg)
 
     # -- forward model ---------------------------------------------------------
 
@@ -82,11 +80,7 @@ class PackagePowerModel:
         (``a0 * 1.0 == a0`` exactly in IEEE 754).
         """
         scale = self._core_scale(activity, idle_scale)
-        return self._core_factor(freq_hz) * scale
-
-    def _core_factor(self, freq_hz: float) -> float:
-        v = self.core_cfg.voltage_at(freq_hz)
-        return self.core_cfg.count * self.cfg.k_core * v * v * (freq_hz / 1e9)
+        return _core_factor(self.core_cfg, self.cfg, freq_hz) * scale
 
     def _core_scale(self, activity: float, idle_scale: float = 1.0) -> float:
         self._check_unit("activity", activity)
@@ -230,3 +224,24 @@ class PackagePowerModel:
     def _check_unit(name: str, value: float) -> None:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _core_factor(
+    core_cfg: CoreConfig, cfg: PowerModelConfig, freq_hz: float
+) -> float:
+    """``N · k_core · V(f)² · f_GHz``: all cores' power at unit scale."""
+    v = core_cfg.voltage_at(freq_hz)
+    return core_cfg.count * cfg.k_core * v * v * (freq_hz / 1e9)
+
+
+@lru_cache(maxsize=64)
+def _pstate_table(core_cfg: CoreConfig, cfg: PowerModelConfig) -> tuple:
+    """``(f, _core_factor(f))`` over the P-state grid, top down.
+
+    A pure function of two frozen configs, so every model built from
+    equal configs (every socket of a batch) shares one table.
+    """
+    lo, step = core_cfg.min_freq_hz, core_cfg.step_hz
+    n_steps = int(round((core_cfg.max_freq_hz - lo) / step))
+    grid = [lo + i * step for i in range(n_steps, -1, -1)]
+    return tuple((f, _core_factor(core_cfg, cfg, f)) for f in grid)

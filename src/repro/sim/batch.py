@@ -38,8 +38,8 @@ numerical identity with the scalar engine: exact for every integer and
 boolean quantity (counters, fault draws, PROCHOT), bit-identical for
 floats in practice (the kernels mirror the scalar evaluation order,
 route ``exp`` through :func:`math.exp` per lane instead of ``np.exp``,
-and the roofline p-norm through :func:`repro.units.smooth_max` —
-``np.power`` is *not* bit-identical to Python ``**``).
+and the roofline p-norm (:func:`repro.units.smooth_max`) through
+Python ``**`` per lane — ``np.power`` is *not* bit-identical to it).
 The equivalence tests assert ≤1e-9 relative error to leave headroom
 for platform libm differences.
 
@@ -65,7 +65,6 @@ from ..core.tolerance import SlowdownLanes
 from ..core.uncore_actuator import UncoreLanes
 from ..errors import SimulationError
 from ..papi.events import CACHE_LINE_BYTES
-from ..units import smooth_max
 from ..workloads.phase import (
     BOOST as _BOOST,
     BYTES as _BYTES,
@@ -97,6 +96,11 @@ _PARKED = np.iinfo(np.int64).max
 #: application's :class:`~repro.workloads.phase.PhaseTable` rows plus
 #: the peak rate ``count * fpc``.
 _PEAK = TABLE_ROWS
+
+#: Rows of the per-lane operating-point cache (see ``_points``), and
+#: the progress-rate row.
+_POINT_ROWS = 9
+_PROG = 4
 
 #: Measured rates per lane and tick, in the scalar draw order: flops,
 #: bytes, package power, DRAM power.
@@ -348,7 +352,6 @@ class BatchSimulationEngine:
         # ``core_power(f, a) == cp_base[i] * scale`` bitwise.
         n_steps = int(round((self.cmax - self.cmin) / self.cstep))
         pf = [self.cmin + i * self.cstep for i in range(n_steps + 1)]
-        self.pfreqs = np.array(pf, dtype=np.float64)
         self.cp_base = np.array(
             [
                 ((self.ck * core.voltage_at(f)) * core.voltage_at(f)) * (f / 1e9)
@@ -358,10 +361,12 @@ class BatchSimulationEngine:
         )
         self.cp_grid = self.cp_base[None, :]
         self._grid_last = len(pf) - 1
-        # When the top grid point fits every lane's budget nobody is
-        # clamped; precompute what the full search would return then.
         self._cp_top = float(self.cp_base[-1])
-        self._clamp_top = min(max(pf[-1], self.cmin), self.cmax)
+        # The clamp a search result ``k`` sets, at ``_clamp_tab[k + 1]``
+        # (``k = -1``: no grid point fits, so the floor).
+        self._clamp_tab = np.minimum(
+            np.maximum(np.array([self.cmin, *pf]), self.cmin), self.cmax
+        )
         # ``x + (1-x)*a`` with the ``1-x`` hoisted — same product bitwise.
         self._a1 = 1.0 - self.a0
         self._u1 = 1.0 - self.u0
@@ -374,7 +379,6 @@ class BatchSimulationEngine:
         )
         self.ctl = np.array([p.dvfs.perf_ctl_ceiling_hz for p in self.procs])
         self.clamp = np.array([p.dvfs.rapl_clamp_hz for p in self.procs])
-        self.aperf, self.mperf = z(), z()
         self.ufreq = np.array([p.uncore._freq_hz for p in self.procs])
         self.win_lo = np.array([p.uncore.window_lo_hz for p in self.procs])
         self.win_hi = np.array([p.uncore.window_hi_hz for p in self.procs])
@@ -386,30 +390,71 @@ class BatchSimulationEngine:
         self.g_floor = np.array([g.busy_floor for g in gov])
         self.g_thresh = np.array([g.busy_threshold for g in gov])
         self.g_resp = np.array([g.response for g in gov])
-        self.sharpness = [p.perf.overlap_sharpness for p in self.procs]
-        # Last ``(t_c, t_m) -> t`` per lane: between clock or phase
-        # moves a lane's roofline inputs repeat for many steps, so the
-        # scalar ``smooth_max`` loop only visits lanes whose inputs
-        # actually changed (see ``_phase_time``).  NaN never compares
-        # equal, so fresh lanes always recompute.
-        self._sm = np.array([np.full(L, np.nan), np.full(L, np.nan), z()])
-        # Phase-time memo (see ``_phase_time``) and the log of lanes
-        # whose phase changed since an entry was stored.
-        self._pt_memo: dict[bytes, list] = {}
-        self._pt_dirty_log: list[int] = []
+        self.sharpness = np.array([p.perf.overlap_sharpness for p in self.procs])
+        # Each lane's operating point (see ``_points``): the rates and
+        # power of its last computed (core clock, uncore clock, phase
+        # row, working) key, one row per quantity.  The clocks are kept
+        # as the key; a crossing changes the row and the working flag,
+        # so ``_cross`` drops the crossing lanes' keys.  NaN never
+        # compares equal, so a fresh or dropped key always recomputes.
+        self._key_core = np.full(L, np.nan)
+        self._key_unc = np.full(L, np.nan)
+        # The first four rows are the rates ``_acc`` integrates; the
+        # last two are the activity and traffic terms of the core and
+        # uncore power, which the next step's RAPL clamp reads too.
+        self._pt = np.zeros((_POINT_ROWS, L), dtype=np.float64)
+        (
+            self.p_flops,
+            self.p_bytes,
+            self.p_total,
+            self.p_dram,
+            self.p_prog,
+            self.p_act,
+            self.p_traf,
+            self.p_scale,
+            self.p_uterm,
+        ) = self._pt
+        # Before its first step a lane has zero activity and traffic.
+        self.p_scale[:] = self.a0 + self._a1 * 0.0
+        self.p_uterm[:] = self.u0 + self._u1 * 0.0
+        # The uncore power coefficient per lane, for the clock in
+        # ``_u_hz``; ``_refresh_uncore`` updates the lanes that moved.
+        self._u_hz = np.full(L, np.nan)
+        self._u_coef = z()
         self._all_active = True
 
         self.pl1_w = np.array([p.rapl.pl1.limit_w for p in self.procs])
-        self.pl1_win = np.array([p.rapl.pl1.window_s for p in self.procs])
         self.pl1_en = np.array([p.rapl.pl1.enabled for p in self.procs])
         self.pl2_w = np.array([p.rapl.pl2.limit_w for p in self.procs])
-        self.pl2_win = np.array([p.rapl.pl2.window_s for p in self.procs])
+        # The RAPL windows, one row per limit.
+        self._win = np.array(
+            [[p.rapl.pl1.window_s, p.rapl.pl2.window_s] for p in self.procs]
+        ).T.copy()
+        self.pl1_win, self.pl2_win = self._win
         self.pl2_en = np.array([p.rapl.pl2.enabled for p in self.procs])
-        self.avg1 = np.array([p.rapl._avg_pl1_w for p in self.procs])
-        self.avg2 = np.array([p.rapl._avg_pl2_w for p in self.procs])
-        self.rapl_now = np.array([p.rapl._now_s for p in self.procs])
-        self.e_pkg = np.array([p.rapl.package._energy_j for p in self.procs])
-        self.e_dram = np.array([p.rapl.dram._energy_j for p in self.procs])
+        # The RAPL windowed averages, one row per window.
+        self._avg = np.array(
+            [[p.rapl._avg_pl1_w, p.rapl._avg_pl2_w] for p in self.procs]
+        ).T.copy()
+        self.avg1, self.avg2 = self._avg
+        # What a step integrates over ``dt_l``: retired flops and bytes,
+        # package and DRAM energy (the point's first rows, in order),
+        # APERF and MPERF (``_cyc``'s rows), then the RAPL and processor
+        # clocks, which advance by ``dt_l``.
+        self._acc = np.zeros((8, L), dtype=np.float64)
+        self._acc[2] = [p.rapl.package._energy_j for p in self.procs]
+        self._acc[3] = [p.rapl.dram._energy_j for p in self.procs]
+        self._acc[6] = [p.rapl._now_s for p in self.procs]
+        (
+            self.flops_ret,
+            self.bytes_trans,
+            self.e_pkg,
+            self.e_dram,
+            self.aperf,
+            self.mperf,
+            self.rapl_now,
+            self.proc_now,
+        ) = self._acc
         self.pend_due = np.full(L, np.inf)
         self.pend1_w, self.pend1_win = z(), z()
         self.pend2_w, self.pend2_win = z(), z()
@@ -426,9 +471,6 @@ class BatchSimulationEngine:
             self.prochot = np.array(
                 [p.thermal.prochot for p in self.procs], dtype=bool
             )
-
-        self.prev_act, self.prev_traf = z(), z()
-        self.flops_ret, self.bytes_trans, self.proc_now = z(), z(), z()
 
         # Workload cursor: every lane's phases are consecutive rows of
         # flat per-phase tables; ``row`` is the lane's current phase and
@@ -454,45 +496,57 @@ class BatchSimulationEngine:
         np.multiply(self.count, self._tab[_FPC], out=self._tab[_PEAK])
         self._cur = np.zeros((_PEAK + 1, L), dtype=np.float64)
         self._cur[[_FPC, _BOOST]] = 1.0
-        self.cur_flops, self.cur_bytes = self._cur[_FLOPS], self._cur[_BYTES]
         self.cur_fpc, self.cur_boost = self._cur[_FPC], self._cur[_BOOST]
-        self.cur_ov = self._cur[_OV]
         first = (~self.phase_done).nonzero()[0]
         self._load_rows(first, self.row[first])
-        self._refresh_phase_flags()
+        # Batch-wide guards for optional phase terms: when no phase of
+        # any lane uses a term, the kernels skip it.  The skipped
+        # factors are all exactly 1.0, so skipping is bitwise free.
+        self._any_us, self._any_ls, self._any_ov = (
+            (self._tab[[_US, _LS, _OV]] > 0.0).any(axis=1).tolist()
+        )
+        self._any_boost = bool((self._tab[_BOOST] != 1.0).any())
+        self._any_phase_done = bool(self.phase_done.any())
 
         # Last-step snapshot (the trace sample fields).
         self.st_core, self.st_uncore = z(), z()
         self.st_pkg, self.st_dram = z(), z()
         self.st_flops, self.st_bytes = z(), z()
 
-        # Scalar flags guarding rarely-needed kernel blocks, and the
-        # last step's effective clock (reused by the next preview).
+        # Scalar flags guarding rarely-needed kernel blocks.
         self._any_pending = bool(np.isfinite(self.pend_due).any())
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
-        self._eff: np.ndarray | None = None
         self._tracing = True
         # Fleet rounds bid the last step's package power: ``_loop``
         # keeps ``st_pkg`` while a fleet can still round.
         self._keep_pkg = False
+        # The effective P-state clock, refreshed where the clamp or
+        # ``perf_ctl`` moves (the next preview reads it too), and the
+        # MPERF reference clock: the rates APERF and MPERF count.
+        self._cyc = np.empty((2, L), dtype=np.float64)
+        self._eff = self._cyc[0]
+        self._eff[:] = self._csnap(
+            np.minimum(np.minimum(self.req, self.ctl), self.clamp)
+        )
+        self._cyc[1] = self.base_hz
+        # The grid point of each lane's clamp (-1: the floor; -2: not
+        # yet resolved, so the first step resolves every lane's), and
+        # the lanes it holds below the top.
+        self._k = np.full(L, -2)
+        self._low = np.ones(L, dtype=bool)
+        self._any_low = True
         self._refresh_uncore()
-        # EMA factors for the common ``dt_l == dt`` slice; lanes with a
-        # partial slice are patched per-element (see ``_ema_alphas``).
-        self._alpha1 = np.zeros(L, dtype=np.float64)
-        self._alpha2 = np.zeros(L, dtype=np.float64)
-        self._refresh_alpha(range(L))
+        # EMA factors for the common ``dt_l == dt`` slice, one row per
+        # RAPL window; lanes with a partial slice are patched
+        # per-element (see ``_ema_alphas``).
+        # ``_alpha_win`` holds the windows they were computed for.
+        self._alpha = np.zeros((2, L), dtype=np.float64)
+        self._alpha_win = np.full((2, L), np.nan)
+        self._refresh_alpha()
         if self.has_thermal:
             self._alpha_th_arr = np.full(
                 L, 1.0 - math.exp(-self.dt / self.th_tau)
             )
-        # The roofline time from the last ``_step`` can serve the next
-        # preview when no state it depends on moved in between; AVX
-        # clamping and PROCHOT make step and preview clocks diverge,
-        # so reuse is only safe without them.  ``_t_cache`` holds it
-        # with the lanes it covers; under a static uncore the
-        # phase-time memo serves the preview instead.
-        self._t_reuse = (not self.avx_on) and (not self.has_thermal)
-        self._t_cache: tuple[np.ndarray, np.ndarray] | None = None
 
         self.next_tick = np.array(
             [ctx.runtime._next_tick_s for ctx in ctxs]
@@ -659,46 +713,30 @@ class BatchSimulationEngine:
     def _load_rows(self, lanes: np.ndarray, rows: np.ndarray) -> None:
         """Gather phase-table ``rows`` into the current-phase arrays."""
         self._cur[:, lanes] = self._tab[:, rows]
-        self._pt_dirty_log.extend(lanes.tolist())
-
-    def _refresh_phase_flags(self) -> None:
-        """Batch-wide guards for optional phase terms.
-
-        When no lane's *current* phase uses a term, the kernel skips
-        it; the skipped multiplications are all exactly ``* 1.0`` or
-        masked writes with an all-false mask, so skipping is bitwise
-        free.  Recomputed whenever any lane crosses a phase boundary.
-        """
-        self._any_us, self._any_ls, self._any_ov = (
-            (self._cur[[_US, _LS, _OV]] > 0.0).any(axis=1).tolist()
-        )
-        self._any_boost = bool((self.cur_boost != 1.0).any())
-        self._any_phase_done = bool(self.phase_done.any())
 
     def _refresh_uncore(self) -> None:
-        """Freeze uncore-derived terms while every window is pinned.
+        """Resync the uncore terms after controllers may have moved them.
 
-        DUF/DUFP pin the uncore window every decision, so after the
-        first controller tick the governor is a fixed point:
-        ``advance`` assigns ``window_lo`` which the frequency already
-        equals.  While that holds the whole governor block is skipped
-        and the uncore voltage/power/bandwidth/ratio terms are
-        constants, recomputed only when a controller moves a window
-        (``_gather``).
+        Recomputes the power coefficient of each lane whose uncore clock
+        moved, and the governor's lanes: those whose window is open or
+        whose clock is off its pin.  DUF/DUFP pin the window at every
+        decision, so after their first tick the governor is the
+        identity on their lanes (``advance`` assigns ``window_lo``,
+        which the clock already equals) and skips them.
         """
-        self._all_pinned = bool((self.win_lo == self.win_hi).all())
-        self._u_static = self._all_pinned and bool(
-            (self.ufreq == self.win_lo).all()
-        )
-        self._pt_memo.clear()
-        self._pt_dirty_log.clear()
-        if self._u_static:
-            uv = self._uvolt(self.ufreq)
-            self._u_coef = ((self.k_uncore * uv) * uv) * (self.ufreq / 1e9)
-            self._u_ratio = self.umax / self.ufreq
-            self._bw_cap = np.minimum(
-                self.peak_bw, self.bw_per_uncore * self.ufreq
-            )
+        moved = (self.ufreq != self._u_hz).nonzero()[0]
+        if len(moved):
+            self._uncore_terms(moved)
+        self._gov = (
+            (self.win_lo != self.win_hi) | (self.ufreq != self.win_lo)
+        ).nonzero()[0]
+
+    def _uncore_terms(self, lanes: np.ndarray) -> None:
+        """The uncore power coefficient of ``lanes`` at their clocks."""
+        f = self.ufreq[lanes]
+        uv = self._uvolt(f)
+        self._u_coef[lanes] = ((self.k_uncore * uv) * uv) * (f / 1e9)
+        self._u_hz[lanes] = f
 
     # -- main loop -------------------------------------------------------------------
 
@@ -998,17 +1036,14 @@ class BatchSimulationEngine:
 
         # Cache maintenance the scalar path performs via ``_gather`` /
         # ``_after_gather``: staged cap writes re-arm the pending-latch
-        # scan; moved uncore pins invalidate the uncore-derived
-        # constants and the roofline reuse cache.  Only ``_step`` moves
-        # the RAPL clamp and only ``_gather`` moves ``perf_ctl``, so the
-        # last step's effective clock (``_eff``) stays valid.
+        # scan; moved uncore pins refresh their lanes' uncore terms
+        # (their operating points miss on the clock).  Only ``_clocks``
+        # moves the RAPL clamp and only ``_gather`` moves ``perf_ctl``,
+        # so the effective clock (``_eff``) stays valid.
         if st.cap.wrote_pending:
             st.cap.wrote_pending = False
             self._any_pending = True
-        if st.uncore.any_moved:
-            st.uncore.any_moved = False
-            self._refresh_uncore()
-            self._t_cache = None
+        self._refresh_uncore()
 
     def _noise_draws(self, runs: np.ndarray, need: np.ndarray) -> np.ndarray:
         """The next ``need[i]`` standard-normal draws of each of ``runs``.
@@ -1131,34 +1166,36 @@ class BatchSimulationEngine:
         working = (
             active & ~self.phase_done if self._any_phase_done else active
         )
+        rate, core_hz = self._clocks(active, working)
         slice_ = rem
         ttf = None
         if np.count_nonzero(working):
-            rate = self._preview(working)
-            bad = working & ~(rate > 0.0)
-            if np.count_nonzero(bad):
-                l = int(bad.nonzero()[0][0])
+            if not np.all(rate > 0.0, where=working):
+                l = int((working & ~(rate > 0.0)).nonzero()[0][0])
                 raise SimulationError(
                     f"phase {self._names[self.row[l]]!r} makes no progress"
                 )
             ttf = (1.0 - self.frac) / rate
             slice_ = np.minimum(rem, np.maximum(ttf, _MIN_SLICE_S))
         dt_l = np.where(working, slice_, rem)
-        progress_rate = self._step(dt_l, active, working)
-        # ``progress_rate`` and ``dt_l`` are exactly zero off the
-        # working set, so the unmasked updates are no-ops there (and
-        # ``r - r == 0.0`` uses up a finished lane's tick).
-        self.frac += np.minimum(progress_rate * dt_l, 1.0)
+        progress_rate = self._step(dt_l, active, core_hz)
+        # ``progress_rate`` is finite everywhere and zero on an active
+        # lane that idles, and ``dt_l`` is zero off the active set, so
+        # the unmasked updates are no-ops there (and ``r - r == 0.0``
+        # uses up a finished lane's tick).
+        frac = self.frac
+        frac += np.minimum(progress_rate * dt_l, 1.0)
         rem -= dt_l
         if ttf is not None:
-            done = working & (
-                (self.frac >= 1.0 - _DONE_EPS)
-                | (
-                    (ttf <= slice_ + _MIN_SLICE_S)
-                    & (self.frac >= 1.0 - 1e-3)
-                )
+            # A lane is done at ``1 - _DONE_EPS``, or within 1e-3 of
+            # the end when its time-to-finish fit the slice; both need
+            # ``frac >= 1 - 1e-3``, so only those lanes are tested.
+            near = (frac >= 1.0 - 1e-3).nonzero()[0]
+            near = near[working[near]]
+            done = (frac[near] >= 1.0 - _DONE_EPS) | (
+                ttf[near] <= slice_[near] + _MIN_SLICE_S
             )
-            crossed = done.nonzero()[0]
+            crossed = near[done]
             if len(crossed):
                 self._cross(crossed)
 
@@ -1200,18 +1237,21 @@ class BatchSimulationEngine:
             self.dt - self.rem[crossed]
         )
         self.frac[crossed] = 0.0
-        if self._t_cache is not None:
-            self._t_cache[1][crossed] = False
+        # The row and the working flag are part of the point's key.
+        self._key_core[crossed] = np.nan
         rows += 1
         self.row[crossed] = rows
         more = rows < self.row_end[crossed]
         if not more.all():
-            self.phase_done[crossed[~more]] = True
-            self._check_finish = True
+            done = crossed[~more]
+            self.phase_done[done] = True
+            # A lane with no phase left idles at boost 1.0, so the step
+            # can read ``cur_boost`` unmasked on every active lane.
+            self.cur_boost[done] = 1.0
+            self._any_phase_done = self._check_finish = True
             crossed, rows = crossed[more], rows[more]
         if len(crossed):
             self._load_rows(crossed, rows)
-        self._refresh_phase_flags()
 
     # -- vector kernels ---------------------------------------------------------------
 
@@ -1247,196 +1287,233 @@ class BatchSimulationEngine:
         t = np.minimum(np.maximum(t, 0.0), 1.0)
         return unc.v_min + t * (unc.v_max - unc.v_min)
 
-    def _refresh_alpha(self, lanes) -> None:
-        """Recompute the full-slice EMA factors for ``lanes``."""
-        d = self.dt
-        for l in lanes:
-            self._alpha1[l] = 1.0 - math.exp(-d / self.pl1_win[l])
-            self._alpha2[l] = 1.0 - math.exp(-d / self.pl2_win[l])
+    def _refresh_alpha(self) -> None:
+        """Recompute the full-slice EMA factors whose window moved.
+
+        A latched or gathered limit mostly keeps its window, so its
+        factor stands.
+        """
+        moved = (self._win != self._alpha_win).nonzero()
+        if len(moved[0]):
+            x = -self.dt / self._win[moved]
+            self._alpha[moved] = 1.0 - np.array(list(map(math.exp, x.tolist())))
+            self._alpha_win[moved] = self._win[moved]
 
     def _ema_alphas(
         self, dt_l: np.ndarray, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """``1 - exp(-dt_l/window)`` factors, bit-exact per active lane.
 
-        Almost every active lane steps the full tick ``dt`` (factor
-        precomputed in ``_refresh_alpha``); only lanes split at a phase
-        boundary need a fresh :func:`math.exp`, patched per element.
-        Inactive lanes get meaningless factors: the caller masks them.
+        One row per RAPL window, and the thermal factor.  Almost every
+        active lane steps the full tick ``dt`` (factor precomputed in
+        ``_refresh_alpha``); only lanes split at a phase boundary need
+        a fresh :func:`math.exp`, patched per element.  Inactive lanes
+        get meaningless factors: the caller masks them.
         """
-        a1, a2 = self._alpha1, self._alpha2
+        a = self._alpha
         a_th = self._alpha_th_arr if self.has_thermal else None
         split = dt_l != self.dt
         if not self._all_active:
             split &= active
         odd = split.nonzero()[0]
         if len(odd):
-            exp = math.exp
-            neg = (-dt_l[odd]).tolist()
-            a1, a2 = a1.copy(), a2.copy()
-            a1[odd] = [
-                1.0 - exp(d / w)
-                for d, w in zip(neg, self.pl1_win[odd].tolist())
-            ]
-            a2[odd] = [
-                1.0 - exp(d / w)
-                for d, w in zip(neg, self.pl2_win[odd].tolist())
-            ]
+            # ``-d / w`` is the scalar ``-dt / window`` bit for bit (IEEE
+            # division is exact to the rounding and sign-symmetric).
+            neg = -dt_l[odd]
+            x = neg / self._win[:, odd]
+            a = a.copy()
+            a[:, odd] = 1.0 - np.array(
+                list(map(math.exp, x.ravel().tolist()))
+            ).reshape(x.shape)
             if a_th is not None:
-                tau = self.th_tau
                 a_th = a_th.copy()
-                a_th[odd] = [1.0 - exp(d / tau) for d in neg]
-        return a1, a2, a_th
+                a_th[odd] = 1.0 - np.array(
+                    list(map(math.exp, (neg / self.th_tau).tolist()))
+                )
+        return a, a_th
 
-    def _phase_time(
-        self, core_hz: np.ndarray, need: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Roofline phase time ``t`` and compute time ``t_c``.
-
-        Values are meaningful only where ``need`` (a lane mask; ``None``
-        means every lane with phases left).
-
-        While the uncore is static, ``(t, t_c)`` is a pure function of
-        the clock vector and the per-lane phase, so results memoize on
-        the clock bytes.  Each entry records the lanes it computed: a
-        lane may sit out one pass and work the next, so a hit whose
-        need set grew is a miss.  Lanes that crossed a phase boundary
-        since an entry was stored are re-derived on their index set.
-        """
-        if self._u_static:
-            key = core_hz.tobytes()
-            hit = self._pt_memo.get(key)
-            # A ``None`` entry covered every lane with phases left when
-            # it was stored; that set only shrinks.
-            if hit is not None and (
-                hit[1] is None
-                or (need is not None and not (need > hit[1]).any())
-            ):
-                ver, _, t, t_c = hit
-                log = self._pt_dirty_log
-                if ver < len(log):
-                    dirty = np.array(sorted(set(log[ver:])))
-                    dirty = dirty[~self.phase_done[dirty]]
-                    if len(dirty):
-                        t[dirty], t_c[dirty] = self._roofline(
-                            core_hz[dirty], dirty
-                        )
-                    hit[0] = len(log)
-                return t, t_c
-        t, t_c = self._roofline(core_hz, None, need)
-        if self._u_static:
-            self._pt_memo[key] = [len(self._pt_dirty_log), need, t, t_c]
-        return t, t_c
-
-    def _roofline(
-        self,
-        core_hz: np.ndarray,
-        lanes: np.ndarray | None,
-        need: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``PhaseExecutionModel._roof_times`` + ``smooth_max``.
-
-        Over ``lanes`` (an index array; ``core_hz`` holds just those
-        lanes) or, with ``None``, over every lane, filling the p-norm
-        in only where ``need`` (``None``: every lane with phases left).
-        """
-        ix = slice(None) if lanes is None else lanes
-        cur = self._cur[:, ix]
-        if self._any_us or self._any_ls:
-            ratio = (
-                self._u_ratio[ix]
-                if self._u_static
-                else self.umax / self.ufreq[ix]
-            )
-        # The sensitivity factors are exactly 1.0 for a phase without
-        # the term (``0 * (ratio - 1)`` with a finite ratio >= 1), and
-        # multiply a zero time where a phase has no flops or bytes, so
-        # they apply unmasked.
-        t_c = cur[_FLOPS] / (cur[_PEAK] * core_hz)
-        if self._any_us:
-            t_c *= 1.0 + cur[_US] * (ratio - 1.0)
-        bw_cap = (
-            self._bw_cap[ix]
-            if self._u_static
-            else np.minimum(self.peak_bw, self.bw_per_uncore * self.ufreq[ix])
-        )
-        bw = np.minimum(bw_cap, (self.bw_per_core * core_hz) * self.count)
-        t_m = cur[_BYTES] / bw
-        if self._any_ls:
-            t_m *= 1.0 + cur[_LS] * (ratio - 1.0)
-        t = np.where(t_m == 0.0, t_c, np.where(t_c == 0.0, t_m, np.nan))
-        hole = np.isnan(t)
-        if lanes is None:
-            if need is not None:
-                hole &= need
-            elif self._any_phase_done:
-                hole &= ~self.phase_done
-            # Reuse each lane's last smooth_max result while its
-            # roofline inputs are unchanged; only moved lanes take the
-            # scalar loop (bit-identity needs ``math``'s pow, and
-            # ``np.power`` differs by ulps).  An index set holds lanes
-            # that just entered a phase, so it skips the reuse check.
-            if np.count_nonzero(hole):
-                sm_tc, sm_tm, sm_t = self._sm
-                same = hole & (t_c == sm_tc) & (t_m == sm_tm)
-                np.copyto(t, sm_t, where=same)
-                hole &= ~same
-        pos = hole.nonzero()[0]
-        if len(pos):
-            ids = pos if lanes is None else lanes[pos]
-            sharp = self.sharpness
-            tcl, tml = t_c[pos].tolist(), t_m[pos].tolist()
-            tl = [
-                smooth_max(a, b, sharp[l])
-                for a, b, l in zip(tcl, tml, ids.tolist())
-            ]
-            t[pos] = tl
-            self._sm[:, ids] = (tcl, tml, tl)
-        return t, t_c
-
-    def _preview(self, working: np.ndarray) -> np.ndarray:
-        """``preview_progress_rate`` for the working lanes."""
-        cached = self._t_cache
-        if cached is not None:
-            # The last step's roofline time, re-derived only for lanes
-            # that crossed a phase boundary since (``_t_reuse`` means
-            # the preview clock is the step's effective clock).
-            t, covered = cached
-            stale = (working & ~covered).nonzero()[0]
-            if len(stale):
-                t = t.copy()
-                t[stale] = self._roofline(self._eff[stale], stale)[0]
-            return 1.0 / t
-        eff = self._eff
-        if eff is None:
-            eff = self._csnap(
-                np.minimum(np.minimum(self.req, self.ctl), self.clamp)
-            )
-        core_hz = eff
-        if self.avx_on:
-            core_hz = np.where(
-                self.cur_fpc >= self.avx_lic,
-                np.minimum(eff, self.avx_max),
-                eff,
-            )
-        t, _ = self._phase_time(core_hz, None if self._t_reuse else working)
-        return 1.0 / t
-
-    def _step(
-        self, dt_l: np.ndarray, active: np.ndarray, working: np.ndarray
+    def _pnorm(
+        self, a: np.ndarray, b: np.ndarray, lanes: np.ndarray
     ) -> np.ndarray:
-        """One ``SimulatedProcessor.step`` across all active lanes."""
-        boost = (
-            np.where(working, self.cur_boost, 1.0) if self._any_boost else None
+        """:func:`repro.units.smooth_max` of ``a`` and ``b``, per lane.
+
+        Every phase has work, so no lane has both times zero.  A scalar
+        loop: bit-identity needs ``math``'s pow, and ``np.power``
+        differs by ulps.  The max ``m`` is factored out as
+        ``smooth_max`` does, and its own term ``(m / m) ** p`` is
+        exactly 1.0, so ``m * (1 + (min / m) ** p) ** (1 / p)`` is its
+        float bit for bit (and ``m`` itself where the other time is
+        zero), with the divisions and products done once for all lanes
+        (IEEE arithmetic, exact as numpy does it).
+        """
+        m = np.maximum(a, b)
+        r = (np.minimum(a, b) / m).tolist()
+        p = self.sharpness[lanes].tolist()
+        return m * np.array([(1.0 + x**s) ** (1.0 / s) for x, s in zip(r, p)])
+
+    def _points(
+        self,
+        lanes: np.ndarray,
+        core_hz: np.ndarray,
+        unc: np.ndarray,
+        working: np.ndarray | None,
+    ) -> np.ndarray:
+        """The operating points of ``lanes``, as ``_pt`` rows.
+
+        ``PhaseExecutionModel.instantaneous`` + ``package_power`` +
+        ``dram_power`` over an index set (a lane may appear twice):
+        ``core_hz`` and ``unc`` hold each entry's clocks, and
+        ``working`` flags the entries that execute their lane's phase
+        (``None``: all do).  An entry that does not work idles: zero
+        rates, idle power.  Every value is a pure function of the key
+        (clocks, phase row, working), so a later step at the same key
+        reuses it bit for bit.
+        """
+        cur = self._cur[:, lanes]
+        t_c = cur[_FLOPS] / (cur[_PEAK] * core_hz)
+        bw = np.minimum(
+            np.minimum(self.peak_bw, self.bw_per_uncore * unc),
+            (self.bw_per_core * core_hz) * self.count,
+        )
+        t_m = cur[_BYTES] / bw
+        # The latency and uncore sensitivity factors (adjacent rows) are
+        # exactly 1.0 for a phase without the term (``0 * (ratio - 1)``
+        # with a finite ratio >= 1), and multiply a zero time where a
+        # phase has no flops or bytes, so they apply unmasked.
+        if self._any_us or self._any_ls:
+            ls, us = 1.0 + cur[_LS : _US + 1] * (self.umax / unc - 1.0)
+            t_c *= us
+            t_m *= ls
+        t = self._pnorm(t_c, t_m, lanes)
+        # ``x / inf == +0.0`` exactly, so an infinite time zeroes every
+        # rate of an idle lane in one shot.
+        if working is not None:
+            t = np.where(working, t, np.inf)
+        out = np.empty((_POINT_ROWS, len(lanes)))
+        (
+            flops_rate,
+            bytes_rate,
+            total,
+            dram_w,
+            prog,
+            activity,
+            traffic,
+            scale,
+            uterm,
+        ) = out
+        np.divide(cur[_FLOPS : _BYTES + 1], t, out=out[:2])
+        np.divide(1.0, t, out=prog)
+        np.minimum(t_c / t, 1.0, out=activity)
+        np.minimum(bytes_rate / self.peak_bw, 1.0, out=traffic)
+
+        cv = self._cvolt(core_hz)
+        np.add(self.a0, self._a1 * activity, out=scale)
+        np.add(self.u0, self._u1 * traffic, out=uterm)
+        core_w = (((self.ck * cv) * cv) * (core_hz / 1e9)) * scale
+        if self._any_boost:
+            # 1.0 on an idle lane (see ``_cross``).
+            core_w *= cur[_BOOST]
+        np.add(self.static_w + core_w, self._u_coef[lanes] * uterm, out=total)
+        # Overfetch below the saturating uncore clock.  Its factor is
+        # exactly 1.0 without overfetch or at and above that clock, and
+        # an idle lane moves no bytes, so it applies unmasked.
+        dram_traffic = bytes_rate
+        if self._any_ov:
+            dram_traffic = bytes_rate * (
+                1.0 + cur[_OV] * np.maximum(1.0 - unc / self.sat_hz, 0.0)
+            )
+        np.add(self.dram_static, self.dram_epb * dram_traffic, out=dram_w)
+        return out
+
+    def _clamp(
+        self, lanes: np.ndarray, scale: np.ndarray, budget_cores: np.ndarray
+    ) -> None:
+        """``PackagePowerModel.max_core_freq_under`` on ``lanes``.
+
+        Grid point ``i`` fits when ``(cp_base[i] * scale) * boost <=
+        budget_cores``, the scalar model's products in its order, and
+        the search returns the last one that fits (-1 when none does).
+        The products rise with ``i``, so the points that fit are a
+        prefix and the last one is their count less one.  Lanes whose
+        grid point moved take its clamp and a fresh effective clock.
+        """
+        p = self.cp_grid * scale[:, None]
+        if self._any_boost:
+            p = p * self.cur_boost[lanes, None]
+        k = np.count_nonzero(p <= budget_cores[:, None], axis=1) - 1
+        new = (k != self._k[lanes]).nonzero()[0]
+        if not len(new):
+            return
+        lanes, k = lanes[new], k[new]
+        self._k[lanes] = k
+        self._low[lanes] = k < self._grid_last
+        self._any_low = bool(self._low.any())
+        clamp = self._clamp_tab[k + 1]
+        self.clamp[lanes] = clamp
+        self._eff[lanes] = self._csnap(
+            np.minimum(np.minimum(self.req[lanes], self.ctl[lanes]), clamp)
         )
 
-        # 1. RAPL firmware: windowed averages -> budget -> clamp.
-        h = self.pl1_w - self.avg1
-        budget = np.where(
-            h < 0.0,
-            np.maximum(self.pl1_w + 2.0 * h, 0.0),
-            self.pl1_w + 2.0 * h,
+    def _governor(self, lanes: np.ndarray) -> None:
+        """The hardware uncore governor's move on ``lanes``, in its window."""
+        lo, hi = self.win_lo[lanes], self.win_hi[lanes]
+        pinned = lo == hi
+        demand = self.demand[lanes]
+        demand_t = np.minimum(self.p_traf[lanes] / self.g_sat[lanes], 1.0)
+        demand_t = np.where(
+            self.p_act[lanes] >= self.g_thresh[lanes],
+            np.maximum(demand_t, self.g_floor[lanes]),
+            demand_t,
         )
+        new_demand = demand + self.g_resp[lanes] * (demand_t - demand)
+        target = lo + new_demand * (hi - lo)
+        self.demand[lanes] = np.where(pinned, demand, new_demand)
+        freq = np.where(pinned, lo, self._usnap(target))
+        moved = lanes[freq != self.ufreq[lanes]]
+        self.ufreq[lanes] = freq
+        if len(moved):
+            self._uncore_terms(moved)
+
+    def _clocks(
+        self, active: np.ndarray, working: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Steps 1-5 of ``SimulatedProcessor.step``, and the preview.
+
+        ``preview_progress_rate`` runs at the clocks the last step left.
+        A working lane whose preview key equals its cached key (no
+        crossing, no controller move since) previews from the cache;
+        the others keep their preview clocks.  The step's clamp,
+        uncore move and clocks read only the last step's state, so they
+        resolve next, before the slice is known, and the operating
+        point of each active lane whose key moved is recomputed into
+        the cache.  A preview lane previews at its step's point, or,
+        where the step's clocks moved too, at a point computed beside
+        the step's in the same call.
+
+        Returns the preview's progress rate (meaningful on working
+        lanes) and the step's core clocks.
+        """
+        all_active = self._all_active
+        key_core, key_unc = self._key_core, self._key_unc
+        unc = self.ufreq
+        pcore = self._eff
+        if self.avx_on:
+            pcore = np.where(
+                self.cur_fpc >= self.avx_lic,
+                np.minimum(pcore, self.avx_max),
+                pcore,
+            )
+        stale = (pcore != key_core) | (unc != key_unc)
+        stale &= working
+        pv = stale.nonzero()[0]
+        pcore, punc = pcore[pv], unc[pv]
+        rate = self.p_prog.copy()
+
+        # 1. RAPL firmware: windowed averages -> budget -> clamp.  With
+        # headroom ``h >= 0`` the budget ``PL1 + 2h`` is positive (PL1
+        # is), so one ``maximum`` covers both of the scalar branches.
+        h = self.pl1_w - self.avg1
+        budget = np.maximum(self.pl1_w + 2.0 * h, 0.0)
         if self._all_en:
             budget = np.minimum(budget, self.pl2_w)
         else:
@@ -1444,76 +1521,41 @@ class BatchSimulationEngine:
             budget = np.where(
                 self.pl2_en, np.minimum(budget, self.pl2_w), budget
             )
-        if self._u_static:
-            u_coef = self._u_coef
-        else:
-            uv = self._uvolt(self.ufreq)
-            u_coef = ((self.k_uncore * uv) * uv) * (self.ufreq / 1e9)
-        up_prev = u_coef * (self.u0 + self._u1 * self.prev_traf)
+        # Until step 4-5 refreshes it, the cache holds each lane's last
+        # step's point: its activity and traffic are the scalar
+        # ``_prev_activity`` and ``_prev_traffic``, and its power terms
+        # the ones the scalar clamp derives from them.
+        up_prev = self._u_coef * self.p_uterm
         budget_cores = budget - (self.static_w + up_prev)
-        scale_prev = self.a0 + self._a1 * self.prev_act
+        scale_prev = self.p_scale
         top = self._cp_top * scale_prev
-        if boost is not None:
-            top = top * boost
+        if self._any_boost:
+            # 1.0 on an idle lane (see ``_cross``).
+            top = top * self.cur_boost
         fit = top <= budget_cores
-        if fit.all():
-            # Nobody is power-limited: the search would return the top
-            # grid point everywhere.  (``where=True`` is the unmasked
-            # fast path when every lane is active this pass.)
-            np.copyto(
-                self.clamp,
-                self._clamp_top,
-                where=True if self._all_active else active,
-            )
-        else:
-            # A lane whose top grid point fits gets it, as the search
-            # would return; only the power-limited lanes scan the grid.
-            np.copyto(
-                self.clamp,
-                self._clamp_top,
-                where=True if self._all_active else active,
-            )
-            lim = (active & ~fit).nonzero()[0]
-            if len(lim):
-                fits = self.cp_grid * scale_prev[lim, None]
-                if boost is not None:
-                    fits = fits * boost[lim, None]
-                fits = fits <= budget_cores[lim, None]
-                any_fit = fits.any(axis=1)
-                idx = self._grid_last - np.argmax(fits[:, ::-1], axis=1)
-                best = np.where(any_fit, self.pfreqs[idx], self.cmin)
-                self.clamp[lim] = np.minimum(
-                    np.maximum(best, self.cmin), self.cmax
-                )
+        # A lane whose top grid point fits gets it, as the search would
+        # return, and keeps it while it fits; only lanes that are, or
+        # were, power-limited move their clamp.
+        if self._any_low or not fit.all():
+            moved = ~fit | self._low
+            if not all_active:
+                moved &= active
+            mv = moved.nonzero()[0]
+            if len(mv):
+                self._clamp(mv, scale_prev[mv], budget_cores[mv])
 
-        # 2. Hardware uncore governor moves inside its window.  When
-        # every window is pinned and the frequency already sits on the
-        # pin, ``advance`` is the identity (see ``_refresh_uncore``).
-        if not self._u_static:
-            if self._all_pinned:
-                np.copyto(self.ufreq, self.win_lo, where=active)
-            else:
-                pinned = self.win_lo == self.win_hi
-                demand_t = np.minimum(self.prev_traf / self.g_sat, 1.0)
-                np.copyto(
-                    demand_t,
-                    np.maximum(demand_t, self.g_floor),
-                    where=self.prev_act >= self.g_thresh,
-                )
-                new_demand = self.demand + self.g_resp * (
-                    demand_t - self.demand
-                )
-                target = self.win_lo + new_demand * (self.win_hi - self.win_lo)
-                np.copyto(self.demand, new_demand, where=active & ~pinned)
-                np.copyto(
-                    self.ufreq,
-                    np.where(pinned, self.win_lo, self._usnap(target)),
-                    where=active,
-                )
+        # 2. Hardware uncore governor moves inside its window; on a
+        # pinned lane whose clock sits on the pin ``advance`` is the
+        # identity, so only ``_gov``'s lanes run it.
+        gov = self._gov
+        if len(gov):
+            if not all_active:
+                gov = gov[active[gov]]
+            if len(gov):
+                self._governor(gov)
 
         # 3. Core clock resolution (+ AVX license, + PROCHOT).
-        eff = self._csnap(np.minimum(np.minimum(self.req, self.ctl), self.clamp))
-        self._eff = eff
+        eff = self._eff
         core_hz = eff
         if self.avx_on:
             core_hz = np.where(
@@ -1528,61 +1570,62 @@ class BatchSimulationEngine:
                 core_hz,
             )
 
-        # 4. Roofline rates.
-        # When the next preview may reuse ``t`` (from ``_t_cache``, or
-        # from the phase-time memo under a static uncore) it covers
-        # every lane with phases left: lanes sitting this pass out keep
-        # their clock and phase, so their ``smooth_max`` inputs hit the
-        # per-lane memo.
-        t, t_c = self._phase_time(core_hz, None if self._t_reuse else working)
-        if self._t_reuse and not self._u_static:
-            self._t_cache = (t, ~self.phase_done)
-        # ``x / inf == +0.0`` exactly, so masking the divisor with inf
-        # zeroes every non-working rate in one shot — bit-identical to
-        # the per-rate ``where(working, ..., 0.0)`` it replaces.
-        tm = np.where(working, t, np.inf)
-        flops_rate = self.cur_flops / tm
-        bytes_rate = self.cur_bytes / tm
-        activity = np.minimum(t_c / tm, 1.0)
-        traffic = np.minimum(bytes_rate / self.peak_bw, 1.0)
-        progress_rate = 1.0 / tm
+        # 4-5. Roofline rates and package + DRAM power: the cached
+        # operating point, recomputed on the lanes whose key moved.
+        # The phase row and working flag are part of the key too; they
+        # change only at a crossing, which drops the key (``_cross``).
+        moved = (core_hz != key_core) | (unc != key_unc)
+        if not all_active:
+            moved &= active
+        mv = moved.nonzero()[0]
+        n = len(mv)
+        lanes, cores, uncs = mv, core_hz[mv], unc[mv]
+        idle = working is not active
+        works = working[mv] if idle else None
+        if len(pv):
+            # A preview lane at its step's clocks moved its key, so the
+            # step recomputes it; the rest get points of their own.
+            own = (pcore != core_hz[pv]) | (punc != unc[pv])
+            ex = own.nonzero()[0]
+            if len(ex):
+                lanes = np.concatenate((mv, pv[ex]))
+                cores = np.concatenate((cores, pcore[ex]))
+                uncs = np.concatenate((uncs, punc[ex]))
+                if idle:
+                    works = np.concatenate((works, np.ones(len(ex), dtype=bool)))
+        if len(lanes):
+            out = self._points(lanes, cores, uncs, works)
+            self._pt[:, mv] = out[:, :n]
+            key_core[mv] = cores[:n]
+            key_unc[mv] = uncs[:n]
+        if len(pv):
+            at = pv[~own]
+            rate[at] = out[_PROG, np.searchsorted(mv, at)]
+            if len(ex):
+                rate[pv[ex]] = out[_PROG, n:]
+        return rate, core_hz
 
-        # 5. Package + DRAM power.
-        cv = self._cvolt(core_hz)
-        c_coef = ((self.ck * cv) * cv) * (core_hz / 1e9)
-        core_w = c_coef * (self.a0 + self._a1 * activity)
-        if boost is not None:
-            core_w = core_w * boost
-        if self._u_static:
-            uc2 = self._u_coef
-        else:
-            uv2 = self._uvolt(self.ufreq)
-            uc2 = ((self.k_uncore * uv2) * uv2) * (self.ufreq / 1e9)
-        uncore_w = uc2 * (self.u0 + self._u1 * traffic)
-        total = (self.static_w + core_w) + uncore_w
-        dram_traffic = bytes_rate
-        if self._any_ov:
-            ov = working & (self.cur_ov > 0.0) & (self.ufreq < self.sat_hz)
-            if ov.any():
-                dram_traffic = np.where(
-                    ov,
-                    bytes_rate
-                    * (1.0 + self.cur_ov * (1.0 - self.ufreq / self.sat_hz)),
-                    bytes_rate,
-                )
-        dram_w = self.dram_static + self.dram_epb * dram_traffic
+    def _step(
+        self, dt_l: np.ndarray, active: np.ndarray, core_hz: np.ndarray
+    ) -> np.ndarray:
+        """Steps 6-9 of ``SimulatedProcessor.step`` over ``dt_l``, at
+        the operating points ``_clocks`` resolved."""
+        all_active = self._all_active
+        total = self.p_total
 
-        # 6. RAPL step: latch pending limits, meter energy, averages.
-        # Accumulators drop the ``active`` mask: inactive lanes have
-        # ``dt_l == 0`` so their increment is an exact ``+0.0``, a
-        # bitwise no-op on the non-negative state here.
-        self.rapl_now += dt_l
+        # 6. RAPL step: meter energy, latch pending limits, averages.
+        # The integrals drop the ``active`` mask: inactive lanes have
+        # ``dt_l == 0`` and finite rates, so their increment is an
+        # exact ``+0.0``, a bitwise no-op on the non-negative state.
+        acc = self._acc
+        acc[:4] += self._pt[:4] * dt_l
+        acc[4:6] += self._cyc * dt_l
+        acc[6:] += dt_l
         if self._any_pending:
-            latched = (
-                active
-                & np.isfinite(self.pend_due)
-                & (self.rapl_now >= self.pend_due)
-            )
+            # No write pending is due at +inf.
+            latched = self.rapl_now >= self.pend_due
+            if not all_active:
+                latched &= active
             if latched.any():
                 np.copyto(self.pl1_w, self.pend1_w, where=latched)
                 np.copyto(self.pl1_win, self.pend1_win, where=latched)
@@ -1593,17 +1636,13 @@ class BatchSimulationEngine:
                 self.pend_due[latched] = np.inf
                 self._any_pending = bool(np.isfinite(self.pend_due).any())
                 self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
-                self._refresh_alpha(np.nonzero(latched)[0].tolist())
-        self.e_pkg += total * dt_l
-        self.e_dram += dram_w * dt_l
-        a1, a2, a_th = self._ema_alphas(dt_l, active)
-        if self._all_active:
-            self.avg1 += a1 * (total - self.avg1)
-            self.avg2 += a2 * (total - self.avg2)
+                self._refresh_alpha()
+        a, a_th = self._ema_alphas(dt_l, active)
+        avg = self._avg
+        if all_active:
+            avg += a * (total - avg)
         else:
-            avg1, avg2 = self.avg1, self.avg2
-            np.copyto(avg1, avg1 + a1 * (total - avg1), where=active)
-            np.copyto(avg2, avg2 + a2 * (total - avg2), where=active)
+            np.copyto(avg, avg + a * (total - avg), where=active)
 
         # 7. Thermal RC + PROCHOT hysteresis.
         if self.has_thermal:
@@ -1623,32 +1662,19 @@ class BatchSimulationEngine:
                 ),
             )
 
-        # 8. APERF/MPERF and the retired-work counters (``dt_l == 0``
-        # makes every inactive increment an exact no-op, as above).
-        self.aperf += eff * dt_l
-        self.mperf += self.base_hz * dt_l
-        self.flops_ret += flops_rate * dt_l
-        self.bytes_trans += bytes_rate * dt_l
-        self.proc_now += dt_l
-        if self._all_active:
-            np.copyto(self.prev_act, activity)
-            np.copyto(self.prev_traf, traffic)
-        else:
-            np.copyto(self.prev_act, activity, where=active)
-            np.copyto(self.prev_traf, traffic, where=active)
-
         # 9. Trace snapshot (skipped when no run records a trace); a
         # live fleet needs only the package power.
         if self._tracing:
             np.copyto(self.st_core, core_hz, where=active)
             np.copyto(self.st_uncore, self.ufreq, where=active)
             np.copyto(self.st_pkg, total, where=active)
-            np.copyto(self.st_dram, dram_w, where=active)
-            np.copyto(self.st_flops, flops_rate, where=active)
-            np.copyto(self.st_bytes, bytes_rate, where=active)
+            np.copyto(self.st_dram, self.p_dram, where=active)
+            np.copyto(self.st_flops, self.p_flops, where=active)
+            np.copyto(self.st_bytes, self.p_bytes, where=active)
         elif self._keep_pkg:
             np.copyto(self.st_pkg, total, where=active)
-        return progress_rate
+        # Finite on every lane, and zero on an active lane that idles.
+        return self.p_prog
 
     # -- object <-> array sync --------------------------------------------------------
 
@@ -1724,7 +1750,7 @@ class BatchSimulationEngine:
                 self._any_pending = True
             else:
                 self.pend_due[l] = np.inf
-        self._refresh_alpha(self.run_lanes[r])
+        self._refresh_alpha()
 
     def _after_gather(self) -> None:
         """Batch-wide refreshes after a group of ``_gather`` calls.
@@ -1734,9 +1760,10 @@ class BatchSimulationEngine:
         """
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
         self._refresh_uncore()
-        # ``perf_ctl`` may have moved, so the last effective clock is stale.
-        self._eff = None
-        self._t_cache = None
+        # ``perf_ctl`` may have moved.
+        self._eff[:] = self._csnap(
+            np.minimum(np.minimum(self.req, self.ctl), self.clamp)
+        )
 
 
 def _chunks(items: list[int], size: int) -> list[list[int]]:

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import validate_bounded_fields
+from ..config import validate_bounded_fields, validated_once
 from ..errors import FaultInjectionError
 
 __all__ = [
@@ -155,6 +155,7 @@ class FaultPlan:
     #: can draw decorrelated fault streams.
     seed_salt: int = 0
 
+    @validated_once
     def validate(self) -> None:
         """Range-check every bounded field, naming the offender."""
         validate_bounded_fields(self)

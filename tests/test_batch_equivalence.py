@@ -24,6 +24,7 @@ import subprocess
 import sys
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -500,19 +501,18 @@ def test_batch_time_limit_raises_the_scalar_error():
     assert str(batch.value) == str(scalar.value)
 
 
-#: A thermal socket: PROCHOT can split step and preview clocks, so the
-#: previews cannot reuse the step's roofline and every pass asks the
-#: phase-time memo with its own working set.
+#: A thermal socket: PROCHOT can split step and preview clocks, so a
+#: pass can need a lane's point at both.
 THERMAL_SOCKET = replace(yeti_socket_config(), thermal=ThermalConfig())
 
 
-def test_phase_time_memo_misses_when_the_need_set_grows(contexts):
-    """A DUF/DUFP-only batch pins its uncore, so the memo is live.
+def test_point_cache_serves_lanes_that_sat_out_a_pass(contexts):
+    """A DUF/DUFP-only batch pins its uncore, so points are reused.
 
     Each two-socket run's sockets split their ticks at different
     passes: the socket that used up its tick sits out its run-mate's
-    catch-up passes and then works again, so a memo entry stored for
-    fewer lanes must not serve a pass that needs more.
+    catch-up passes and then works again, so its cached point must
+    stand for it, and the one step it missed must not refresh it.
     """
     builders = [
         lambda apps=apps, policy=policy, seed=seed: _clock_engine(
@@ -524,6 +524,218 @@ def test_phase_time_memo_misses_when_the_need_set_grows(contexts):
         for policy in ("duf", "dufp")
     ]
     _assert_batch_matches_scalar(builders, contexts)
+
+
+# ------------------------------------------------- lanes that move every pass
+#
+# The batch recomputes a lane's operating point only where its key
+# (core clock, uncore clock, phase row, working) moved.  These batches
+# move keys on almost every pass — the RAPL clamp, the uncore governor,
+# boost and AVX phases, PROCHOT, split ticks and retiring lanes — and
+# must still equal the scalar runs bit for bit.
+
+#: A socket whose AVX license derates the wide phases (fpc >= 8).
+AVX_SOCKET = replace(
+    yeti_socket_config(),
+    core=replace(
+        yeti_socket_config().core, avx_license_fpc=8.0, avx_max_freq_hz=2.0e9
+    ),
+)
+
+#: A socket that trips PROCHOT within a few ticks and keeps toggling it.
+HOT_SOCKET = replace(
+    yeti_socket_config(),
+    thermal=ThermalConfig(tau_s=0.2, t_prochot_c=66.0, hysteresis_c=1.0),
+)
+
+
+def _moving_engine(app, policy, seed, *, tolerance=0.10, socket=None):
+    """``_clock_engine`` with a chosen tolerance (``app`` as there)."""
+    cfg = ControllerConfig(tolerated_slowdown=tolerance)
+    if isinstance(app, list):
+        application = [build_application(a, scale=s) for a, s in app]
+    else:
+        application = build_application(app, scale=0.03)
+    machine = None
+    if socket is not None:
+        sockets = len(application) if isinstance(app, list) else 1
+        machine = SimulatedMachine(MachineConfig(socket=socket, socket_count=sockets))
+    return build_engine(
+        application,
+        as_spec(policy).build(cfg),
+        controller_cfg=cfg,
+        machine=machine,
+        noise=NoiseConfig(),
+        seed=seed,
+    )
+
+
+#: Batches as ``(app, policy, tolerance)`` runs on one socket config.
+MOVING_BATCHES = {
+    # DUFP walks the caps down to the 65 W floor and a static cap sits
+    # just above it: the clamp search runs on every pass.
+    "caps-at-the-floor": (
+        None,
+        [
+            ("MG", "dufp", 0.5),
+            ("CG", "dufp", 0.5),
+            ("EP", "static:cap_w=66", 0.1),
+            ("LU", "static:cap_w=70", 0.1),
+        ],
+    ),
+    # Open governor windows beside pinned ones.
+    "default-beside-pinned": (
+        None,
+        [
+            ("CG", "default", 0.1),
+            ("MG", "default", 0.1),
+            ("CG", "duf", 0.1),
+            ("FT", "uncore:freq_ghz=1.6", 0.1),
+            ("MG", "dufp", 0.1),
+        ],
+    ),
+    # LAMMPS' boost phases and CG's boosted setup, under binding caps.
+    "boost-phases": (
+        None,
+        [
+            ("LAMMPS", "static:cap_w=80", 0.1),
+            ("LAMMPS", "dufp", 0.2),
+            ("CG", "static:cap_w=75", 0.1),
+        ],
+    ),
+    "avx-license": (
+        AVX_SOCKET,
+        [
+            ("BT", "dufp", 0.1),
+            ("FT", "default", 0.1),
+            ("SP", "duf", 0.1),
+        ],
+    ),
+    "prochot": (
+        HOT_SOCKET,
+        [
+            ("EP", "default", 0.1),
+            ("FT", "dufp", 0.1),
+            ("BT", "duf", 0.1),
+        ],
+    ),
+    # Two-socket runs whose sockets split ticks on different passes,
+    # and whose second socket retires its phase list mid-window.
+    "split-and-retire": (
+        None,
+        [
+            ([("MG", 0.03), ("LAMMPS", 0.03)], "dufp", 0.1),
+            ([("CG", 0.03), ("EP", 0.004)], "duf", 0.1),
+            ([("LU", 0.03), ("EP", 0.002)], "default", 0.1),
+            ([("EP", 0.003), ("MG", 0.02)], "dufp", 0.3),
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def point_passes(monkeypatch):
+    """Count passes, and passes that recomputed some lane's point."""
+    seen = {"passes": 0, "moved": 0}
+    tick_pass, points = BatchSimulationEngine._pass, BatchSimulationEngine._points
+
+    def counting_pass(self, active):
+        seen["passes"] += 1
+        return tick_pass(self, active)
+
+    def counting_points(self, lanes, *args):
+        seen["moved"] += 1
+        return points(self, lanes, *args)
+
+    monkeypatch.setattr(BatchSimulationEngine, "_pass", counting_pass)
+    monkeypatch.setattr(BatchSimulationEngine, "_points", counting_points)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(MOVING_BATCHES))
+def test_lanes_moving_every_pass_match_scalar(name, contexts, point_passes):
+    socket, runs = MOVING_BATCHES[name]
+    builders = [
+        lambda app=app, policy=policy, tol=tol, seed=seed: _moving_engine(
+            app, policy, seed, tolerance=tol, socket=socket
+        )
+        for seed, (app, policy, tol) in enumerate(runs)
+    ]
+    _assert_batch_matches_scalar(builders, contexts)
+    # Keys really move: over half the passes recompute some lane's
+    # point (55-97 % across these batches).
+    assert point_passes["moved"] > 0.5 * point_passes["passes"]
+
+
+def _steady_batch(runs: int) -> BatchSimulationEngine:
+    """A batch stepped by hand: one long phase, an uncore pinned at
+    attach, no controller ticks (``_tick`` runs physics only)."""
+    app = Application(
+        "steady", (phase_from_duration("steady", 5.0, oi=0.5, fpc=4.0),)
+    )
+    cfg = ControllerConfig()
+    engines = [
+        build_engine(
+            app,
+            as_spec("uncore:freq_ghz=1.6").build(cfg),
+            controller_cfg=cfg,
+            noise=NoiseConfig(),
+            seed=seed,
+        )
+        for seed in range(runs)
+    ]
+    batch = BatchSimulationEngine(engines)
+    ctxs = [e.prepare() for e in engines]
+    for ctx in ctxs:
+        ctx.runtime.start()
+    batch._build_lanes(ctxs)
+    batch._tracing = False
+    return batch
+
+
+def _tick_to(batch: BatchSimulationEngine, sync: int) -> None:
+    times = batch._times
+    while len(times) <= sync:
+        times.append(times[-1] + batch.dt)
+    batch._tick(sync)
+
+
+def test_point_cache_recomputes_exactly_the_moved_lanes(monkeypatch):
+    """A pass where no key moved evaluates no p-norm; a pass where one
+    lane's uncore moved recomputes that lane alone, once."""
+    rows, pnorms = [], []
+    points, pnorm = BatchSimulationEngine._points, BatchSimulationEngine._pnorm
+
+    def recording_points(self, lanes, *args):
+        rows.append(lanes.tolist())
+        return points(self, lanes, *args)
+
+    def recording_pnorm(self, a, b, lanes):
+        pnorms.extend(lanes.tolist())
+        return pnorm(self, a, b, lanes)
+
+    monkeypatch.setattr(BatchSimulationEngine, "_points", recording_points)
+    monkeypatch.setattr(BatchSimulationEngine, "_pnorm", recording_pnorm)
+    batch = _steady_batch(4)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sync in range(1, 40):
+            _tick_to(batch, sync)
+        assert rows and pnorms  # the first passes computed every lane
+        rows.clear()
+        pnorms.clear()
+        _tick_to(batch, 40)
+        assert rows == [] and pnorms == []
+
+        # Re-pin lane 2's uncore, as a controller tick would.
+        f = batch.ufreq[2] - 1e8
+        batch.ufreq[2] = batch.win_lo[2] = batch.win_hi[2] = f
+        batch._refresh_uncore()
+        _tick_to(batch, 41)
+        assert rows == [[2]] and pnorms == [2]
+        rows.clear()
+        pnorms.clear()
+        _tick_to(batch, 42)
+        assert rows == [] and pnorms == []
 
 
 # ------------------------------------------------------- measurement noise
