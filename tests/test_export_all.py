@@ -1,6 +1,7 @@
 """The results-bundle exporter and its CLI subcommands."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +72,14 @@ class TestHeteroCLI:
         assert main(["hetero", "--budget", "300"]) == 0
         out = capsys.readouterr().out
         assert "coordinated" in out and "static 50/50" in out
+
+
+@pytest.mark.slow
+def test_fresh_export_equals_committed_results(tmp_path):
+    """The committed ``results/`` bundle is what ``repro export`` writes now."""
+    committed = Path(__file__).resolve().parent.parent / "results"
+    assert main(["export", "--workers", "2", "--out", str(tmp_path)]) == 0
+    fresh = sorted(p.name for p in tmp_path.iterdir())
+    assert fresh == sorted(p.name for p in committed.iterdir())
+    for name in fresh:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
