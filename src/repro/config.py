@@ -596,13 +596,26 @@ class EngineConfig:
             raise ConfigurationError("EngineConfig.max_sim_time_s must be positive")
 
 
+@functools.lru_cache(maxsize=None)
 def yeti_socket_config() -> SocketConfig:
-    """One socket of yeti-2 (Intel Xeon Gold 6130) as described in Table I."""
+    """One socket of yeti-2 (Intel Xeon Gold 6130) as described in Table I.
+
+    One shared instance: the config is frozen, so every caller may hold
+    it, and the memos keyed on config objects see one object.
+    """
     return SocketConfig()
 
 
 def yeti_machine_config(socket_count: int = 4) -> MachineConfig:
-    """The yeti-2 node: four Xeon Gold 6130 sockets, 64 cores total."""
+    """The yeti-2 node: four Xeon Gold 6130 sockets, 64 cores total.
+
+    One shared, validated instance per ``socket_count``.
+    """
+    return _yeti_machine_config(socket_count)
+
+
+@functools.lru_cache(maxsize=None)
+def _yeti_machine_config(socket_count: int) -> MachineConfig:
     cfg = MachineConfig(socket=yeti_socket_config(), socket_count=socket_count)
     cfg.validate()
     return cfg

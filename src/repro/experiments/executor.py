@@ -266,16 +266,17 @@ def spec_key(spec: RunSpec) -> str:
     )
 
 
-def execute_spec(spec: RunSpec) -> ProtocolResult:
+def execute_spec(spec: RunSpec, apps: dict | None = None) -> ProtocolResult:
     """Run one spec to completion (in whichever process this is).
 
     A CPU-only cell runs its repetitions through the engine it names.
     A fault-free cluster cell pools its nodes as batch lanes when they
     reach :data:`CLUSTER_POOL_LANES`, and runs its scalar fleet loops
     otherwise, whatever its ``engine``: both give the same result.
+    ``apps`` is :func:`build_spec_protocol`'s application memo.
     """
     spec.validate()
-    result, engines = build_spec_protocol(spec)
+    result, engines = build_spec_protocol(spec, apps)
     if _poolable(spec) and (
         spec.cluster is None or _pool_lanes(spec) >= CLUSTER_POOL_LANES
     ):
@@ -306,18 +307,30 @@ def _poolable(spec: RunSpec) -> bool:
     return spec.engine == "batch"
 
 
-def build_spec_protocol(spec: RunSpec):
+def build_spec_protocol(spec: RunSpec, apps: dict | None = None):
     """One spec's result shell and unrun repetition engines.
 
     :func:`execute_spec` runs them; the pooled batch path of
     :func:`run_specs` pools the engines of *many* poolable specs into
     one lockstep batch.  A cluster cell builds one application per
     node (:meth:`~repro.cluster.spec.ClusterSpec.app_for`).
+
+    ``apps`` memoizes the catalog builds by ``(name, scale, socket)``.
+    An application is frozen, so the cells sharing the memo share it,
+    and their jittered runs share its phase table.
     """
     from ..workloads.catalog import build_application
 
+    memo = {} if apps is None else apps
+
     def app(name: str):
-        return build_application(name, scale=spec.app_scale, socket=spec.socket)
+        key = (name, spec.app_scale, spec.socket)
+        built = memo.get(key)
+        if built is None:
+            built = memo[key] = build_application(
+                name, scale=spec.app_scale, socket=spec.socket
+            )
+        return built
 
     if spec.cluster is not None:
         application = [
@@ -507,10 +520,10 @@ def _pack(
 # -- in-process cell execution -----------------------------------------
 
 
-def _execute_timed(spec: RunSpec) -> tuple[ProtocolResult, float]:
+def _execute_timed(spec: RunSpec, apps: dict) -> tuple[ProtocolResult, float]:
     """Solo target: the result plus its execution time in seconds."""
     start = time.perf_counter()
-    result = execute_spec(spec)
+    result = execute_spec(spec, apps)
     return result, time.perf_counter() - start
 
 
@@ -530,7 +543,9 @@ def _iter_cells(
     pool (:func:`~repro.cluster.engine.run_pooled`): the repetition
     engines of batch-engined CPU cells, and every node of the cluster
     cells once those fill :data:`CLUSTER_POOL_LANES` lanes (below that
-    they run their scalar fleet loops).  A lone batch cell with no
+    they run their scalar fleet loops).  All cells share one catalog
+    application memo (:func:`build_spec_protocol`), dropped with the
+    generator.  A lone batch cell with no
     cluster cells beside it runs solo.  The remaining cells execute
     solo, lazily, so a caller that writes through to a cache persists
     each cell before the next one starts.  Pooled cells' seconds
@@ -549,6 +564,7 @@ def _iter_cells(
             pool_pos = []
     pooled = set(pool_pos)
     solo_pos = [j for j in range(len(specs)) if j not in pooled]
+    apps: dict = {}
     if pool_pos:
         from ..cluster.engine import run_pooled
 
@@ -556,7 +572,7 @@ def _iter_cells(
         spans = []
         engines = []
         for j in pool_pos:
-            shell, cell_engines = build_spec_protocol(specs[j])
+            shell, cell_engines = build_spec_protocol(specs[j], apps)
             shells.append(shell)
             spans.append((len(engines), len(engines) + len(cell_engines)))
             engines.extend(cell_engines)
@@ -582,7 +598,7 @@ def _iter_cells(
         for j, result, t in zip(pool_pos, folded, ticks):
             yield j, result, batch_wall * t / total_ticks, t
     for j in solo_pos:
-        result, seconds = _execute_timed(specs[j])
+        result, seconds = _execute_timed(specs[j], apps)
         yield j, result, seconds, _solo_ticks(specs[j], result)
 
 

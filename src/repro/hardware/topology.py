@@ -9,6 +9,7 @@ carry stable ids the rest of the library keys on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..config import MachineConfig, SocketConfig, yeti_machine_config
 from ..errors import ConfigurationError
@@ -112,10 +113,16 @@ def build_machine(config: MachineConfig | None = None) -> Machine:
 
     Cores are numbered round-robin across sockets — cpu 0 on socket 0,
     cpu 1 on socket 1, … — matching how the paper binds OpenMP threads
-    ("bound to cores in a round-robin fashion").
+    ("bound to cores in a round-robin fashion").  A machine is frozen,
+    so equal configs share one.
     """
     cfg = config or yeti_machine_config()
     cfg.validate()
+    return _build_machine(cfg)
+
+
+@lru_cache(maxsize=64)
+def _build_machine(cfg: MachineConfig) -> Machine:
     n_sock = cfg.socket_count
     per_sock = cfg.socket.core.count
     sockets = []

@@ -74,6 +74,7 @@ from ..workloads.phase import (
     OVERFETCH as _OV,
     TABLE_ROWS,
     UNCORE as _US,
+    VOLUMES as _VOLUMES,
 )
 from .eligibility import batch_fallback_reason, controller_lane_fallback_reason
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
@@ -94,7 +95,8 @@ _PARKED = np.iinfo(np.int64).max
 
 #: Rows of the per-phase constant tables (see ``_build_lanes``): an
 #: application's :class:`~repro.workloads.phase.PhaseTable` rows plus
-#: the peak rate ``count * fpc``.
+#: the peak rate ``count * fpc``.  A lane's own rows are only the
+#: jittered ``_VOLUMES``; the rest is its base application's.
 _PEAK = TABLE_ROWS
 
 #: Rows of the per-lane operating-point cache (see ``_points``), and
@@ -169,13 +171,15 @@ class _TickColumns:
 
 
 def _phase_spans(
-    names: list[str], ends: np.ndarray, first: int, stop: int
+    names: list[str], ends: np.ndarray, first: int, stop: int, col: int
 ) -> list[PhaseSpan]:
-    """The spans of rows ``first:stop``, each starting where the last ended."""
+    """The spans of rows ``first:stop``, each starting where the last ended.
+
+    Row ``first`` is the phase named ``names[col]``.
+    """
     end = ends[first:stop].tolist()
-    return [
-        PhaseSpan(n, s, e) for n, s, e in zip(names[first:stop], [0.0, *end], end)
-    ]
+    names = names[col : col + stop - first]
+    return [PhaseSpan(n, s, e) for n, s, e in zip(names, [0.0, *end], end)]
 
 
 class BatchSimulationEngine:
@@ -268,12 +272,14 @@ class BatchSimulationEngine:
         The source holds the batch's name list and end-time column, not
         the engine, so a result kept unread keeps no lane state alive.
         """
+        first = int(self._row_first[l])
         return partial(
             _phase_spans,
             self._names,
             self._span_end,
-            int(self._row_first[l]),
+            first,
             int(self.row[l]),
+            first + int(self._col_shift[l]),
         )
 
     # -- setup ----------------------------------------------------------------------
@@ -282,29 +288,42 @@ class BatchSimulationEngine:
         """Mirror every run's objects into the lane arrays.
 
         Each lane's workload comes from its jittered application's
-        phase table, never its ``phases``: the tables are joined into
-        one, and the span names come from the tables' name tuples,
-        which jitter shares with the base application.
+        volume rows (:meth:`~repro.workloads.application.Application.
+        volume_rows`), never its table or ``phases``.  The lanes' volume
+        rows are joined into one table, with a row per lane and phase.
+        Every other phase constant, and the span names, live once per
+        base application, in columns the lanes' rows map onto.
         """
         engines = self.engines
         self.procs = []
         self.run_of_list: list[int] = []
         self.run_lanes: list[list[int]] = []
-        tables: list[np.ndarray] = []
-        names: list[str] = []
+        volumes: list[np.ndarray] = []
         row_first: list[int] = []
         row_end: list[int] = []
+        n_rows = 0
+        # Each distinct base table once: its first column, by identity.
+        base_col: dict[int, int] = {}
+        bases: list[np.ndarray] = []
+        names: list[str] = []
+        col_first: list[int] = []
         for r, (e, ctx) in enumerate(zip(engines, ctxs)):
             lanes = []
             for s, proc in enumerate(e.machine.processors):
                 lanes.append(len(self.procs))
                 self.procs.append(proc)
                 self.run_of_list.append(r)
-                table = ctx.socket_apps[s].table
-                row_first.append(len(names))
-                tables.append(table.values)
-                names.extend(table.names)
-                row_end.append(len(names))
+                base, rows = ctx.socket_apps[s].volume_rows()
+                col = base_col.get(id(base))
+                if col is None:
+                    col = base_col[id(base)] = len(names)
+                    bases.append(base.values)
+                    names.extend(base.names)
+                col_first.append(col)
+                volumes.append(rows)
+                row_first.append(n_rows)
+                n_rows += len(base)
+                row_end.append(n_rows)
             self.run_lanes.append(lanes)
         L = self.L = len(self.procs)
         R = len(engines)
@@ -473,10 +492,12 @@ class BatchSimulationEngine:
             )
 
         # Workload cursor: every lane's phases are consecutive rows of
-        # flat per-phase tables; ``row`` is the lane's current phase and
-        # ``row_end`` one past its last.
+        # the volume table; ``row`` is the lane's current phase and
+        # ``row_end`` one past its last.  Row ``k`` of lane ``l`` is
+        # column ``k + _col_shift[l]`` of the base tables.
         self.row = np.array(row_first, dtype=np.int64)
         self.row_end = np.array(row_end, dtype=np.int64)
+        self._col_shift = np.array(col_first, dtype=np.int64) - self.row
         self._names = names
         self.phase_done = self.row >= self.row_end
         self.unfinished = np.ones(L, dtype=bool)
@@ -487,12 +508,14 @@ class BatchSimulationEngine:
         # so row ``k``'s span ends at ``_span_end[k]`` and starts where
         # row ``k - 1``'s ended (at 0.0 on the lane's first row).
         self._row_first = self.row.copy()
-        self._span_end = np.zeros(len(names), dtype=np.float64)
+        self._span_end = np.zeros(n_rows, dtype=np.float64)
         # The current phase's constants, one row per quantity (the
         # ``cur_*`` names are views), and the matching phase tables: a
-        # crossing gathers every quantity of its next row in one go.
+        # crossing gathers its next row's volumes and its base column's
+        # other quantities.  The bases' own volume rows go unread.
+        self._vol = np.concatenate(volumes, axis=1)
         self._tab = np.empty((_PEAK + 1, len(names)), dtype=np.float64)
-        np.concatenate(tables, axis=1, out=self._tab[:_PEAK])
+        np.concatenate(bases, axis=1, out=self._tab[:_PEAK])
         np.multiply(self.count, self._tab[_FPC], out=self._tab[_PEAK])
         self._cur = np.zeros((_PEAK + 1, L), dtype=np.float64)
         self._cur[[_FPC, _BOOST]] = 1.0
@@ -712,7 +735,8 @@ class BatchSimulationEngine:
 
     def _load_rows(self, lanes: np.ndarray, rows: np.ndarray) -> None:
         """Gather phase-table ``rows`` into the current-phase arrays."""
-        self._cur[:, lanes] = self._tab[:, rows]
+        self._cur[_VOLUMES, lanes] = self._vol[:, rows]
+        self._cur[_FPC:, lanes] = self._tab[_FPC:, rows + self._col_shift[lanes]]
 
     def _refresh_uncore(self) -> None:
         """Resync the uncore terms after controllers may have moved them.
@@ -1173,7 +1197,8 @@ class BatchSimulationEngine:
             if not np.all(rate > 0.0, where=working):
                 l = int((working & ~(rate > 0.0)).nonzero()[0][0])
                 raise SimulationError(
-                    f"phase {self._names[self.row[l]]!r} makes no progress"
+                    f"phase {self._names[self.row[l] + self._col_shift[l]]!r} "
+                    "makes no progress"
                 )
             ttf = (1.0 - self.frac) / rate
             slice_ = np.minimum(rem, np.maximum(ttf, _MIN_SLICE_S))

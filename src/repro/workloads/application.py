@@ -8,7 +8,7 @@ import numpy as np
 
 from ..config import SocketConfig, yeti_socket_config
 from ..errors import WorkloadError
-from .phase import BOOST, IDLENESS, NominalRates, Phase, PhaseTable
+from .phase import BOOST, IDLENESS, VOLUMES, NominalRates, Phase, PhaseTable
 
 __all__ = ["Application"]
 
@@ -22,10 +22,11 @@ class Application:
     sockets see statistically identical work).
 
     Besides ``phases`` an application carries its :attr:`table`, built
-    once.  Applications made by :meth:`from_pattern` and
-    :meth:`jittered` are built from a table and make their ``phases``
-    tuple on first read, so an engine that only reads the table (the
-    batch engine) never builds a :class:`Phase` object.
+    once.  Applications made by :meth:`from_pattern` are built from a
+    table and make their ``phases`` tuple on first read, so an engine
+    that only reads the table (the batch engine) never builds a
+    :class:`Phase` object.  A :meth:`jittered` copy keeps only its
+    draw and builds its table on first read too.
     """
 
     name: str
@@ -38,34 +39,42 @@ class Application:
             raise WorkloadError(f"application {self.name!r} has no phases")
 
     @staticmethod
-    def _from_table(name: str, table: PhaseTable, structure: str) -> "Application":
-        """An application whose ``phases`` are built from ``table`` on read."""
-        if not len(table):
-            raise WorkloadError(f"application {name!r} has no phases")
+    def _built_on_read(name: str, structure: str, attr: str, value) -> "Application":
+        """An application holding ``attr`` that builds the rest on read."""
         app = object.__new__(Application)
         object.__setattr__(app, "name", name)
         object.__setattr__(app, "structure", structure)
-        object.__setattr__(app, "_table", table)
+        object.__setattr__(app, attr, value)
         return app
 
     def __getattr__(self, attr: str):
-        # Normal lookup failed: only the ``phases`` of a table-built
-        # application are missing, and they are built once, here.
-        table = self.__dict__.get("_table")
-        if attr != "phases" or table is None:
+        # Normal lookup failed: the ``phases`` of a table-built
+        # application, or a ``table`` not yet built, are missing; each
+        # is built once, here, and kept.
+        d = self.__dict__
+        if attr == "phases" and ("table" in d or "_jitter" in d):
+            value = self.table.phases()
+        elif attr == "table" and "_jitter" in d:
+            base, volumes = d["_jitter"]
+            value = base.with_volumes(volumes)
+        elif attr == "table" and "phases" in d:
+            value = PhaseTable.of(d["phases"])
+        else:
             raise AttributeError(attr)
-        phases = table.phases()
-        object.__setattr__(self, "phases", phases)
-        return phases
+        object.__setattr__(self, attr, value)
+        return value
 
-    @property
-    def table(self) -> PhaseTable:
-        """The phase table, built from ``phases`` once and cached."""
-        table = self.__dict__.get("_table")
-        if table is None:
-            table = PhaseTable.of(self.phases)
-            object.__setattr__(self, "_table", table)
-        return table
+    def volume_rows(self) -> tuple[PhaseTable, np.ndarray]:
+        """A base table and this application's ``VOLUMES`` rows over it.
+
+        A jittered copy answers with its parent's table and its drawn
+        rows, without building its own table, so every run of one
+        application shares one base.
+        """
+        jitter = self.__dict__.get("_jitter")
+        if jitter is not None:
+            return jitter
+        return self.table, self.table.values[VOLUMES]
 
     @staticmethod
     def from_pattern(
@@ -98,7 +107,10 @@ class Application:
         values = np.concatenate(
             [head.values, np.tile(body.values, iterations), tail.values], axis=1
         )
-        return Application._from_table(name, PhaseTable(names, values), structure)
+        table = PhaseTable(names, values)
+        if not len(table):
+            raise WorkloadError(f"application {name!r} has no phases")
+        return Application._built_on_read(name, structure, "table", table)
 
     @property
     def total_flops(self) -> float:
@@ -120,16 +132,20 @@ class Application:
         ``rng`` is a seeded ``numpy.random.Generator``.  Phase ``i``'s
         volumes scale by ``max(1 + sigma * z[i], 0.2)``, with ``z`` one
         ``standard_normal(n)`` draw: the same values, and the same
-        generator state after, as one scalar draw per phase.  The copy
-        is a phase table, checked like :class:`Phase` checks its
-        fields, and builds its ``phases`` on first read.
+        generator state after, as one scalar draw per phase.  The
+        scaled volumes are checked here, like :class:`Phase` checks
+        its fields.  The copy keeps only them and this application's
+        table (:meth:`volume_rows`), and builds its own ``table`` and
+        ``phases`` on first read.
         """
         if sigma < 0:
             raise WorkloadError("jitter sigma must be non-negative")
         if sigma == 0.0:
             return self
-        table = self.table
-        z = rng.standard_normal(len(table))
-        table = table.scaled(np.maximum(1.0 + sigma * z, 0.2))
-        table.check()
-        return Application._from_table(self.name, table, self.structure)
+        base = self.table
+        z = rng.standard_normal(len(base))
+        volumes = base.values[VOLUMES] * np.maximum(1.0 + sigma * z, 0.2)
+        base.check(volumes)
+        return Application._built_on_read(
+            self.name, self.structure, "_jitter", (base, volumes)
+        )

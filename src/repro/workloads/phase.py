@@ -105,6 +105,8 @@ class Phase:
 #: Rows of a :class:`PhaseTable`, in :class:`Phase` field order.
 FLOPS, BYTES, FPC, LATENCY, UNCORE, OVERFETCH, BOOST, IDLENESS = range(8)
 TABLE_ROWS = 8
+#: The work-volume rows, the only ones jitter changes.
+VOLUMES = slice(FLOPS, BYTES + 1)
 
 
 class PhaseTable:
@@ -112,7 +114,7 @@ class PhaseTable:
 
     ``values`` holds one ``float64`` row per :class:`Phase` constant
     (rows ``FLOPS`` … ``IDLENESS``, in field order), one column per
-    phase.  Jitter makes a new table that shares the names.
+    phase.  Jitter draws new ``VOLUMES`` rows and shares the rest.
     """
 
     __slots__ = ("names", "values")
@@ -153,20 +155,21 @@ class PhaseTable:
             for name, column in zip(self.names, self.values.T.tolist())
         )
 
-    def scaled(self, factors: np.ndarray) -> "PhaseTable":
-        """A copy with phase ``i``'s volumes multiplied by ``factors[i]``."""
+    def with_volumes(self, volumes: np.ndarray) -> "PhaseTable":
+        """A copy whose ``VOLUMES`` rows are ``volumes``."""
         values = self.values.copy()
-        values[FLOPS] *= factors
-        values[BYTES] *= factors
+        values[VOLUMES] = volumes
         return PhaseTable(self.names, values)
 
-    def check(self) -> None:
+    def check(self, volumes: np.ndarray | None = None) -> None:
         """:class:`Phase`'s validity checks over every column at once.
 
-        The first invalid phase's constructor then raises its
-        :class:`WorkloadError`.
+        ``volumes`` checks the table :meth:`with_volumes` would build,
+        without building it.  The first invalid phase's constructor
+        then raises its :class:`WorkloadError`.
         """
-        flops, bytes_, fpc, ls, us, ov, boost, idle = self.values
+        _, _, fpc, ls, us, ov, boost, idle = self.values
+        flops, bytes_ = self.values[VOLUMES] if volumes is None else volumes
         bad = (
             (flops < 0)
             | (bytes_ < 0)
@@ -180,7 +183,12 @@ class PhaseTable:
         )
         if bad.any():
             i = int(bad.argmax())
-            Phase(self.names[i], *self.values[:, i].tolist())
+            Phase(
+                self.names[i],
+                float(flops[i]),
+                float(bytes_[i]),
+                *self.values[FPC:, i].tolist(),
+            )
 
 
 @dataclass

@@ -17,6 +17,7 @@ from repro.workloads import (
 )
 from repro.workloads.phase import (
     BOOST,
+    BYTES,
     FLOPS,
     FPC,
     IDLENESS,
@@ -300,6 +301,93 @@ class TestJitterTables:
         assert len(j.phases) == len(app.phases)
         assert j.phases is j.phases
         assert j.table.names is app.table.names
+
+
+def _parent_jitter(app, rng, sigma):
+    """The former jitter's table values: ``table.scaled(max(1 + σz, 0.2))``."""
+    table = app.table
+    z = rng.standard_normal(len(table))
+    factors = np.maximum(1.0 + sigma * z, 0.2)
+    values = table.values.copy()
+    values[FLOPS] *= factors
+    values[BYTES] *= factors
+    return values, factors
+
+
+class TestJitterVolumeRows:
+    """A jittered copy keeps its draw and builds its table on first read."""
+
+    @pytest.mark.parametrize("name", ["CG", "MG", "LAMMPS"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20220509])
+    @pytest.mark.parametrize("sigma", [0.004, 0.05, 0.5, 3.0])
+    def test_table_and_phases_equal_the_parent_formula(self, name, seed, sigma):
+        app = _catalog_app(name)
+        rng_old = np.random.default_rng(seed)
+        rng_new = np.random.default_rng(seed)
+        values, factors = _parent_jitter(app, rng_old, sigma)
+        j = app.jittered(rng_new, sigma)
+        # The draw left the generator where one standard_normal(n) does.
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert "table" not in vars(j) and "phases" not in vars(j)
+        base, rows = j.volume_rows()
+        assert base is app.table
+        assert rows.tobytes() == values[[FLOPS, BYTES]].tobytes()
+        assert "table" not in vars(j)
+        assert j.table.values.tobytes() == values.tobytes()
+        assert j.table.names is app.table.names
+        assert j.phases == PhaseTable(app.table.names, values).phases()
+        if sigma >= 3.0:
+            clipped = factors == 0.2
+            assert clipped.any() and not clipped.all()
+
+    def test_phases_first_build_the_same_table(self):
+        app = _catalog_app("CG")
+        a = app.jittered(np.random.default_rng(5), 0.05)
+        b = app.jittered(np.random.default_rng(5), 0.05)
+        assert a.phases == b.phases
+        assert a.table.values.tobytes() == b.table.values.tobytes()
+
+    def test_jitter_of_a_jittered_copy_uses_its_table(self):
+        app = _catalog_app("EP")
+        rng_old, rng_new = np.random.default_rng(2), np.random.default_rng(2)
+        once, _ = _parent_jitter(app, rng_old, 0.1)
+        z = rng_old.standard_normal(once.shape[1])
+        factors = np.maximum(1.0 + 0.1 * z, 0.2)
+        once[FLOPS] *= factors
+        once[BYTES] *= factors
+        twice = app.jittered(rng_new, 0.1).jittered(rng_new, 0.1)
+        assert twice.table.values.tobytes() == once.tobytes()
+
+    def test_invalid_volume_raises_from_the_call(self, monkeypatch):
+        """The check runs in ``jittered``, not when the table is read."""
+        tiny = Phase("tiny", flops=5e-324, bytes=0.0, fpc=1.0)
+        app = Application("A", phases=(Phase("ok", 1.0, 1.0, 1.0), tiny))
+        seed = next(
+            s
+            for s in range(100)
+            if (np.random.default_rng(s).standard_normal(2) < 0.0).all()
+        )
+        built = []
+        monkeypatch.setattr(
+            PhaseTable, "with_volumes", lambda *a: built.append(a)
+        )
+        values, _ = _parent_jitter(app, np.random.default_rng(seed), 1e6)
+        with pytest.raises(WorkloadError) as parent:
+            PhaseTable(app.table.names, values).check()
+        with pytest.raises(WorkloadError) as vector:
+            app.jittered(np.random.default_rng(seed), 1e6)
+        assert str(vector.value) == str(parent.value)
+        assert built == []
+
+    def test_pickled_copy_keeps_its_draw(self):
+        import pickle
+
+        app = _catalog_app("FT")
+        j = app.jittered(np.random.default_rng(4), 0.02)
+        back = pickle.loads(pickle.dumps(j))
+        assert "table" not in vars(back)
+        assert back.table.values.tobytes() == j.table.values.tobytes()
+        assert back == j
 
 
 class TestFromPatternDefect:
