@@ -611,6 +611,114 @@ def _run_shard(
     return os.getpid(), time.perf_counter() - t0, cells
 
 
+#: Per shard, the pid of the worker that started it (0: not started).
+#: Set in each worker by :func:`_note_starts`.
+_STARTED = None
+
+
+def _note_starts(started) -> None:
+    """Pool initializer: share the start table with this worker."""
+    global _STARTED
+    _STARTED = started
+
+
+def _start_shard(si: int, specs: list[RunSpec]):
+    """Pool target: mark shard ``si`` started, then run it."""
+    _STARTED[si] = os.getpid()
+    return _run_shard(specs)
+
+
+def _run_sharded(shards: list[list[RunSpec]], size: int, finish) -> None:
+    """Run ``shards`` on a pool of ``size`` workers, calling ``finish``.
+
+    ``finish(si, pid, seconds, cells)`` runs as each shard returns.  A
+    shard that raises costs only itself: the others still finish, then
+    its error is re-raised.
+
+    A worker that dies (OOM kill, segfault, ``os._exit``) breaks the
+    pool, and every shard it had not returned fails with it.  Those
+    shards are resubmitted once, to a fresh pool of the same size.
+    The ones that never started run side by side.  Each one that was
+    running when the pool broke is a suspect and runs alone, so a
+    shard that breaks a pool again is named: it raises
+    :class:`ExperimentError` with its cells and its worker's exit
+    status, once every other shard has finished.  A pool broken in the
+    retry is replaced for the shards still to run, so no shard is
+    submitted more than twice, and at most ``size`` workers live at
+    any time.
+    """
+    # Imported here: the pool machinery (multiprocessing, logging,
+    # sockets) costs memory and start-up that serial runs never use.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import RawArray
+
+    started = RawArray("q", len(shards))
+    failure: BaseException | None = None
+    pool = None
+
+    def run(indices) -> tuple[list[int], dict[int, int | None]]:
+        """Run shards side by side; those a broken pool lost, and the
+        pool's worker exit statuses by pid."""
+        nonlocal pool, failure
+        if pool is None:
+            pool = ProcessPoolExecutor(
+                size, initializer=_note_starts, initargs=(started,)
+            )
+        futures = {pool.submit(_start_shard, si, shards[si]): si for si in indices}
+        lost = []
+        for fut in as_completed(futures):
+            si = futures[fut]
+            try:
+                pid, shard_wall, cells = fut.result()
+            except BrokenProcessPool:
+                lost.append(si)
+                continue
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+                continue
+            finish(si, pid, shard_wall, cells)
+        if not lost:
+            return [], {}
+        workers = pool._processes
+        pool.shutdown()  # joins the broken pool's workers
+        pool = None
+        return sorted(lost), {pid: p.exitcode for pid, p in workers.items()}
+
+    try:
+        lost, _ = run(range(len(shards)))
+        suspects = [si for si in lost if started[si]]
+        rounds = [[si for si in lost if not started[si]]] + [[si] for si in suspects]
+        for batch in rounds:
+            if not batch:
+                continue
+            for si in batch:
+                started[si] = 0
+            again, status = run(batch)
+            if again and failure is None:
+                cells = ", ".join(s.display for si in again for s in shards[si])
+                codes = sorted(
+                    {str(status.get(started[si])) for si in again if started[si]}
+                )
+                failure = ExperimentError(
+                    f"a worker process died (exit status "
+                    f"{', '.join(codes) or 'unknown'}) running cells {cells} "
+                    f"{'alone' if len(batch) == 1 else 'side by side'}, "
+                    "after one resubmission"
+                )
+    except BaseException:
+        # Ctrl-C / fatal error: drop queued shards, keep what the
+        # write-through already persisted.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool is not None:
+        pool.shutdown()
+    if failure is not None:
+        raise failure
+
+
 # -- reporting ---------------------------------------------------------
 
 
@@ -756,7 +864,8 @@ def run_specs(
 
     If a shard fails, every *other* shard still completes and writes
     through before the first failure is re-raised — a transient crash
-    costs one shard's work, not the sweep's.
+    costs one shard's work, not the sweep's.  A worker process that
+    dies costs one shard too (:func:`_run_sharded`).
     """
     if workers < 1:
         raise ExperimentError("need at least one worker")
@@ -797,50 +906,28 @@ def run_specs(
     else:
         pend_specs = [specs[i] for i in pending]
         shards = plan_shards(pend_specs, workers=workers, shard_size=shard_size)
-        # Imported here: the pool machinery (multiprocessing, logging,
-        # sockets) costs memory and start-up that serial runs never use.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        failure: BaseException | None = None
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)))
-        try:
-            futures = {
-                pool.submit(
-                    _run_shard, [pend_specs[j] for j in shard]
-                ): (si, shard)
-                for si, shard in enumerate(shards)
-            }
-            for fut in as_completed(futures):
-                si, shard = futures[fut]
-                try:
-                    pid, shard_wall, cells = fut.result()
-                except Exception as exc:
-                    if failure is None:
-                        failure = exc
-                    continue
-                # Write-through: this shard's cells persist now, not
-                # after the pool drains.
-                for j, result, seconds, ticks in cells:
-                    finish_cell(pending[shard[j]], result, seconds, ticks)
-                shard_reports.append(
-                    ShardReport(
-                        index=si,
-                        cells=len(shard),
-                        est_ticks=sum(
-                            estimate_spec_ticks(pend_specs[j]) for j in shard
-                        ),
-                        seconds=shard_wall,
-                        pid=pid,
-                    )
+        def finish_shard(si: int, pid: int, shard_wall: float, cells) -> None:
+            shard = shards[si]
+            # Write-through: this shard's cells persist now, not after
+            # the pool drains.
+            for j, result, seconds, ticks in cells:
+                finish_cell(pending[shard[j]], result, seconds, ticks)
+            shard_reports.append(
+                ShardReport(
+                    index=si,
+                    cells=len(shard),
+                    est_ticks=sum(estimate_spec_ticks(pend_specs[j]) for j in shard),
+                    seconds=shard_wall,
+                    pid=pid,
                 )
-        except BaseException:
-            # Ctrl-C / fatal error: drop queued shards, keep what the
-            # write-through already persisted.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown()
-        if failure is not None:
-            raise failure
+            )
+
+        _run_sharded(
+            [[pend_specs[j] for j in shard] for shard in shards],
+            min(workers, len(shards)),
+            finish_shard,
+        )
 
     summary = ExecutionSummary(
         workers=workers,

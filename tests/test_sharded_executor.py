@@ -10,6 +10,7 @@ the pool drains, and the compressed log-structured cache round-trips
 with transparent legacy reads.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -21,6 +22,7 @@ import pytest
 from repro.cluster.spec import ClusterSpec
 from repro.config import NoiseConfig
 from repro.errors import ExperimentError
+from repro.experiments import executor
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import (
     SHARD_OVERSUBSCRIPTION,
@@ -319,6 +321,41 @@ class TestWriteThrough:
             )
         _, summary = run_specs(specs, workers=1, cache=cache)
         assert summary.hits == len(specs)
+
+
+class TestWorkerCrash:
+    """A worker process that dies costs one shard and a typed error."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the workers must inherit the patched shard runner",
+    )
+    def test_killed_worker_costs_one_shard(self, tmp_path, monkeypatch):
+        run_shard = executor._run_shard
+
+        def crashing(specs):
+            if any(s.app_name == "EP" for s in specs):
+                os._exit(9)
+            return run_shard(specs)
+
+        monkeypatch.setattr(executor, "_run_shard", crashing)
+        specs = [
+            small_spec(app_name=app, runs=1, app_scale=0.02, label=f"{app}/duf")
+            for app in ("CG", "EP", "MG", "FT")
+        ]
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ExperimentError) as excinfo:
+            run_specs(specs, workers=2, shard_size=1, cache=cache)
+        message = str(excinfo.value)
+        assert "EP/duf alone" in message and "exit status 9" in message
+        assert not any(f"{app}/duf" in message for app in ("CG", "MG", "FT"))
+        assert [spec_key(s) in cache for s in specs] == [True, False, True, True]
+
+        monkeypatch.undo()
+        warm, summary = run_specs(specs, workers=2, shard_size=1, cache=cache)
+        assert (summary.hits, summary.executed) == (3, 1)
+        oracle, _ = run_specs(specs, workers=1)
+        assert [w.times_s for w in warm] == [o.times_s for o in oracle]
 
 
 #: A hetero grid sized for tier-1: one app, two split policies.
