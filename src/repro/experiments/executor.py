@@ -681,6 +681,8 @@ def _run_sharded(shards: list[list[RunSpec]], size: int, finish) -> None:
             finish(si, pid, shard_wall, cells)
         if not lost:
             return [], {}
+        # The pool's own table of its workers: the only place their
+        # exit statuses are kept.
         workers = pool._processes
         pool.shutdown()  # joins the broken pool's workers
         pool = None
@@ -688,11 +690,9 @@ def _run_sharded(shards: list[list[RunSpec]], size: int, finish) -> None:
 
     try:
         lost, _ = run(range(len(shards)))
-        suspects = [si for si in lost if started[si]]
-        rounds = [[si for si in lost if not started[si]]] + [[si] for si in suspects]
-        for batch in rounds:
-            if not batch:
-                continue
+        unstarted = [si for si in lost if not started[si]]
+        suspects = [[si] for si in lost if started[si]]
+        for batch in filter(None, [unstarted, *suspects]):
             for si in batch:
                 started[si] = 0
             again, status = run(batch)
