@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -123,9 +124,10 @@ class CapActuator:
 class CapLanes:
     """Lane-parallel mirror of :class:`CapActuator`.
 
-    Operates directly on the batch engine's latched-limit and pending-
-    write arrays: every action stages a *pending* RAPL write (value,
-    window, due time), exactly like the scalar actuator's
+    Operates directly on the batch engine's latched-limit arrays: every
+    action stages a *pending* RAPL write through ``stage(idx, pl1 W,
+    pl1 window, pl2 W, pl2 window)``, which the engine makes due after
+    the actuation delay, exactly like the scalar actuator's
     ``set_limits`` path — the cap the decisions read (``pl1_w``) only
     moves when the batch physics latches the pending write.
 
@@ -137,30 +139,18 @@ class CapLanes:
     order, so a lane written twice in one tick keeps the last write —
     the same overwrite semantics as the single pending slot in
     :class:`~repro.hardware.rapl.RAPL`.
-
-    ``wrote_pending`` flags that some lane staged a write, so the batch
-    engine re-arms its pending-latch scan.
     """
 
     __slots__ = (
         "pl1_w",
         "_pl1_win",
         "_pl2_win",
-        "_rapl_now",
-        "_pend_due",
-        "_pend1_w",
-        "_pend1_win",
-        "_pend2_w",
-        "_pend2_win",
+        "_stage",
         "_step_w",
         "_floor_w",
         "default_w",
-        "_default_pl2_w",
-        "_default_win1",
-        "_default_win2",
-        "_delay_s",
+        "_defaults",
         "just_reset",
-        "wrote_pending",
     )
 
     def __init__(
@@ -169,61 +159,32 @@ class CapLanes:
         pl1_w: np.ndarray,
         pl1_win: np.ndarray,
         pl2_win: np.ndarray,
-        rapl_now: np.ndarray,
-        pend_due: np.ndarray,
-        pend1_w: np.ndarray,
-        pend1_win: np.ndarray,
-        pend2_w: np.ndarray,
-        pend2_win: np.ndarray,
+        stage: Callable[..., None],
         step_w: np.ndarray,
         floor_w: np.ndarray,
         default_w: float,
         default_pl2_w: float,
         default_win1: float,
         default_win2: float,
-        delay_s: float,
     ):
         self.pl1_w = pl1_w
         self._pl1_win = pl1_win
         self._pl2_win = pl2_win
-        self._rapl_now = rapl_now
-        self._pend_due = pend_due
-        self._pend1_w = pend1_w
-        self._pend1_win = pend1_win
-        self._pend2_w = pend2_w
-        self._pend2_win = pend2_win
+        self._stage = stage
         self._step_w = np.asarray(step_w, dtype=float)
         self._floor_w = np.asarray(floor_w, dtype=float)
         self.default_w = default_w
-        self._default_pl2_w = default_pl2_w
-        self._default_win1 = default_win1
-        self._default_win2 = default_win2
-        self._delay_s = delay_s
+        self._defaults = (default_w, default_win1, default_pl2_w, default_win2)
         self.just_reset = np.zeros(len(self._step_w), dtype=bool)
-        self.wrote_pending = False
 
     def _write_tied(self, idx: np.ndarray, new_w: np.ndarray) -> None:
         """Stage PL1 = PL2 = quantized ``new_w``, current windows."""
-        if len(idx) == 0:
-            return
         q = np.rint(new_w / MICRO) * MICRO
-        self._pend_due[idx] = self._rapl_now[idx] + self._delay_s
-        self._pend1_w[idx] = q
-        self._pend1_win[idx] = self._pl1_win[idx]
-        self._pend2_w[idx] = q
-        self._pend2_win[idx] = self._pl2_win[idx]
-        self.wrote_pending = True
+        self._stage(idx, q, self._pl1_win[idx], q, self._pl2_win[idx])
 
     def _write_defaults(self, idx: np.ndarray) -> None:
         """Stage the architecture-default limits and windows."""
-        if len(idx) == 0:
-            return
-        self._pend_due[idx] = self._rapl_now[idx] + self._delay_s
-        self._pend1_w[idx] = self.default_w
-        self._pend1_win[idx] = self._default_win1
-        self._pend2_w[idx] = self._default_pl2_w
-        self._pend2_win[idx] = self._default_win2
-        self.wrote_pending = True
+        self._stage(idx, *self._defaults)
 
     def decrease(self, idx: np.ndarray) -> np.ndarray:
         """Lower one step (floored), tied; ``False`` marks floored lanes."""

@@ -115,6 +115,11 @@ class PStateDriver:
         self._last_freq = (gov, ctl, clamp, freq)
         return freq
 
+    @property
+    def requested_hz(self) -> float:
+        """The clock the governor requests, before the ceilings."""
+        return self.governor.requested_freq(self.config)
+
     def set_rapl_clamp(self, freq_hz: float) -> None:
         """RAPL limiter entry point; clamped to the P-state range."""
         cfg = self.config

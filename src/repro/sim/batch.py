@@ -78,6 +78,7 @@ from ..workloads.phase import (
 )
 from .eligibility import batch_fallback_reason, controller_lane_fallback_reason
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
+from .lane_mirror import FIELDS, THERMAL_FIELDS, stage_write, staged_write
 from .result import PhaseSpan, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,8 +124,9 @@ class _TickColumns:
     """The lane-parallel tick logs of one batch, as columns.
 
     Each due tick form appends one record of arrays: the tick time,
-    the lanes, the latched PL1 limit, the logged uncore clock, the
-    phase-change flags and the ``int8`` action codes (see
+    the lanes (``int32``: a batch holds far fewer than 2**31), the
+    latched PL1 limit, the logged uncore clock, the phase-change flags
+    and the ``int8`` action codes (see
     :data:`~repro.core.duf.LANE_ACTIONS`).  :meth:`entries` builds one
     lane's :class:`TickLog` list when a controller's ``ticks`` is first
     read.
@@ -168,6 +170,20 @@ class _TickColumns:
                 unc_act[lo:hi].tolist(),
             )
         ]
+
+
+def _stage(pend, rapl_now, delay_s, lanes, pl1_w, pl1_win, pl2_w, pl2_win):
+    """Stage a RAPL write on ``lanes`` of the ``pend`` block, due after
+    the actuation delay, replacing any write staged there, as
+    ``RAPLPackage.set_limits`` does."""
+    if len(lanes) == 0:
+        return
+    due, w1, win1, w2, win2 = pend
+    due[lanes] = rapl_now[lanes] + delay_s
+    w1[lanes] = pl1_w
+    win1[lanes] = pl1_win
+    w2[lanes] = pl2_w
+    win2[lanes] = pl2_win
 
 
 def _phase_spans(
@@ -391,25 +407,57 @@ class BatchSimulationEngine:
         self._u1 = 1.0 - self.u0
 
         z = lambda: np.zeros(L, dtype=np.float64)  # noqa: E731
+        # What a step integrates over ``dt_l``: retired flops and bytes,
+        # package and DRAM energy (the point's first rows, in order),
+        # APERF and MPERF (``_cyc``'s rows), then the RAPL and processor
+        # clocks, which advance by ``dt_l``.
+        self._acc = np.zeros((8, L), dtype=np.float64)
+        (
+            self.flops_ret,
+            self.bytes_trans,
+            self.e_pkg,
+            self.e_dram,
+            self.aperf,
+            self.mperf,
+            self.rapl_now,
+            self.proc_now,
+        ) = self._acc
+        # The RAPL windowed averages and windows, one row per limit.
+        self._avg = np.zeros((2, L), dtype=np.float64)
+        self.avg1, self.avg2 = self._avg
+        self._win = np.zeros((2, L), dtype=np.float64)
+        self.pl1_win, self.pl2_win = self._win
+        # The staged RAPL write, in ``staged_write`` order; none is
+        # staged while ``pend_due`` is +inf.
+        self._pend = np.zeros((5, L), dtype=np.float64)
+        self._pend[0] = np.inf
+        (
+            self.pend_due,
+            self.pend1_w,
+            self.pend1_win,
+            self.pend2_w,
+            self.pend2_win,
+        ) = self._pend
+        # Cap and fleet writes stage here; the partial holds the arrays,
+        # not the engine, so the lane controllers form no cycle with it.
+        self._stage = partial(
+            _stage, self._pend, self.rapl_now, cfg.rapl.actuation_delay_s
+        )
         # Hardware state mirrored from the freshly built objects (the
-        # controller attach hooks may already have actuated).
-        self.req = np.array(
-            [p.dvfs.governor.requested_freq(core) for p in self.procs]
-        )
-        self.ctl = np.array([p.dvfs.perf_ctl_ceiling_hz for p in self.procs])
-        self.clamp = np.array([p.dvfs.rapl_clamp_hz for p in self.procs])
-        self.ufreq = np.array([p.uncore._freq_hz for p in self.procs])
-        self.win_lo = np.array([p.uncore.window_lo_hz for p in self.procs])
-        self.win_hi = np.array([p.uncore.window_hi_hz for p in self.procs])
-        self.demand = np.array(
-            [p.uncore.governor._current_demand for p in self.procs]
-        )
-        gov = [p.uncore.governor for p in self.procs]
-        self.g_sat = np.array([g.saturation_util for g in gov])
-        self.g_floor = np.array([g.busy_floor for g in gov])
-        self.g_thresh = np.array([g.busy_threshold for g in gov])
-        self.g_resp = np.array([g.response for g in gov])
-        self.sharpness = np.array([p.perf.overlap_sharpness for p in self.procs])
+        # controller attach hooks may already have actuated): rows of
+        # the blocks above fill in place, other fields get an array.
+        self._mirror = FIELDS + THERMAL_FIELDS if self.has_thermal else FIELDS
+        for f in self._mirror:
+            values = [f.read(p) for p in self.procs]
+            row = self.__dict__.get(f.lane)
+            if row is None:
+                setattr(self, f.lane, np.array(values))
+            else:
+                row[:] = values
+        for l, p in enumerate(self.procs):
+            staged = staged_write(p)
+            if staged is not None:
+                self._pend[:, l] = staged
         # Each lane's operating point (see ``_points``): the rates and
         # power of its last computed (core clock, uncore clock, phase
         # row, working) key, one row per quantity.  The clocks are kept
@@ -441,55 +489,6 @@ class BatchSimulationEngine:
         self._u_hz = np.full(L, np.nan)
         self._u_coef = z()
         self._all_active = True
-
-        self.pl1_w = np.array([p.rapl.pl1.limit_w for p in self.procs])
-        self.pl1_en = np.array([p.rapl.pl1.enabled for p in self.procs])
-        self.pl2_w = np.array([p.rapl.pl2.limit_w for p in self.procs])
-        # The RAPL windows, one row per limit.
-        self._win = np.array(
-            [[p.rapl.pl1.window_s, p.rapl.pl2.window_s] for p in self.procs]
-        ).T.copy()
-        self.pl1_win, self.pl2_win = self._win
-        self.pl2_en = np.array([p.rapl.pl2.enabled for p in self.procs])
-        # The RAPL windowed averages, one row per window.
-        self._avg = np.array(
-            [[p.rapl._avg_pl1_w, p.rapl._avg_pl2_w] for p in self.procs]
-        ).T.copy()
-        self.avg1, self.avg2 = self._avg
-        # What a step integrates over ``dt_l``: retired flops and bytes,
-        # package and DRAM energy (the point's first rows, in order),
-        # APERF and MPERF (``_cyc``'s rows), then the RAPL and processor
-        # clocks, which advance by ``dt_l``.
-        self._acc = np.zeros((8, L), dtype=np.float64)
-        self._acc[2] = [p.rapl.package._energy_j for p in self.procs]
-        self._acc[3] = [p.rapl.dram._energy_j for p in self.procs]
-        self._acc[6] = [p.rapl._now_s for p in self.procs]
-        (
-            self.flops_ret,
-            self.bytes_trans,
-            self.e_pkg,
-            self.e_dram,
-            self.aperf,
-            self.mperf,
-            self.rapl_now,
-            self.proc_now,
-        ) = self._acc
-        self.pend_due = np.full(L, np.inf)
-        self.pend1_w, self.pend1_win = z(), z()
-        self.pend2_w, self.pend2_win = z(), z()
-        for l, p in enumerate(self.procs):
-            if p.rapl._pending is not None:
-                due, pl1, pl2 = p.rapl._pending
-                self.pend_due[l] = due
-                self.pend1_w[l], self.pend1_win[l] = pl1.limit_w, pl1.window_s
-                self.pend2_w[l], self.pend2_win[l] = pl2.limit_w, pl2.window_s
-        if self.has_thermal:
-            self.temp = np.array(
-                [p.thermal.temperature_c for p in self.procs]
-            )
-            self.prochot = np.array(
-                [p.thermal.prochot for p in self.procs], dtype=bool
-            )
 
         # Workload cursor: every lane's phases are consecutive rows of
         # the volume table; ``row`` is the lane's current phase and
@@ -538,7 +537,6 @@ class BatchSimulationEngine:
 
         # Scalar flags guarding rarely-needed kernel blocks.
         self._any_pending = bool(np.isfinite(self.pend_due).any())
-        self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
         self._tracing = True
         # Fleet rounds bid the last step's package power: ``_loop``
         # keeps ``st_pkg`` while a fleet can still round.
@@ -548,9 +546,6 @@ class BatchSimulationEngine:
         # MPERF reference clock: the rates APERF and MPERF count.
         self._cyc = np.empty((2, L), dtype=np.float64)
         self._eff = self._cyc[0]
-        self._eff[:] = self._csnap(
-            np.minimum(np.minimum(self.req, self.ctl), self.clamp)
-        )
         self._cyc[1] = self.base_hz
         # The grid point of each lane's clamp (-1: the floor; -2: not
         # yet resolved, so the first step resolves every lane's), and
@@ -558,14 +553,15 @@ class BatchSimulationEngine:
         self._k = np.full(L, -2)
         self._low = np.ones(L, dtype=bool)
         self._any_low = True
-        self._refresh_uncore()
         # EMA factors for the common ``dt_l == dt`` slice, one row per
         # RAPL window; lanes with a partial slice are patched
         # per-element (see ``_ema_alphas``).
         # ``_alpha_win`` holds the windows they were computed for.
         self._alpha = np.zeros((2, L), dtype=np.float64)
         self._alpha_win = np.full((2, L), np.nan)
-        self._refresh_alpha()
+        # Everything else derived from the mirrored fields, as after a
+        # gather.
+        self._after_gather()
         if self.has_thermal:
             self._alpha_th_arr = np.full(
                 L, 1.0 - math.exp(-self.dt / self.th_tau)
@@ -699,19 +695,13 @@ class BatchSimulationEngine:
                 pl1_w=self.pl1_w,
                 pl1_win=self.pl1_win,
                 pl2_win=self.pl2_win,
-                rapl_now=self.rapl_now,
-                pend_due=self.pend_due,
-                pend1_w=self.pend1_w,
-                pend1_win=self.pend1_win,
-                pend2_w=self.pend2_w,
-                pend2_win=self.pend2_win,
+                stage=self._stage,
                 step_w=cfg_arr("cap_step_w"),
                 floor_w=cfg_arr("cap_floor_w"),
                 default_w=rc.pl1_default_w,
                 default_pl2_w=rc.pl2_default_w,
                 default_win1=rc.pl1_window_s,
                 default_win2=rc.pl2_window_s,
-                delay_s=rc.actuation_delay_s,
             ),
             cap_flops=SlowdownLanes(tol, err),
             cap_bw=SlowdownLanes(tol, err),
@@ -893,7 +883,6 @@ class BatchSimulationEngine:
             [pkg[l] for l in self.run_lanes[r]] if alive[r] else None
             for r in runs
         ]
-        delay = self.socket_cfg.rapl.actuation_delay_s
         for r, per_socket_w in zip(runs, fleet.round(tick, power)):
             if per_socket_w is None:
                 continue
@@ -903,11 +892,8 @@ class BatchSimulationEngine:
             lanes = self.run_lanes[r]
             for l in lanes:
                 self.procs[l].rapl.check_limits(per_socket_w, per_socket_w)
-            self.pend_due[lanes] = self.rapl_now[lanes] + delay
-            self.pend1_w[lanes] = per_socket_w
-            self.pend1_win[lanes] = self.pl1_win[lanes]
-            self.pend2_w[lanes] = per_socket_w
-            self.pend2_win[lanes] = self.pl2_win[lanes]
+            w = per_socket_w
+            self._stage(lanes, w, self.pl1_win[lanes], w, self.pl2_win[lanes])
             self._any_pending = True
 
     def _write_objects(self, r: int, per_socket_w: float) -> None:
@@ -1060,13 +1046,12 @@ class BatchSimulationEngine:
 
         # Cache maintenance the scalar path performs via ``_gather`` /
         # ``_after_gather``: staged cap writes re-arm the pending-latch
-        # scan; moved uncore pins refresh their lanes' uncore terms
-        # (their operating points miss on the clock).  Only ``_clocks``
-        # moves the RAPL clamp and only ``_gather`` moves ``perf_ctl``,
-        # so the effective clock (``_eff``) stays valid.
-        if st.cap.wrote_pending:
-            st.cap.wrote_pending = False
-            self._any_pending = True
+        # scan (off, it saw no other write staged); moved uncore pins
+        # refresh their lanes' uncore terms (their operating points miss
+        # on the clock).  Only ``_clocks`` moves the RAPL clamp and only
+        # ``_gather`` moves ``perf_ctl``, so ``_eff`` stays valid.
+        if not self._any_pending:
+            self._any_pending = bool(np.isfinite(self.pend_due[idx]).any())
         self._refresh_uncore()
 
     def _noise_draws(self, runs: np.ndarray, need: np.ndarray) -> np.ndarray:
@@ -1118,8 +1103,9 @@ class BatchSimulationEngine:
         """
         if cap_act is None:
             cap_act = np.full(len(idx), LANE_HOLD, dtype=np.int8)
+        lanes = idx.astype(np.int32)
         self._tick_log.records.append(
-            (now, idx, self.pl1_w[idx], uncore[idx], changed, cap_act, unc_act)
+            (now, lanes, self.pl1_w[idx], uncore[idx], changed, cap_act, unc_act)
         )
 
     def _sync_lane_controllers(self, r: int, ctx: RunContext) -> None:
@@ -1710,72 +1696,30 @@ class BatchSimulationEngine:
         the PAPI counters, RAPL limits/pending/energy, MSR read hooks
         (APERF/MPERF, uncore status, effective frequency), thermals.
         """
-        from ..hardware.rapl import PowerLimit
-
-        for l in self.run_lanes[r]:
-            p = self.procs[l]
-            p.flops_retired = self.flops_ret.item(l)
-            p.bytes_transferred = self.bytes_trans.item(l)
-            p.now_s = self.proc_now.item(l)
-            d = p.dvfs
-            d._aperf_cycles = self.aperf.item(l)
-            d._mperf_cycles = self.mperf.item(l)
-            d.rapl_clamp_hz = self.clamp.item(l)
-            p.uncore._freq_hz = self.ufreq.item(l)
-            ra = p.rapl
-            ra._now_s = self.rapl_now.item(l)
-            ra.pl1.limit_w = self.pl1_w.item(l)
-            ra.pl1.window_s = self.pl1_win.item(l)
-            ra.pl1.enabled = self.pl1_en.item(l)
-            ra.pl2.limit_w = self.pl2_w.item(l)
-            ra.pl2.window_s = self.pl2_win.item(l)
-            ra.pl2.enabled = self.pl2_en.item(l)
-            ra._avg_pl1_w = self.avg1.item(l)
-            ra._avg_pl2_w = self.avg2.item(l)
-            ra.package._energy_j = self.e_pkg.item(l)
-            ra.dram._energy_j = self.e_dram.item(l)
-            due = self.pend_due.item(l)
-            if math.isfinite(due):
-                ra._pending = (
-                    due,
-                    PowerLimit(
-                        self.pend1_w.item(l), self.pend1_win.item(l)
-                    ),
-                    PowerLimit(
-                        self.pend2_w.item(l), self.pend2_win.item(l)
-                    ),
-                )
-            else:
-                ra._pending = None
-            if self.has_thermal:
-                p.thermal.temperature_c = self.temp.item(l)
-                p.thermal.prochot = self.prochot.item(l)
+        procs, lanes = self.procs, self.run_lanes[r]
+        for f in self._mirror:
+            if f.scatter:
+                arr = getattr(self, f.lane)
+                for l in lanes:
+                    f.write(procs[l], arr.item(l))
+        for l in lanes:
+            stage_write(procs[l], *self._pend[:, l].tolist())
 
     def _gather(self, r: int) -> None:
         """Read back everything the controllers may have actuated."""
-        for l in self.run_lanes[r]:
-            p = self.procs[l]
-            self.ctl[l] = p.dvfs.perf_ctl_ceiling_hz
-            u = p.uncore
-            self.ufreq[l] = u._freq_hz
-            self.win_lo[l] = u.window_lo_hz
-            self.win_hi[l] = u.window_hi_hz
-            ra = p.rapl
-            self.pl1_w[l] = ra.pl1.limit_w
-            self.pl1_win[l] = ra.pl1.window_s
-            self.pl1_en[l] = ra.pl1.enabled
-            self.pl2_w[l] = ra.pl2.limit_w
-            self.pl2_win[l] = ra.pl2.window_s
-            self.pl2_en[l] = ra.pl2.enabled
-            if ra._pending is not None:
-                due, pl1, pl2 = ra._pending
-                self.pend_due[l] = due
-                self.pend1_w[l], self.pend1_win[l] = pl1.limit_w, pl1.window_s
-                self.pend2_w[l], self.pend2_win[l] = pl2.limit_w, pl2.window_s
+        procs, lanes = self.procs, self.run_lanes[r]
+        for f in self._mirror:
+            if f.gather:
+                arr = getattr(self, f.lane)
+                for l in lanes:
+                    arr[l] = f.read(procs[l])
+        # A tick stages writes but never clears one: only the RAPL
+        # step latches a write, and the lanes step in its place.
+        for l in lanes:
+            staged = staged_write(procs[l])
+            if staged is not None:
+                self._pend[:, l] = staged
                 self._any_pending = True
-            else:
-                self.pend_due[l] = np.inf
-        self._refresh_alpha()
 
     def _after_gather(self) -> None:
         """Batch-wide refreshes after a group of ``_gather`` calls.
@@ -1784,6 +1728,7 @@ class BatchSimulationEngine:
         synced replaces a pass per run.
         """
         self._all_en = bool(self.pl1_en.all() and self.pl2_en.all())
+        self._refresh_alpha()
         self._refresh_uncore()
         # ``perf_ctl`` may have moved.
         self._eff[:] = self._csnap(

@@ -20,9 +20,11 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -736,6 +738,162 @@ def test_point_cache_recomputes_exactly_the_moved_lanes(monkeypatch):
         pnorms.clear()
         _tick_to(batch, 42)
         assert rows == [] and pnorms == []
+
+
+# ------------------------------------------------------------ object mirror
+#
+# ``repro.sim.lane_mirror.FIELDS`` is the one statement of which
+# processor attribute each lane array mirrors; ``_build_lanes``,
+# ``_scatter`` and ``_gather`` iterate it (docs/BATCHING.md, "Lanes and
+# their objects").
+
+#: Float and bool state of a batchable processor that no lane mirrors:
+#: config constants the kernels take from the ``SocketConfig``, and the
+#: last step's activity and traffic, which the lanes keep in their
+#: operating-point cache and nothing reads after a run.
+UNMIRRORED = {
+    "_prev_activity",
+    "_prev_traffic",
+    "rapl.pl1.clamping",
+    "rapl.pl2.clamping",
+    "rapl.package.energy_unit_j",
+    "rapl.dram.energy_unit_j",
+    "perf.balance_band",
+}
+
+#: The private hardware attributes the three mirror sites read.
+MIRRORED_PRIVATE = (
+    "_freq_hz",
+    "_current_demand",
+    "_avg_pl1_w",
+    "_avg_pl2_w",
+    "_energy_j",
+    "_now_s",
+    "_pending",
+    "_aperf_cycles",
+    "_mperf_cycles",
+)
+
+
+def _hardware_state(proc) -> dict:
+    """Every float and bool dataclass field of ``proc``'s hardware
+    objects, by dotted path, plus the staged RAPL write."""
+    state = {"rapl._pending": proc.rapl._pending}
+    for path in (
+        "",
+        "dvfs",
+        "uncore",
+        "uncore.governor",
+        "rapl",
+        "rapl.pl1",
+        "rapl.pl2",
+        "rapl.package",
+        "rapl.dram",
+        "perf",
+        "thermal",
+    ):
+        obj = attrgetter(path)(proc) if path else proc
+        if obj is None:
+            continue
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if type(value) in (float, bool):
+                state[f"{path}.{f.name}".lstrip(".")] = value
+    return state
+
+
+def _mirror_batch(socket) -> BatchSimulationEngine:
+    """A built, unstepped batch on ``socket``: paper-grid DUF, DUFP and
+    default lanes, a two-socket run, and a staged RAPL write."""
+    runs = [
+        ("CG", "duf"),
+        ("MG", "dufp"),
+        ("EP", "default"),
+        ([("LU", 0.03), ("FT", 0.03)], "dufp"),
+    ]
+    engines = [
+        _moving_engine(app, policy, seed, socket=socket)
+        for seed, (app, policy) in enumerate(runs)
+    ]
+    batch = BatchSimulationEngine(engines)
+    ctxs = [e.prepare() for e in engines]
+    for ctx in ctxs:
+        ctx.runtime.start()
+    engines[2].machine.processors[0].rapl.set_limits(
+        90.0, 110.0, pl1_window_s=0.5
+    )
+    batch._build_lanes(ctxs)
+    batch._tracing = False
+    return batch
+
+
+def _lane_arrays(batch) -> dict:
+    return {
+        k: v.copy() for k, v in vars(batch).items() if isinstance(v, np.ndarray)
+    }
+
+
+def _assert_round_trip(batch) -> None:
+    """``_scatter`` every run: each mirrored attribute reads its lane's
+    value, except the governor demand, which the lanes advance in the
+    governor's place; then ``_gather``: no lane array moves."""
+    before = _lane_arrays(batch)
+    for r in range(len(batch.engines)):
+        batch._scatter(r)
+    for f in batch._mirror:
+        if f.lane != "demand":
+            lanes = getattr(batch, f.lane).tolist()
+            assert [f.read(p) for p in batch.procs] == lanes, f.lane
+    dues, pl1 = batch.pend_due.tolist(), batch.pend1_w.tolist()
+    pending = [w if due < math.inf else None for due, w in zip(dues, pl1)]
+    assert [p.rapl.pending_pl1_w for p in batch.procs] == pending
+    for r in range(len(batch.engines)):
+        batch._gather(r)
+    batch._after_gather()
+    after = _lane_arrays(batch)
+    assert after.keys() == before.keys()
+    for name, arr in before.items():
+        assert arr.dtype == after[name].dtype, name
+        assert arr.tobytes() == after[name].tobytes(), name
+
+
+def test_every_float_state_attribute_is_mirrored():
+    batch = _mirror_batch(THERMAL_SOCKET)
+    mirrored = {f.attr for f in batch._mirror}
+    for proc in batch.procs:
+        state = set(_hardware_state(proc)) - {"rapl._pending"}
+        assert state - mirrored == UNMIRRORED
+        assert mirrored <= state | {"dvfs.requested_hz"}
+
+
+@pytest.mark.parametrize("socket", [None, THERMAL_SOCKET], ids=["yeti", "thermal"])
+def test_scatter_and_gather_round_trip(socket):
+    batch = _mirror_batch(socket)
+    assert batch.has_thermal == (socket is not None)
+    assert np.isfinite(batch.pend_due).sum() == 1
+    built = [_hardware_state(p) for p in batch.procs]
+    # On the fresh batch, scattering writes back exactly what was read.
+    for r in range(len(batch.engines)):
+        batch._scatter(r)
+    for proc, state in zip(batch.procs, built):
+        now = _hardware_state(proc)
+        assert now == state
+        assert [type(v) for v in now.values()] == [type(v) for v in state.values()]
+    _assert_round_trip(batch)
+    # After the lanes stepped away from their objects (the staged write
+    # latched, clocks, energies and averages moved), too.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _tick_to(batch, 20)
+    assert not np.isfinite(batch.pend_due).any()
+    _assert_round_trip(batch)
+
+
+def test_only_the_mirror_module_names_private_hardware_state():
+    src = pathlib.Path(batch_module.__file__).parent
+    pattern = re.compile(r"\.(%s)\b" % "|".join(MIRRORED_PRIVATE))
+    assert pattern.findall((src / "batch.py").read_text()) == []
+    named = set(pattern.findall((src / "lane_mirror.py").read_text()))
+    assert named == set(MIRRORED_PRIVATE)
 
 
 # ------------------------------------------------------- measurement noise

@@ -9,12 +9,16 @@ application: a lane pays for what differs between lanes.
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
-from repro.config import NoiseConfig
+from repro.config import ControllerConfig, NoiseConfig
+from repro.core.registry import as_spec
 from repro.experiments.executor import RunSpec, run_specs
 from repro.sim.batch import BatchSimulationEngine
+from repro.sim.run import build_engine
+from repro.workloads.catalog import build_application
 from repro.workloads.phase import PhaseTable
 
 APPS = ("CG", "MG")
@@ -115,3 +119,32 @@ def test_heap_per_added_lane_stays_under_budget():
     narrow, wide = _traced_peak(grid(5)), _traced_peak(grid(10))
     per_lane = (wide - narrow) / (len(grid(1)) * 5)
     assert 0 < per_lane < LANE_BUDGET_BYTES, per_lane
+
+
+def test_a_finished_batch_is_freed_without_the_cycle_collector():
+    """Results, lane controllers and tick logs hold no path back to the
+    engine, so its lane arrays go with it, not at a later gc pass."""
+    cfg = ControllerConfig(tolerated_slowdown=0.10)
+    engines = [
+        build_engine(
+            build_application(app, scale=0.02),
+            as_spec(policy).build(cfg),
+            controller_cfg=cfg,
+            noise=NoiseConfig(),
+            seed=seed,
+        )
+        for seed, (app, policy) in enumerate(
+            [("CG", "dufp"), ("MG", "duf"), ("EP", "default")]
+        )
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        batch = BatchSimulationEngine(engines)
+        results = batch.run()
+        ref = weakref.ref(batch)
+        del batch
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(results) == len(engines)
