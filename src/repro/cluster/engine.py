@@ -96,10 +96,6 @@ class _NodeSink(TraceSink):
     def close(self) -> None:
         """Absorbed: the cluster engine closes the shared sink."""
 
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Forward the sample under its cluster-global socket id."""
-        self._target.record(self._base + socket_id, sample)
-
     def record_step(self, socket_id: int, *fields) -> None:
         """Forward the step's fields under the cluster-global socket id."""
         self._target.record_step(self._base + socket_id, *fields)

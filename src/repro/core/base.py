@@ -6,6 +6,7 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from ..lazy import built_on_read
 from ..papi.highlevel import Measurement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,34 +56,20 @@ class Controller(abc.ABC):
     name: str = "controller"
 
     def __init__(self) -> None:
-        self._ticks: list[TickLog] = []
-        self._tick_source: Callable[[], list[TickLog]] | None = None
         self._ctx: "SocketContext | None" = None
 
-    @property
+    @built_on_read
     def ticks(self) -> list[TickLog]:
         """One :class:`TickLog` per tick, in tick order.
 
         The scalar tick appends each entry as it logs it.  A run the
         batch engine ticked lane-parallel keeps its log as columns and
-        attaches a source when the run ends; the entries are built from
-        it on first read (plain ``float``/``bool``/``str`` values, equal
-        to the scalar ones) and the source is dropped, so later reads
-        return the same list.
+        attaches a source (:func:`repro.lazy.attach`) when the run
+        ends; the entries are built from it on first read (plain
+        ``float``/``bool``/``str`` values, equal to the scalar ones),
+        and an entry logged later follows them.
         """
-        source = self._tick_source
-        if source is not None:
-            self._tick_source = None
-            self._ticks[:0] = source()
-        return self._ticks
-
-    def attach_tick_source(self, source: Callable[[], list[TickLog]]) -> None:
-        """Build this controller's tick log from ``source()`` on first read.
-
-        The built entries precede any logged since: a source holds the
-        ticks of a run that has already ended.
-        """
-        self._tick_source = source
+        return []
 
     @property
     def ctx(self) -> "SocketContext":
@@ -99,4 +86,4 @@ class Controller(abc.ABC):
         """One control interval with its measurement."""
 
     def log(self, entry: TickLog) -> None:
-        self._ticks.append(entry)
+        self.ticks.append(entry)

@@ -64,6 +64,7 @@ from ..core.registry import vector_tick_form
 from ..core.tolerance import SlowdownLanes
 from ..core.uncore_actuator import UncoreLanes
 from ..errors import SimulationError
+from ..lazy import attach
 from ..papi.events import CACHE_LINE_BYTES
 from ..workloads.phase import (
     BOOST as _BOOST,
@@ -278,7 +279,7 @@ class BatchSimulationEngine:
                 [[] for _ in lanes],
             )
             for sock, l in zip(result.sockets, lanes):
-                sock.attach_phase_source(self._span_source(l))
+                attach(sock, "phases", self._span_source(l))
             results.append(result)
         return results
 
@@ -308,7 +309,9 @@ class BatchSimulationEngine:
         volume_rows`), never its table or ``phases``.  The lanes' volume
         rows are joined into one table, with a row per lane and phase.
         Every other phase constant, and the span names, live once per
-        base application, in columns the lanes' rows map onto.
+        base application, in columns the lanes' rows map onto.  The
+        runs' applications are released here: the lanes need nothing
+        else of them.
         """
         engines = self.engines
         self.procs = []
@@ -341,6 +344,7 @@ class BatchSimulationEngine:
                 n_rows += len(base)
                 row_end.append(n_rows)
             self.run_lanes.append(lanes)
+            ctx.socket_apps.clear()
         L = self.L = len(self.procs)
         R = len(engines)
         self.run_of = np.array(self.run_of_list)
@@ -919,8 +923,8 @@ class BatchSimulationEngine:
             if self._vec_run[r]:
                 self._sync_lane_controllers(r, ctx)
                 for l in self.run_lanes[r]:
-                    self.ctrls[l].attach_tick_source(
-                        partial(self._tick_log.entries, l)
+                    attach(
+                        self.ctrls[l], "ticks", partial(self._tick_log.entries, l)
                     )
             if ctx.sink is not None:
                 ctx.sink.close()

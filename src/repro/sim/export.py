@@ -16,7 +16,7 @@ from typing import IO
 from ..errors import SimulationError
 from .faults import NODE_WIDE, FaultEvent
 from .result import RunResult, SocketResult
-from .trace import JsonlSampleEncoder, jsonl_event_line
+from .trace import JsonlSampleEncoder, jsonl_event_line, sample_tail
 
 __all__ = [
     "trace_to_csv",
@@ -92,7 +92,7 @@ def trace_to_jsonl(
     lines = 0
     encoder = JsonlSampleEncoder()
     for s in socket.trace:
-        stream.write(encoder.line(socket.socket_id, s))
+        stream.write(encoder.step_line(socket.socket_id, s.time_s, sample_tail(s)))
         lines += 1
     for event in events or ():
         stream.write(jsonl_event_line(event))

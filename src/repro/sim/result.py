@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
+from ..lazy import built_on_read, built_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .faults import FaultEvent
@@ -44,7 +45,15 @@ class PhaseSpan:
 
 @dataclass
 class SocketResult:
-    """Everything measured on one socket during a run."""
+    """Everything measured on one socket during a run.
+
+    ``phases`` is :class:`~repro.lazy.built_on_read`: the batch engine
+    keeps a run's spans as columns and attaches a source when the run
+    ends, so sweep cells that never read their spans never build a
+    :class:`PhaseSpan`.  A pickle carries the plain list, keyed in
+    field order, so a payload is the same bytes whether or not
+    ``phases`` was read.
+    """
 
     socket_id: int
     finish_time_s: float
@@ -53,31 +62,7 @@ class SocketResult:
     trace: list[TraceSample] = field(default_factory=list)
     phases: list[PhaseSpan] = field(default_factory=list)
 
-    def attach_phase_source(self, source: Callable[[], list[PhaseSpan]]) -> None:
-        """Build ``phases`` from ``source()`` on first read.
-
-        The batch engine keeps a run's spans as columns and attaches a
-        source when the run ends, so sweep cells that never read their
-        spans never build a :class:`PhaseSpan`.
-        """
-        self.__dict__.pop("phases", None)
-        self._phase_source = source
-
-    def __getattr__(self, attr: str):
-        # Normal lookup failed: only the ``phases`` of a result with a
-        # phase source are missing, and they are built once, here.
-        source = self.__dict__.get("_phase_source")
-        if attr != "phases" or source is None:
-            raise AttributeError(attr)
-        del self._phase_source
-        self.phases = phases = source()
-        return phases
-
-    def __getstate__(self) -> dict:
-        # A pickle carries the plain list, keyed in field order, so a
-        # payload is the same bytes whether or not ``phases`` was read.
-        self.phases  # builds the list if a source is attached
-        return self.__dict__
+    __getstate__ = built_state
 
     @property
     def avg_package_power_w(self) -> float:
@@ -127,6 +112,10 @@ class SocketResult:
             total += s.core_freq_hz * (s.time_s - prev_t)
             prev_t = s.time_s
         return total / prev_t if prev_t > 0 else 0.0
+
+
+# After ``@dataclass``, or it would become the field's default.
+SocketResult.phases = built_on_read(lambda result: [], "phases")
 
 
 @dataclass

@@ -4,9 +4,10 @@ The engine used to append every :class:`~repro.sim.result.TraceSample`
 to an in-RAM list — fine for one run, ruinous for million-step sweep
 cells.  Recording is now an observer protocol: the engine pushes each
 sample into a :class:`TraceSink` and never owns the storage policy.
-Engines push a step's fields with :meth:`TraceSink.record_step`, which
-builds the :class:`~repro.sim.result.TraceSample` only for sinks that
-keep one.
+Engines push a step's fields with :meth:`TraceSink.record_step`, the one
+per-sample hook a sink implements, so a
+:class:`~repro.sim.result.TraceSample` is built only by sinks that keep
+one.
 
 * :class:`InMemoryTraceSink` — today's behaviour, byte-for-byte: the
   full per-socket sample lists end up on ``SocketResult.trace``.
@@ -24,10 +25,12 @@ keep one.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 from collections import deque
+from operator import attrgetter
 from typing import IO, TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -43,6 +46,7 @@ __all__ = [
     "StreamingTraceSink",
     "CompositeTraceSink",
     "JsonlSampleEncoder",
+    "sample_tail",
     "jsonl_sample_line",
     "jsonl_event_line",
     "csv_sample_row",
@@ -72,6 +76,8 @@ _SAMPLE_LINE = (
     '"bytes_rate":%r,"temperature_c":%s}\n'
 )
 _FLOAT = frozenset((float,))
+#: A sample's eight fields after ``time_s``, as a tuple.
+sample_tail = attrgetter(*[f.name for f in dataclasses.fields(TraceSample)][1:])
 #: JSONL lines a streaming sink buffers before one write to its stream.
 _CHUNK_LINES = 256
 
@@ -168,32 +174,11 @@ class JsonlSampleEncoder:
         """Forget every socket's last tail."""
         self._tails.clear()
 
-    def line(self, socket_id: int, sample: TraceSample) -> str:
-        """One JSONL record for ``sample``, as :func:`jsonl_sample_line`."""
-        tail = (
-            sample.core_freq_hz,
-            sample.uncore_freq_hz,
-            sample.package_power_w,
-            sample.dram_power_w,
-            sample.cap_w,
-            sample.flops_rate,
-            sample.bytes_rate,
-            sample.temperature_c,
-        )
-        return self.step_line(socket_id, sample.time_s, tail, sample)
-
-    def step_line(
-        self,
-        socket_id: int,
-        time_s: float,
-        tail: tuple,
-        sample: TraceSample | None = None,
-    ) -> str:
+    def step_line(self, socket_id: int, time_s: float, tail: tuple) -> str:
         """The line of ``TraceSample(time_s, *tail)``.
 
         ``tail`` holds the eight fields after ``time_s``.  The sample is
-        built only for a line that does not reuse a tail, unless the
-        caller passes it as ``sample``.
+        built only for a line that does not reuse a tail.
         """
         if type(socket_id) is int:
             last = self._tails.get(socket_id)
@@ -205,9 +190,7 @@ class JsonlSampleEncoder:
                 and math.isfinite(time_s)
             ):
                 return _SAMPLE_HEAD % (socket_id, time_s) + last[1]
-        if sample is None:
-            sample = TraceSample(time_s, *tail)
-        line = jsonl_sample_line(socket_id, sample)
+        line = jsonl_sample_line(socket_id, TraceSample(time_s, *tail))
         values = tail if tail[-1] is not None else tail[:-1]
         if (
             type(socket_id) is int
@@ -268,17 +251,19 @@ class TraceSink:
     """Observer of engine trace samples; default hooks are no-ops.
 
     Lifecycle: the engine calls :meth:`open` once before the first
-    sample, :meth:`record_step` (which defaults to :meth:`record` of
-    the sample) for every (socket, sample) in simulation order, and
-    :meth:`close` exactly once — in a ``finally``, so sinks holding
-    file handles are released even when a run raises.
+    sample, :meth:`record_step` for every (socket, sample) in
+    simulation order, and :meth:`close` exactly once — in a
+    ``finally``, so sinks holding file handles are released even when
+    a run raises.  :meth:`record_step` is the one per-sample hook a
+    sink implements; :meth:`record` adapts a built sample to it.
     """
 
     def open(self, socket_count: int) -> None:
         """Run is starting; ``socket_count`` sockets will report."""
 
     def record(self, socket_id: int, sample: TraceSample) -> None:
-        """One engine-step sample of one socket."""
+        """Record a built sample: :meth:`record_step` of its fields."""
+        self.record_step(socket_id, sample.time_s, *sample_tail(sample))
 
     def record_step(
         self,
@@ -293,27 +278,11 @@ class TraceSink:
         bytes_rate: float,
         temperature_c: float | None = None,
     ) -> None:
-        """One engine-step sample given as its fields, in
-        :class:`TraceSample` order: exactly ``record(socket_id,
-        TraceSample(time_s, ...))``, which is what this default does.
+        """One engine-step sample of one socket, given as its fields in
+        :class:`TraceSample` order.
 
-        The engines call this; a sink that needs no sample object (the
-        JSONL stream) overrides it and builds none.
+        A sink builds a :class:`TraceSample` only if it keeps one.
         """
-        self.record(
-            socket_id,
-            TraceSample(
-                time_s,
-                core_freq_hz,
-                uncore_freq_hz,
-                package_power_w,
-                dram_power_w,
-                cap_w,
-                flops_rate,
-                bytes_rate,
-                temperature_c,
-            ),
-        )
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """One injected fault event (``socket_id`` is ``-1`` for
@@ -348,14 +317,19 @@ class InMemoryTraceSink(TraceSink):
         self._traces = [[] for _ in range(socket_count)]
         self._events = []
 
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Append the sample to its socket's list."""
+    def record_step(self, socket_id: int, *fields) -> None:
+        """Append the step's sample to its socket's list."""
         if socket_id < 0:
             raise _no_socket(socket_id, len(self._traces))
         try:
-            self._traces[socket_id].append(sample)
+            self._traces[socket_id].append(TraceSample(*fields))
         except IndexError:
             raise _no_socket(socket_id, len(self._traces)) from None
+
+    # Kept because the benchmark's layer tracer (perf/spans.py) wraps
+    # this class's own ``record``, and perf/ only changes together with
+    # the benchmark itself.
+    record = TraceSink.record
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Retain the fault event (events are sparse; one flat list)."""
@@ -390,12 +364,12 @@ class RingBufferTraceSink(TraceSink):
         self._events = deque(maxlen=self.capacity)
         self.seen = [0] * socket_count
 
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Append, evicting the oldest sample once at capacity."""
+    def record_step(self, socket_id: int, *fields) -> None:
+        """Append the step's sample, evicting the oldest once at capacity."""
         if socket_id < 0:
             raise _no_socket(socket_id, len(self._buffers))
         try:
-            self._buffers[socket_id].append(sample)
+            self._buffers[socket_id].append(TraceSample(*fields))
         except IndexError:
             raise _no_socket(socket_id, len(self._buffers)) from None
         self.seen[socket_id] += 1
@@ -456,19 +430,6 @@ class StreamingTraceSink(TraceSink):
             self._csv_writer = csv.writer(self._stream)
             self._csv_writer.writerow(CSV_HEADER)
 
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Write one row; nothing is retained in memory."""
-        if self._stream is None:
-            raise SimulationError("streaming sink used before open()")
-        if self.fmt == "jsonl":
-            lines = self._lines
-            lines.append(self._encoder.line(socket_id, sample))
-            if len(lines) >= _CHUNK_LINES:
-                self._write_lines()
-        else:
-            self._csv_writer.writerow(csv_sample_row(socket_id, sample))
-        self.rows += 1
-
     def record_step(
         self,
         socket_id: int,
@@ -482,44 +443,35 @@ class StreamingTraceSink(TraceSink):
         bytes_rate: float,
         temperature_c: float | None = None,
     ) -> None:
-        """Write one row from the step's fields; a JSONL line whose tail
-        the encoder reuses builds no :class:`TraceSample`."""
-        if self.fmt != "jsonl":
-            super().record_step(
-                socket_id,
-                time_s,
-                core_freq_hz,
-                uncore_freq_hz,
-                package_power_w,
-                dram_power_w,
-                cap_w,
-                flops_rate,
-                bytes_rate,
-                temperature_c,
-            )
-            return
+        """Write one row; nothing is retained in memory, and a JSONL
+        line whose tail the encoder reuses builds no :class:`TraceSample`."""
         if self._stream is None:
             raise SimulationError("streaming sink used before open()")
-        lines = self._lines
-        lines.append(
-            self._encoder.step_line(
-                socket_id,
-                time_s,
-                (
-                    core_freq_hz,
-                    uncore_freq_hz,
-                    package_power_w,
-                    dram_power_w,
-                    cap_w,
-                    flops_rate,
-                    bytes_rate,
-                    temperature_c,
-                ),
-            )
+        tail = (
+            core_freq_hz,
+            uncore_freq_hz,
+            package_power_w,
+            dram_power_w,
+            cap_w,
+            flops_rate,
+            bytes_rate,
+            temperature_c,
         )
-        if len(lines) >= _CHUNK_LINES:
-            self._write_lines()
+        if self.fmt == "jsonl":
+            lines = self._lines
+            lines.append(self._encoder.step_line(socket_id, time_s, tail))
+            if len(lines) >= _CHUNK_LINES:
+                self._write_lines()
+        else:
+            self._csv_writer.writerow(
+                csv_sample_row(socket_id, TraceSample(time_s, *tail))
+            )
         self.rows += 1
+
+    # Kept because the benchmark's layer tracer (perf/spans.py) wraps
+    # this class's own ``record``, and perf/ only changes together with
+    # the benchmark itself.
+    record = TraceSink.record
 
     def _write_lines(self) -> None:
         """Write the buffered JSONL lines to the stream in one call."""
@@ -572,11 +524,6 @@ class CompositeTraceSink(TraceSink):
         """Open every child."""
         for sink in self.sinks:
             sink.open(socket_count)
-
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Record into every child."""
-        for sink in self.sinks:
-            sink.record(socket_id, sample)
 
     def record_step(self, socket_id: int, *fields) -> None:
         """Record the step's fields into every child."""

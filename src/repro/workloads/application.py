@@ -8,6 +8,7 @@ import numpy as np
 
 from ..config import SocketConfig, yeti_socket_config
 from ..errors import WorkloadError
+from ..lazy import built_on_read
 from .phase import BOOST, IDLENESS, VOLUMES, NominalRates, Phase, PhaseTable
 
 __all__ = ["Application"]
@@ -21,12 +22,13 @@ class Application:
     paper spreads OpenMP threads round-robin over all four sockets, so
     sockets see statistically identical work).
 
-    Besides ``phases`` an application carries its :attr:`table`, built
-    once.  Applications made by :meth:`from_pattern` are built from a
-    table and make their ``phases`` tuple on first read, so an engine
-    that only reads the table (the batch engine) never builds a
-    :class:`Phase` object.  A :meth:`jittered` copy keeps only its
-    draw and builds its table on first read too.
+    Besides ``phases`` an application carries its :attr:`table`.  Both
+    are :class:`~repro.lazy.built_on_read`: an application made by
+    :meth:`from_pattern` holds only its table and builds its ``phases``
+    tuple on first read, so an engine that only reads the table (the
+    batch engine) never builds a :class:`Phase` object.  A
+    :meth:`jittered` copy holds only its draw and builds its table on
+    first read too.
     """
 
     name: str
@@ -38,31 +40,15 @@ class Application:
         if not self.phases:
             raise WorkloadError(f"application {self.name!r} has no phases")
 
-    @staticmethod
-    def _built_on_read(name: str, structure: str, attr: str, value) -> "Application":
-        """An application holding ``attr`` that builds the rest on read."""
-        app = object.__new__(Application)
-        object.__setattr__(app, "name", name)
-        object.__setattr__(app, "structure", structure)
-        object.__setattr__(app, attr, value)
-        return app
-
-    def __getattr__(self, attr: str):
-        # Normal lookup failed: the ``phases`` of a table-built
-        # application, or a ``table`` not yet built, are missing; each
-        # is built once, here, and kept.
-        d = self.__dict__
-        if attr == "phases" and ("table" in d or "_jitter" in d):
-            value = self.table.phases()
-        elif attr == "table" and "_jitter" in d:
-            base, volumes = d["_jitter"]
-            value = base.with_volumes(volumes)
-        elif attr == "table" and "phases" in d:
-            value = PhaseTable.of(d["phases"])
-        else:
-            raise AttributeError(attr)
-        object.__setattr__(self, attr, value)
-        return value
+    @built_on_read
+    def table(self) -> PhaseTable:
+        """The phases as one table; a jittered copy's is its parent's
+        table with the drawn volume rows in place."""
+        jitter = self.__dict__.get("_jitter")
+        if jitter is not None:
+            base, volumes = jitter
+            return base.with_volumes(volumes)
+        return PhaseTable.of(self.phases)
 
     def volume_rows(self) -> tuple[PhaseTable, np.ndarray]:
         """A base table and this application's ``VOLUMES`` rows over it.
@@ -110,7 +96,9 @@ class Application:
         table = PhaseTable(names, values)
         if not len(table):
             raise WorkloadError(f"application {name!r} has no phases")
-        return Application._built_on_read(name, structure, "table", table)
+        app = object.__new__(Application)
+        vars(app).update(name=name, structure=structure, table=table)
+        return app
 
     @property
     def total_flops(self) -> float:
@@ -146,6 +134,12 @@ class Application:
         z = rng.standard_normal(len(base))
         volumes = base.values[VOLUMES] * np.maximum(1.0 + sigma * z, 0.2)
         base.check(volumes)
-        return Application._built_on_read(
-            self.name, self.structure, "_jitter", (base, volumes)
+        app = object.__new__(Application)
+        vars(app).update(
+            name=self.name, structure=self.structure, _jitter=(base, volumes)
         )
+        return app
+
+
+# After ``@dataclass``, or it would become the field's default.
+Application.phases = built_on_read(lambda app: app.table.phases(), "phases")

@@ -60,8 +60,10 @@ def observed():
         return with_volumes(table, volumes)
 
     def keeping(engine, ctxs):
+        # ``_build_lanes`` releases the runs' applications; keep them.
+        apps = [list(ctx.socket_apps) for ctx in ctxs]
         build_lanes(engine, ctxs)
-        engines.append((engine, ctxs))
+        engines.append((engine, apps))
 
     mp.setattr(PhaseTable, "with_volumes", counting)
     mp.setattr(BatchSimulationEngine, "_build_lanes", keeping)
@@ -79,10 +81,10 @@ def test_no_jittered_run_builds_its_table(observed):
 
 
 def test_lanes_of_one_application_share_one_base_block(observed):
-    _, _, [(engine, ctxs)] = observed
+    _, _, [(engine, run_apps)] = observed
     bases = {}
-    for ctx in ctxs:
-        for app in ctx.socket_apps:
+    for apps in run_apps:
+        for app in apps:
             base, rows = app.volume_rows()
             assert "table" not in vars(app)
             bases.setdefault(app.name, set()).add(id(base))
@@ -93,14 +95,29 @@ def test_lanes_of_one_application_share_one_base_block(observed):
     # One block of constant rows per base, and each lane's first row
     # maps onto its application's block.
     lengths = {
-        app.name: len(app.volume_rows()[0]) for ctx in ctxs for app in ctx.socket_apps
+        app.name: len(app.volume_rows()[0]) for apps in run_apps for app in apps
     }
     assert engine._tab.shape[1] == sum(lengths.values())
     first_col = engine._row_first + engine._col_shift
     for name in APPS:
-        lanes = [l for l, ctx in enumerate(ctxs) if ctx.socket_apps[0].name == name]
+        lanes = [l for l, apps in enumerate(run_apps) if apps[0].name == name]
         assert len(lanes) == 20
         assert len(set(first_col[lanes].tolist())) == 1
+
+
+def test_lanes_release_their_applications(monkeypatch):
+    """A lane keeps its jittered volume rows, not its application."""
+    refs = []
+    build_lanes = BatchSimulationEngine._build_lanes
+
+    def watching(engine, ctxs):
+        refs.extend(weakref.ref(app) for ctx in ctxs for app in ctx.socket_apps)
+        build_lanes(engine, ctxs)
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    monkeypatch.setattr(BatchSimulationEngine, "_build_lanes", watching)
+    results, _ = run_specs(grid(2), workers=1)
+    assert len(results) == 4 and len(refs) == 4 * 2  # a lane per run
 
 
 def _traced_peak(specs) -> int:
