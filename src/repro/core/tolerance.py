@@ -27,6 +27,7 @@ __all__ = [
     "VERDICT_AT_BOUNDARY",
     "VERDICT_BELOW",
     "SlowdownLanes",
+    "tolerance_bid",
 ]
 
 
@@ -36,6 +37,27 @@ class ToleranceVerdict(enum.Enum):
     WITHIN = "within"
     AT_BOUNDARY = "at_boundary"
     BELOW = "below"
+
+
+def tolerance_bid(
+    verdict: ToleranceVerdict,
+    power_w: float,
+    limit_w: float,
+    step_w: float,
+    floor_w: float,
+) -> float:
+    """A capped device's power bid for the next budget round.
+
+    Below the tolerance the device is throttled: it bids two steps
+    above its limit.  Within it, with room to spare, it offers a step
+    of its draw back, never below its floor.  At the boundary it bids
+    its draw.
+    """
+    if verdict is ToleranceVerdict.BELOW:
+        return limit_w + 2 * step_w
+    if verdict is ToleranceVerdict.WITHIN:
+        return max(power_w - step_w, floor_w)
+    return power_w
 
 
 #: Integer verdict codes used by the lane-parallel judge

@@ -55,7 +55,7 @@ from ..config import (
     yeti_socket_config,
 )
 from ..core.split import SplitPolicy
-from ..core.tolerance import SlowdownTracker, ToleranceVerdict
+from ..core.tolerance import SlowdownTracker, tolerance_bid
 from ..errors import SimulationError
 from ..hardware.gpu import GPUKernel, GPUNodeConfig, SimulatedGPU
 from ..hardware.processor import SimulatedProcessor
@@ -387,22 +387,23 @@ class HeteroEngine:
 
                 if not policy.is_static and now + 1e-9 >= next_realloc:
                     next_realloc += REALLOC_PERIOD_S
+                    step_w = self.cfg.cap_step_w
                     demands = [
-                        self._demand(
-                            cpu_tracker,
-                            cpu.state.flops_rate,
+                        tolerance_bid(
+                            cpu_tracker.judge(cpu.state.flops_rate),
                             cpu.state.package.total_w,
                             allocs[0],
+                            step_w,
                             floors[0],
                         )
                     ]
                     for i, gpu in enumerate(gpus):
                         demands.append(
-                            self._demand(
-                                gpu_trackers[i],
-                                gpu.state.flops_rate,
+                            tolerance_bid(
+                                gpu_trackers[i].judge(gpu.state.flops_rate),
                                 gpu.state.power_w,
                                 allocs[1 + i],
+                                step_w,
                                 floors[1 + i],
                             )
                         )
@@ -450,21 +451,3 @@ class HeteroEngine:
         if injector is not None:
             result.fault_events = list(injector.events)
         return result
-
-    def _demand(
-        self,
-        tracker: SlowdownTracker,
-        flops_rate: float,
-        power_w: float,
-        limit_w: float,
-        floor_w: float,
-    ) -> float:
-        """One device's bid for the next period, the paper's rule: a
-        throttled device bids above its limit, a device within its
-        tolerance offers a step back."""
-        verdict = tracker.judge(flops_rate)
-        if verdict is ToleranceVerdict.BELOW:
-            return limit_w + 2 * self.cfg.cap_step_w
-        if verdict is ToleranceVerdict.WITHIN:
-            return max(power_w - self.cfg.cap_step_w, floor_w)
-        return power_w

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tolerance import SlowdownTracker, ToleranceVerdict
+from repro.core.tolerance import SlowdownTracker, ToleranceVerdict, tolerance_bid
 from repro.errors import ControllerError
 
 
@@ -91,3 +91,17 @@ class TestZeroToleranceSemantics:
     def test_large_tolerance_unaffected_by_floor(self):
         t = tracker(tol=0.20, err=0.01)
         assert t.effective_slowdown == pytest.approx(0.20)
+
+
+class TestToleranceBid:
+    """One rule for the budget coordinator's and the hetero node's bids."""
+
+    def test_throttled_bids_two_steps_above_its_limit(self):
+        assert tolerance_bid(ToleranceVerdict.BELOW, 80.0, 90.0, 5.0, 65.0) == 100.0
+
+    def test_within_offers_a_step_back_down_to_its_floor(self):
+        assert tolerance_bid(ToleranceVerdict.WITHIN, 80.0, 90.0, 5.0, 65.0) == 75.0
+        assert tolerance_bid(ToleranceVerdict.WITHIN, 68.0, 90.0, 5.0, 65.0) == 65.0
+
+    def test_at_the_boundary_bids_its_draw(self):
+        assert tolerance_bid(ToleranceVerdict.AT_BOUNDARY, 80.0, 90.0, 5.0, 65.0) == 80.0
