@@ -52,7 +52,7 @@ from ..sim.result import RunResult, TraceSample
 from ..sim.run import build_engine
 from ..sim.trace import TraceSink
 from ..workloads.application import Application
-from .fleet import FLEET_HEADROOM_W, FleetRound
+from .fleet import FLEET_HEADROOM_W, FleetRound, stage_writes
 from .metrics import jain_index, percentile, slowdown_ratios
 from .spec import ClusterSpec
 
@@ -306,16 +306,6 @@ class ClusterEngine:
 
     # -- the fleet loop ----------------------------------------------------
 
-    def _apply(
-        self, steppers: list[SimulationStepper], writes: list[float | None]
-    ) -> None:
-        """Stage each node's fleet write on its sockets' RAPL limits."""
-        for stepper, per_socket_w in zip(steppers, writes):
-            if per_socket_w is None:
-                continue
-            for proc in stepper.engine.machine.processors:
-                proc.rapl.set_limits(per_socket_w, per_socket_w)
-
     def run(self) -> ClusterResult:
         """Execute every node to completion under the fleet policy."""
         engines = self._node_engines()
@@ -327,7 +317,7 @@ class ClusterEngine:
             )
         try:
             steppers = [engine.stepper() for engine in engines]
-            self._apply(steppers, fleet.start())
+            stage_writes(engines, fleet.start())
             tick = 0
             while not all(s.done for s in steppers):
                 for stepper in steppers:
@@ -344,7 +334,7 @@ class ClusterEngine:
                         ]
                         for s in steppers
                     ]
-                    self._apply(steppers, fleet.round(tick, power))
+                    stage_writes(engines, fleet.round(tick, power))
         finally:
             for stepper in steppers:
                 stepper.close()

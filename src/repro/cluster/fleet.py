@@ -17,8 +17,9 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.split import SplitPolicy
+    from ..sim.engine import SimulationEngine
 
-__all__ = ["FleetRound", "FLEET_HEADROOM_W"]
+__all__ = ["FleetRound", "FLEET_HEADROOM_W", "stage_writes"]
 
 #: Watts of headroom a running node bids above its measured draw,
 #: mirroring :class:`~repro.core.budget.NodeBudgetCoordinator`'s
@@ -121,3 +122,19 @@ class FleetRound:
             self.capped[i] = True
             writes.append(min(alloc, hi) / spn)
         return writes
+
+
+def stage_writes(
+    engines: Sequence[SimulationEngine], writes: Sequence[float | None]
+) -> None:
+    """Stage each node's fleet write on its sockets' RAPL objects.
+
+    ``writes`` pairs with ``engines`` as a round returns them: PL1 =
+    PL2 per socket, staged by ``RAPLPackage.set_limits``, or ``None``
+    for no write.
+    """
+    for engine, per_socket_w in zip(engines, writes):
+        if per_socket_w is None:
+            continue
+        for proc in engine.machine.processors:
+            proc.rapl.set_limits(per_socket_w, per_socket_w)

@@ -97,8 +97,8 @@ def test_lanes_of_one_application_share_one_base_block(observed):
     lengths = {
         app.name: len(app.volume_rows()[0]) for apps in run_apps for app in apps
     }
-    assert engine._tab.shape[1] == sum(lengths.values())
-    first_col = engine._row_first + engine._col_shift
+    assert engine.physics._tab.shape[1] == sum(lengths.values())
+    first_col = engine._row_first + engine.physics.col_shift
     for name in APPS:
         lanes = [l for l, apps in enumerate(run_apps) if apps[0].name == name]
         assert len(lanes) == 20
@@ -140,7 +140,8 @@ def test_heap_per_added_lane_stays_under_budget():
 
 def test_a_finished_batch_is_freed_without_the_cycle_collector():
     """Results, lane controllers and tick logs hold no path back to the
-    engine, so its lane arrays go with it, not at a later gc pass."""
+    engine or its parts, so its lane arrays go with it, not at a later
+    gc pass."""
     cfg = ControllerConfig(tolerated_slowdown=0.10)
     engines = [
         build_engine(
@@ -159,9 +160,9 @@ def test_a_finished_batch_is_freed_without_the_cycle_collector():
     try:
         batch = BatchSimulationEngine(engines)
         results = batch.run()
-        ref = weakref.ref(batch)
+        refs = [weakref.ref(o) for o in (batch, batch.physics, batch.lane_runtime)]
         del batch
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
     assert len(results) == len(engines)

@@ -51,7 +51,8 @@ from repro.hardware.perf import PhaseExecutionModel
 from repro.hardware.power import PackagePowerModel
 from repro.hardware.processor import PhaseWork, SimulatedProcessor
 from repro.hardware.rapl import RAPLPackage
-from repro.sim.batch import BatchSimulationEngine, noise_block_len
+from repro.sim.batch import BatchSimulationEngine
+from repro.sim.lane_runtime import noise_block_len
 from repro.sim.run import build_engine
 from repro.workloads.catalog import build_application
 
@@ -695,7 +696,12 @@ class TestBatchMemoryBounded:
         return batch
 
     def test_dict_entries_do_not_grow_with_simulated_time(self, batch):
-        entries = sum(len(v) for v in vars(batch).values() if isinstance(v, dict))
+        entries = sum(
+            len(v)
+            for owner in (batch, batch.physics, batch.lane_runtime)
+            for v in vars(owner).values()
+            if isinstance(v, dict)
+        )
         assert entries <= 64
 
     def test_noise_blocks_do_not_grow_with_simulated_time(self, batch):
@@ -703,4 +709,4 @@ class TestBatchMemoryBounded:
         bound = sum(
             noise_block_len(e.machine.socket_count) for e in batch.engines
         )
-        assert 0 < batch._nz.size <= bound
+        assert 0 < batch.lane_runtime._nz.size <= bound

@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import ClusterEngine, ClusterSpec
 from repro.config import ControllerConfig, NoiseConfig
 from repro.core.registry import make_spec, split_policy
-from repro.sim.engine import SimulationStepper
+from repro.sim.engine import SimulationEngine, SimulationStepper
 from repro.sim.faults import FaultPlan
 from repro.workloads.catalog import build_application
 
@@ -154,22 +154,13 @@ BIND_APPS = ("WEB", "BATCH", "CG", "EP")
 BIND_BUDGET_W = 360.0
 
 
-class _RoundWatch(ClusterEngine):
-    """Keeps the steppers the fleet loop hands ``_apply`` (every run
-    applies its initial allocation before the first round)."""
-
-    def _apply(self, steppers, *args):
-        super()._apply(steppers, *args)
-        self.steppers = steppers
-
-
 def staged_pl1_sums(policy, node_controller, monkeypatch):
     """Summed staged-or-latched PL1 after every fleet round of the item-1
     fleet: read before each round's first tick, and after the last."""
     cluster = ClusterSpec(
         node_count=4, node_apps=BIND_APPS, node_controller=node_controller
     )
-    engine = _RoundWatch(
+    engine = ClusterEngine(
         applications=[
             build_application(cluster.app_for(i, "EP"), scale=0.3)
             for i in range(4)
@@ -182,10 +173,16 @@ def staged_pl1_sums(policy, node_controller, monkeypatch):
         record_trace=False,
     )
     sums = []
+    steppers = []
+    make_stepper = SimulationEngine.stepper
+
+    def keep_stepper(node):
+        steppers.append(make_stepper(node))
+        return steppers[-1]
 
     def applied():
         total = 0.0
-        for stepper in engine.steppers:
+        for stepper in steppers:
             for proc in stepper.engine.machine.processors:
                 staged = proc.rapl.pending_pl1_w
                 total += proc.rapl.pl1.limit_w if staged is None else staged
@@ -194,10 +191,11 @@ def staged_pl1_sums(policy, node_controller, monkeypatch):
     tick = SimulationStepper.tick
 
     def watched_tick(stepper):
-        if stepper is next(s for s in engine.steppers if not s.done):
+        if stepper is next(s for s in steppers if not s.done):
             sums.append(applied())
         tick(stepper)
 
+    monkeypatch.setattr(SimulationEngine, "stepper", keep_stepper)
     monkeypatch.setattr(SimulationStepper, "tick", watched_tick)
     engine.run()
     sums.append(applied())
