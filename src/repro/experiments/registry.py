@@ -1,9 +1,12 @@
 """Experiment registry: id → harness, shared by the CLI and benches.
 
-Every runner accepts ``workers``/``cache`` and routes any sweep it
-needs through :mod:`repro.experiments.executor`, so ``python -m repro
-fig3a --workers 8 --cache DIR`` parallelises and memoises exactly like
-``repro sweep`` does.
+A runner takes as keyword parameters exactly the protocol options it
+reads (``runs``, ``workers``, ``cache``, ``shard_size``), and the CLI
+gives each subcommand those flags and no others: ``table1`` and
+``fig5`` take none, the Fig. 1 runners only ``runs``.  Runners that
+need a sweep route it through :mod:`repro.experiments.executor`, so
+``python -m repro fig3a --workers 8 --cache DIR`` parallelises and
+memoises exactly like ``repro sweep`` does.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .table1 import table1
 __all__ = ["EXPERIMENTS", "experiment_ids", "run_experiment"]
 
 
-def _render_table1(**kwargs) -> str:
+def _render_table1() -> str:
     return table1().render()
 
 
 def _render_fig1(fn) -> Callable[..., str]:
-    def runner(runs: int = 10, **kwargs) -> str:
+    def runner(runs: int = 10) -> str:
         return fn(runs=runs).render()
 
     return runner
@@ -41,7 +44,6 @@ def _render_fig3(fn) -> Callable[..., str]:
         workers: int = 1,
         cache=None,
         shard_size=None,
-        **kwargs,
     ) -> str:
         sweep = sweep or run_sweep(
             runs=runs, workers=workers, cache=cache, shard_size=shard_size
@@ -51,12 +53,12 @@ def _render_fig3(fn) -> Callable[..., str]:
     return runner
 
 
-def _render_fig5(**kwargs) -> str:
+def _render_fig5() -> str:
     return fig5().render()
 
 
 def _render_all(
-    runs: int = 10, workers: int = 1, cache=None, shard_size=None, **kwargs
+    runs: int = 10, workers: int = 1, cache=None, shard_size=None
 ) -> str:
     """Every table and figure, sharing one evaluation sweep."""
     sweep = run_sweep(
@@ -84,7 +86,6 @@ def _render_scorecard(
     workers: int = 1,
     cache=None,
     shard_size=None,
-    **kwargs,
 ) -> str:
     sweep = sweep or run_sweep(
         runs=runs, workers=workers, cache=cache, shard_size=shard_size
@@ -92,16 +93,14 @@ def _render_scorecard(
     return run_scorecard(sweep=sweep, runs=runs).render()
 
 
-def _render_sensitivity(
-    workers: int = 1, cache=None, shard_size=None, **kwargs
-) -> str:
+def _render_sensitivity(workers: int = 1, cache=None, shard_size=None) -> str:
     return run_sensitivity(
         workers=workers, cache=cache, shard_size=shard_size
     ).render()
 
 
 def _render_sweep(
-    runs: int = 10, workers: int = 1, cache=None, shard_size=None, **kwargs
+    runs: int = 10, workers: int = 1, cache=None, shard_size=None
 ) -> str:
     sweep = run_sweep(
         runs=runs, workers=workers, cache=cache, shard_size=shard_size

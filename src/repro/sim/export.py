@@ -16,7 +16,13 @@ from typing import IO
 from ..errors import SimulationError
 from .faults import NODE_WIDE, FaultEvent
 from .result import RunResult, SocketResult
-from .trace import JsonlSampleEncoder, jsonl_event_line, sample_tail
+from .trace import (
+    CSV_HEADER,
+    JsonlSampleEncoder,
+    csv_sample_row,
+    jsonl_event_line,
+    sample_tail,
+)
 
 __all__ = [
     "trace_to_csv",
@@ -27,43 +33,23 @@ __all__ = [
     "write_summary_json",
 ]
 
-#: Column order of the trace CSV.
-TRACE_FIELDS = (
-    "time_s",
-    "core_freq_hz",
-    "uncore_freq_hz",
-    "package_power_w",
-    "dram_power_w",
-    "cap_w",
-    "flops_rate",
-    "bytes_rate",
-    "temperature_c",
-)
+#: Column order of the trace CSV: the streamed CSV's, without the
+#: socket id (one file holds one socket).
+TRACE_FIELDS = CSV_HEADER[1:]
 
 
 def trace_to_csv(socket: SocketResult, stream: IO[str]) -> int:
-    """Write one socket's trace as CSV; returns the row count."""
+    """Write one socket's trace as CSV; returns the row count.
+
+    The rows are the streaming CSV sink's (:func:`repro.sim.trace.
+    csv_sample_row`) without their socket-id column.
+    """
     if not socket.trace:
         raise SimulationError("run recorded no trace (record_trace=False?)")
     writer = csv.writer(stream)
     writer.writerow(TRACE_FIELDS)
-    rows = 0
-    for s in socket.trace:
-        writer.writerow(
-            [
-                f"{s.time_s:.6f}",
-                f"{s.core_freq_hz:.0f}",
-                f"{s.uncore_freq_hz:.0f}",
-                f"{s.package_power_w:.3f}",
-                f"{s.dram_power_w:.3f}",
-                f"{s.cap_w:.1f}",
-                f"{s.flops_rate:.3e}",
-                f"{s.bytes_rate:.3e}",
-                "" if s.temperature_c is None else f"{s.temperature_c:.2f}",
-            ]
-        )
-        rows += 1
-    return rows
+    writer.writerows(csv_sample_row(socket.socket_id, s)[1:] for s in socket.trace)
+    return len(socket.trace)
 
 
 def write_trace_csv(result: RunResult, path: str, socket_id: int = 0) -> int:

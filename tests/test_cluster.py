@@ -5,7 +5,7 @@ the registry — validation surfaces, the three partitioning strategies'
 exact arithmetic, the fairness/tail metrics against hand-computed
 values, the engine's allocation bookkeeping (demand release on node
 finish, budget conservation, the shared trace sink's global socket
-ids), the ``RunSpec``/digest threading, and the ``repro cluster`` CLI.
+ids), the ``RunSpec``/digest threading, and ``repro run --nodes``.
 """
 
 import math
@@ -387,22 +387,11 @@ class TestClusterProtocolAndSpec:
 
 class TestClusterCLI:
     def test_cluster_command_prints_machine_readable_lines(self, capsys):
-        assert (
-            cli_main(
-                [
-                    "cluster",
-                    "--nodes",
-                    "2",
-                    "--budget",
-                    "170",
-                    "--scale",
-                    "0.2",
-                    "--seed",
-                    "3",
-                ]
-            )
-            == 0
-        )
+        argv = ["run", "WEB", "--nodes", "2", "--node-apps", "WEB", "BATCH"]
+        argv += ["--slowdown", "10", "--scale", "0.2", "--seed", "3"]
+        for policy in ("fleet-static", "fleet-demand"):
+            argv += ["--controller", f"{policy}:budget_w=170"]
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
         cluster_lines = [
             line for line in out.splitlines() if line.startswith("CLUSTER ")
@@ -416,15 +405,16 @@ class TestClusterCLI:
         assert (
             cli_main(
                 [
-                    "cluster",
+                    "run",
+                    "EP",
                     "--nodes",
                     "2",
-                    "--apps",
+                    "--node-apps",
                     "EP",
                     "CG",
                     "--scale",
                     "0.2",
-                    "--policy",
+                    "--controller",
                     "fleet-fair:budget_w=170",
                 ]
             )

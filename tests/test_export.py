@@ -18,6 +18,7 @@ from repro.sim.export import (
     write_trace_csv,
 )
 from repro.sim.run import run_application
+from repro.sim.trace import StreamingTraceSink
 from repro.workloads.application import Application
 from repro.workloads.phase import phase_from_duration as pfd
 
@@ -25,16 +26,18 @@ from repro.workloads.phase import phase_from_duration as pfd
 QUIET = NoiseConfig(duration_jitter=0.0, counter_noise=0.0, power_noise=0.0)
 
 
+TINY = Application(
+    "tiny",
+    phases=(
+        pfd("a", 0.3, oi=4.0, fpc=2.0),
+        pfd("b", 0.2, oi=0.1, fpc=1.0),
+    ),
+)
+
+
 @pytest.fixture(scope="module")
 def result():
-    app = Application(
-        "tiny",
-        phases=(
-            pfd("a", 0.3, oi=4.0, fpc=2.0),
-            pfd("b", 0.2, oi=0.1, fpc=1.0),
-        ),
-    )
-    return run_application(app, DefaultController, noise=QUIET, seed=1)
+    return run_application(TINY, DefaultController, noise=QUIET, seed=1)
 
 
 class TestTraceCSV:
@@ -74,6 +77,15 @@ class TestTraceCSV:
         )
         with pytest.raises(SimulationError):
             trace_csv_string(run)
+
+    def test_equals_streamed_csv_without_socket_column(self, result):
+        buf = io.StringIO()
+        sink = StreamingTraceSink(buf, fmt="csv")
+        run_application(TINY, DefaultController, noise=QUIET, seed=1, trace_sink=sink)
+        streamed = buf.getvalue().splitlines(keepends=True)
+        assert trace_csv_string(result) == "".join(
+            line.split(",", 1)[1] for line in streamed
+        )
 
     def test_returned_count_matches_stream(self, result):
         buf = io.StringIO()

@@ -69,9 +69,12 @@ class TestExportAll:
 
 class TestHeteroCLI:
     def test_hetero_subcommand(self, capsys):
-        assert main(["hetero", "--budget", "300"]) == 0
+        argv = ["run", "CG", "--gpus", "1", "--scale", "0.5", "--slowdown", "10"]
+        for policy in ("hetero-static", "hetero-coord"):
+            argv += ["--controller", f"{policy}:budget_w=300"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "coordinated" in out and "static 50/50" in out
+        assert "hetero-coord-300W" in out and "hetero-static-300W" in out
 
 
 @pytest.mark.slow
